@@ -7,7 +7,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List
+from typing import Dict, List, NoReturn
 
 from . import __version__
 from .model import (
@@ -58,17 +58,25 @@ def _write_csv(path: str, header: List[str], rows: List[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _exit_with_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def _describe(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _load_scenario_or_exit(path: str) -> Scenario:
     if not os.path.exists(path):
-        print(f"error: scenario file not found: {path}", file=sys.stderr)
-        sys.exit(2)
-    s = load_scenario(path)
-    problems = validate_scenario(s)
+        _exit_with_error(f"scenario file not found: {path}")
+    try:
+        s = load_scenario(path)
+        problems = validate_scenario(s)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        _exit_with_error(f"cannot read scenario {path}: {_describe(exc)}")
     if problems:
-        print(f"error: invalid scenario {path}:", file=sys.stderr)
-        for p in problems:
-            print(f"  - {p}", file=sys.stderr)
-        sys.exit(2)
+        _exit_with_error(f"invalid scenario {path}: " + "; ".join(problems))
     return s
 
 
@@ -286,11 +294,12 @@ def cmd_compare(args: argparse.Namespace, started: float) -> int:
 def cmd_report(args: argparse.Namespace, started: float) -> int:
     s = _load_scenario_or_exit(args.scenario)
     if not os.path.exists(args.allocation):
-        print(f"error: allocation file not found: {args.allocation}", file=sys.stderr)
-        return 2
-    with open(args.allocation) as fh:
-        payload = json.load(fh)
-    alloc = alloc_from_dict(payload["allocation"])
+        _exit_with_error(f"allocation file not found: {args.allocation}")
+    try:
+        with open(args.allocation) as fh:
+            alloc = alloc_from_dict(json.load(fh)["allocation"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        _exit_with_error(f"cannot read allocation {args.allocation}: {_describe(exc)}")
     report = compute_metrics(s, alloc)
     rows = []
     for n in s.provider_ids():
@@ -385,5 +394,14 @@ def main(argv: List[str] | None = None) -> int:
     return args.func(args, started)
 
 
+def run(argv: List[str] | None = None) -> int:
+    """Process entry point: a rejected argument or unwritable output ends in exit 2."""
+    try:
+        return main(argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

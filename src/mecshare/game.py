@@ -1,14 +1,15 @@
 """Coalition values, exhaustive coalition analysis, core checks, and misreport experiments."""
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import dataclasses
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from .model import AllocEvent, Application, Provider, Scenario, eval_utility
-from .gpoa import OrderingScheme, run_gpoa
-from .ppmpoa import run_ppmpoa
+from .model import AllocEvent, Scenario, eval_utility
+from .gpoa import GpoaResult, OrderingScheme, partition_players, run_gpoa, run_solo_phase
+from .ppmpoa import PpmpoaResult, run_ppmpoa
 
 MAX_PROVIDERS = 12
 
@@ -55,14 +56,20 @@ def restrict_scenario(s: Scenario, members: FrozenSet[int]) -> Scenario:
     comm = {
         (n, j): d for (n, j), d in s.comm_costs.items() if n in members and j in keep_app_ids
     }
-    return Scenario(
-        K=s.K,
-        providers=keep_providers,
-        applications=keep_apps,
-        comm_costs=comm,
-        delta=s.delta,
-        epsilon_gain=s.epsilon_gain,
+    return dataclasses.replace(
+        s, providers=keep_providers, applications=keep_apps, comm_costs=comm
     )
+
+
+def run_algorithm(
+    s: Scenario, algorithm: str, scheme: OrderingScheme
+) -> GpoaResult | PpmpoaResult:
+    """Run GPOA under `scheme`, or PPMPOA (which takes no ordering)."""
+    if algorithm == "gpoa":
+        return run_gpoa(s, scheme)
+    if algorithm == "ppmpoa":
+        return run_ppmpoa(s)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def coalition_value(
@@ -78,17 +85,9 @@ def coalition_value(
     unknown = members - set(s.provider_ids())
     if unknown:
         raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
-    sub = restrict_scenario(s, members)
-    if algorithm == "gpoa":
-        result = run_gpoa(sub, scheme)
-        order = result.order_used
-    elif algorithm == "ppmpoa":
-        result = run_ppmpoa(sub)
-        order = [rec.n for rec in result.matches]
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    result = run_algorithm(restrict_scenario(s, members), algorithm, scheme)
     payoffs = {n: p.total for n, p in result.payoffs.items()}
-    return sum(payoffs.values()), payoffs, order
+    return sum(payoffs.values()), payoffs, result.order_used
 
 
 def _coalitions_by_bitset(provider_ids: List[int]) -> List[FrozenSet[int]]:
@@ -99,22 +98,8 @@ def _coalitions_by_bitset(provider_ids: List[int]) -> List[FrozenSet[int]]:
     return out
 
 
-def share_threads() -> int:
-    raw = os.environ.get("COALITION_SHARE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n == 0:
-        n = 1
-    return max(1, n)
-
-
 def _swept_entry(s: Scenario, members: FrozenSet[int], sweep_limit: int) -> CoalitionEntry | None:
     """Evaluate every surplus-order permutation of a coalition, best value first."""
-    from .gpoa import partition_players, run_gpoa, run_solo_phase
-    import itertools
-
     sub = restrict_scenario(s, members)
     state, _, _, _ = run_solo_phase(sub)
     _, g2 = partition_players(sub, state)
@@ -172,13 +157,7 @@ def enumerate_coalitions(
             candidates=[(tuple(order), payoffs)],
         )
 
-    threads = share_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries_list = list(pool.map(evaluate, coalitions))
-    else:
-        entries_list = [evaluate(members) for members in coalitions]
-    entries = dict(zip(coalitions, entries_list))
+    entries = {members: evaluate(members) for members in coalitions}
     report = CoalitionReport(entries=entries, algorithm=algorithm, provider_ids=ids)
 
     if sweep_orders and algorithm == "gpoa":
@@ -258,31 +237,16 @@ def check_no_blocking_coalition(report: CoalitionReport, tol: float = 1e-6) -> P
 
 def _scaled_scenario(s: Scenario, n: int, factor_capacity: float, factor_requests: float) -> Scenario:
     providers = tuple(
-        Provider(
-            id=p.id,
-            capacity=tuple(c * factor_capacity for c in p.capacity) if p.id == n else p.capacity,
-            native_apps=p.native_apps,
-        )
+        dataclasses.replace(p, capacity=tuple(c * factor_capacity for c in p.capacity))
+        if p.id == n else p
         for p in s.providers
     )
     applications = tuple(
-        Application(
-            id=a.id,
-            owner=a.owner,
-            request=tuple(r * factor_requests for r in a.request) if a.owner == n else a.request,
-            utility=a.utility,
-            weight_w1=a.weight_w1,
-        )
+        dataclasses.replace(a, request=tuple(r * factor_requests for r in a.request))
+        if a.owner == n else a
         for a in s.applications
     )
-    return Scenario(
-        K=s.K,
-        providers=providers,
-        applications=applications,
-        comm_costs=dict(s.comm_costs),
-        delta=s.delta,
-        epsilon_gain=s.epsilon_gain,
-    )
+    return dataclasses.replace(s, providers=providers, applications=applications)
 
 
 def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
@@ -342,11 +306,7 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
 
 
 def run_events(s: Scenario, algorithm: str, scheme: OrderingScheme) -> List[AllocEvent]:
-    if algorithm == "gpoa":
-        return run_gpoa(s, scheme).events
-    if algorithm == "ppmpoa":
-        return run_ppmpoa(s).events
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return run_algorithm(s, algorithm, scheme).events
 
 
 def misreport_experiment(
@@ -369,8 +329,10 @@ def misreport_experiment(
     no matter what it told the other providers. Only the sharing phase sees
     the misreported values, and those grants are clipped against the truth.
     """
-    if factor_capacity <= 0 or factor_requests <= 0:
-        raise ValueError("scaling factors must be > 0")
+    if not all(math.isfinite(f) and f > 0 for f in (factor_capacity, factor_requests)):
+        raise ValueError("scaling factors must be finite and > 0")
+    if n not in s.provider_ids():
+        raise ValueError(f"unknown provider {n}")
     if scheme is None:
         scheme = OrderingScheme.random(0)
     truth_events = run_events(s, algorithm, scheme)

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .model import AllocEvent, AllocState, AllocationTensor, Scenario, TOL
+from .model import AllocEvent, AllocState, AllocationTensor, Scenario
 from .scengen import Stream
 from .subsolver import solve_single_provider, solve_surplus_share
 
@@ -77,7 +77,6 @@ class GpoaResult:
     g1: List[int]
     g2: List[int]
     order_used: List[int]
-    state_final: AllocState
     events: List[AllocEvent] = field(default_factory=list)
 
 
@@ -86,14 +85,9 @@ def partition_players(s: Scenario, state: AllocState) -> Tuple[List[int], List[i
     g1: List[int] = []
     g2: List[int] = []
     for n in s.provider_ids():
-        deficit = any(
-            state.remaining_request[a.id][k] > TOL
-            for a in s.apps_of(n)
-            for k in range(s.K)
-        )
-        if deficit:
+        if state.has_deficit(s, n):
             g1.append(n)
-        elif any(state.remaining_capacity[n][k] > TOL for k in range(s.K)):
+        elif state.has_surplus(n):
             g2.append(n)
     return g1, g2
 
@@ -125,45 +119,28 @@ def run_solo_phase(
     for n in s.provider_ids():
         res = solve_single_provider(s, n)
         payoffs[n] = Payoff(v_solo=res.objective_value)
-        chunks = []
-        for (j, k), x in sorted(res.allocation.items()):
-            if x > 0:
-                alloc.add(n, j, k, x, s.K)
-                state.apply(n, j, k, x)
-                chunks.append((j, k, x))
-        events.append(AllocEvent(phase="solo", allocator=n, chunks=chunks))
+        events.append(state.commit(s, alloc, n, res.allocation, "solo"))
     return state, alloc, payoffs, events
 
 
-def _deficit_apps(s: Scenario, state: AllocState, g1: List[int]) -> List[int]:
-    return [
-        a.id
-        for m in g1
-        for a in s.apps_of(m)
-        if any(state.remaining_request[a.id][k] > TOL for k in range(s.K))
-    ]
-
-
 def run_gpoa(s: Scenario, scheme: OrderingScheme) -> GpoaResult:
+    if scheme.kind in ("cao", "cdo") and not 0 <= scheme.k < s.K:
+        raise ValueError(f"{scheme.kind}:k={scheme.k} names no resource type of K={s.K}")
     state, alloc, payoffs, events = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
     order = order_surplus(g2, scheme, state)
 
     shared: Dict[Tuple[int, int], float] = {}  # (app, k) -> amount granted in sharing rounds
     for n in order:
-        deficit_apps = _deficit_apps(s, state, g1)
+        deficit_apps = [a.id for m in g1 for a in s.apps_of(m) if state.app_has_deficit(a.id)]
         if not deficit_apps:
             break
         res = solve_surplus_share(s, n, state, deficit_apps)
         payoffs[n].sharing += res.objective_value
-        chunks = []
-        for (j, k), x in sorted(res.allocation.items()):
-            if x > 0:
-                alloc.add(n, j, k, x, s.K)
-                state.apply(n, j, k, x)
-                shared[(j, k)] = shared.get((j, k), 0.0) + x
-                chunks.append((j, k, x))
-        events.append(AllocEvent(phase="share", allocator=n, chunks=chunks))
+        ev = state.commit(s, alloc, n, res.allocation, "share")
+        for j, k, x in ev.chunks:
+            shared[(j, k)] = shared.get((j, k), 0.0) + x
+        events.append(ev)
 
     for m in g1:
         bonus = 0.0
@@ -180,6 +157,5 @@ def run_gpoa(s: Scenario, scheme: OrderingScheme) -> GpoaResult:
         g1=g1,
         g2=g2,
         order_used=order,
-        state_final=state,
         events=events,
     )

@@ -49,17 +49,6 @@ def eval_utility(u: UtilitySpec, x: float, r: float) -> float:
 
 
 @dataclass(frozen=True)
-class CommCostSpec:
-    """Linear communication cost d * sum(x) for serving a remote application."""
-
-    d: float = 0.0
-
-
-def eval_comm_cost(c: CommCostSpec, x: ResourceVector) -> float:
-    return c.d * sum(x)
-
-
-@dataclass(frozen=True)
 class Application:
     id: int
     owner: int
@@ -122,10 +111,10 @@ def validate_scenario(s: Scenario) -> List[str]:
     out: List[str] = []
     if s.K <= 0:
         out.append("K must be > 0")
-    if s.delta <= 0:
-        out.append("delta must be > 0")
-    if s.epsilon_gain < 0:
-        out.append("epsilon_gain must be >= 0")
+    if not math.isfinite(s.delta) or s.delta <= 0:
+        out.append("delta must be finite and > 0")
+    if not math.isfinite(s.epsilon_gain) or s.epsilon_gain < 0:
+        out.append("epsilon_gain must be finite and >= 0")
 
     provider_ids = [p.id for p in s.providers]
     if len(set(provider_ids)) != len(provider_ids):
@@ -147,21 +136,21 @@ def validate_scenario(s: Scenario) -> List[str]:
     min_positive_request = math.inf
     for a in s.applications:
         _check_vector(f"app {a.id} request", a.request, s.K, out)
-        if a.weight_w1 <= 0:
-            out.append(f"app {a.id}: weight_w1 must be > 0")
+        if not math.isfinite(a.weight_w1) or a.weight_w1 <= 0:
+            out.append(f"app {a.id}: weight_w1 must be finite and > 0")
         if a.owner not in set(provider_ids):
             out.append(f"app {a.id}: owner {a.owner} does not exist")
         elif owners.get(a.id) != a.owner:
             out.append(f"app {a.id}: not listed among native apps of owner {a.owner}")
         u = a.utility
         if u.kind == "linear":
-            if u.a < 0:
-                out.append(f"app {a.id}: linear utility slope must be >= 0")
-            if u.c < 0:
-                out.append(f"app {a.id}: linear utility offset must be >= 0")
+            if not math.isfinite(u.a) or u.a < 0:
+                out.append(f"app {a.id}: linear utility slope must be finite and >= 0")
+            if not math.isfinite(u.c) or u.c < 0:
+                out.append(f"app {a.id}: linear utility offset must be finite and >= 0")
         elif u.kind == "sigmoid":
-            if u.mu <= 0:
-                out.append(f"app {a.id}: sigmoid mu must be > 0")
+            if not math.isfinite(u.mu) or u.mu <= 0:
+                out.append(f"app {a.id}: sigmoid mu must be finite and > 0")
         else:
             out.append(f"app {a.id}: unknown utility kind {u.kind!r}")
         for r in a.request:
@@ -169,8 +158,8 @@ def validate_scenario(s: Scenario) -> List[str]:
                 min_positive_request = min(min_positive_request, r)
 
     for (n, j), d in s.comm_costs.items():
-        if d < 0:
-            out.append(f"comm cost ({n},{j}): d must be >= 0")
+        if not math.isfinite(d) or d < 0:
+            out.append(f"comm cost ({n},{j}): d must be finite and >= 0")
 
     if s.delta > 0 and min_positive_request < s.delta:
         out.append(
@@ -253,6 +242,31 @@ class AllocState:
         self.remaining_capacity[n][k] -= amount
         self.remaining_request[j][k] -= amount
         self.allocated[j][k] += amount
+
+    def app_has_deficit(self, j: int, k: int | None = None) -> bool:
+        """App j still misses more than TOL of resource k (of any resource when k is None)."""
+        if k is None:
+            return any(r > TOL for r in self.remaining_request[j])
+        return self.remaining_request[j][k] > TOL
+
+    def has_deficit(self, s: Scenario, n: int) -> bool:
+        return any(self.app_has_deficit(a.id) for a in s.apps_of(n))
+
+    def has_surplus(self, n: int) -> bool:
+        return any(c > TOL for c in self.remaining_capacity[n])
+
+    def commit(
+        self, s: Scenario, alloc: AllocationTensor, n: int,
+        allocation: Dict[Tuple[int, int], float], phase: str,
+    ) -> "AllocEvent":
+        """Grant provider n's positive amounts in (app, resource) order and record the event."""
+        chunks = []
+        for (j, k), x in sorted(allocation.items()):
+            if x > 0:
+                alloc.add(n, j, k, x, s.K)
+                self.apply(n, j, k, x)
+                chunks.append((j, k, x))
+        return AllocEvent(phase=phase, allocator=n, chunks=chunks)
 
     def copy(self) -> "AllocState":
         return AllocState(

@@ -44,8 +44,12 @@ class PpmpoaResult:
     g2: List[int]
     matches: List[MatchRecord]
     rounds: int
-    state_final: AllocState
     events: List[AllocEvent] = field(default_factory=list)
+
+    @property
+    def order_used(self) -> List[int]:
+        """Surplus providers in the order their matches were committed."""
+        return [rec.n for rec in self.matches]
 
 
 def build_matching_matrix(
@@ -85,6 +89,19 @@ def select_match(matrix: MatchingMatrix) -> Tuple[int, int]:
     return best
 
 
+def _commit_match(
+    s: Scenario, state: AllocState, alloc: AllocationTensor, matrix: MatchingMatrix,
+    m: int, n: int, g1_active: List[int], g2_active: List[int],
+) -> AllocEvent:
+    """Commit cell (m, n) and retire whichever side it left without surplus or deficit."""
+    ev = state.commit(s, alloc, n, matrix.allocs[(m, n)], "share")
+    if not state.has_surplus(n):
+        g2_active.remove(n)
+    if not state.has_deficit(s, m):
+        g1_active.remove(m)
+    return ev
+
+
 def run_ppmpoa(s: Scenario) -> PpmpoaResult:
     state, alloc, payoffs, events = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
@@ -101,27 +118,14 @@ def run_ppmpoa(s: Scenario) -> PpmpoaResult:
         round_no += 1
         matches.append(MatchRecord(round=round_no, m=m, n=n, value=j_val, resources=r_val))
         payoffs[n].sharing += j_val
-        chunks = []
+        ev = _commit_match(s, state, alloc, matrix, m, n, g1_active, g2_active)
         bonus = 0.0
-        for (j, k), x in sorted(matrix.allocs[(m, n)].items()):
-            if x > 0:
-                alloc.add(n, j, k, x, s.K)
-                state.apply(n, j, k, x)
-                chunks.append((j, k, x))
-                r = s.app(j).request[k]
-                if r > 0:
-                    bonus += x / r
+        for j, k, x in ev.chunks:
+            r = s.app(j).request[k]
+            if r > 0:
+                bonus += x / r
         payoffs[m].bonus += bonus
-        events.append(AllocEvent(phase="share", allocator=n, chunks=chunks))
-
-        if all(state.remaining_capacity[n][k] <= TOL for k in range(s.K)):
-            g2_active.remove(n)
-        if not any(
-            state.remaining_request[a.id][k] > TOL
-            for a in s.apps_of(m)
-            for k in range(s.K)
-        ):
-            g1_active.remove(m)
+        events.append(ev)
 
     return PpmpoaResult(
         allocation=alloc,
@@ -130,7 +134,6 @@ def run_ppmpoa(s: Scenario) -> PpmpoaResult:
         g2=g2,
         matches=matches,
         rounds=round_no,
-        state_final=state,
         events=events,
     )
 
@@ -141,7 +144,7 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
     At each round the committed surplus provider must have been offered no
     larger value by any other available deficit provider.
     """
-    state, _, _, _ = run_solo_phase(s)
+    state, alloc, _, _ = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
     g1_active, g2_active = list(g1), list(g2)
     blocking: List[BlockingPair] = []
@@ -166,15 +169,5 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
                         committed_value=committed,
                     )
                 )
-        for (j, k), x in sorted(matrix.allocs[(rec.m, rec.n)].items()):
-            if x > 0:
-                state.apply(rec.n, j, k, x)
-        if all(state.remaining_capacity[rec.n][k] <= TOL for k in range(s.K)):
-            g2_active.remove(rec.n)
-        if not any(
-            state.remaining_request[a.id][k] > TOL
-            for a in s.apps_of(rec.m)
-            for k in range(s.K)
-        ):
-            g1_active.remove(rec.m)
+        _commit_match(s, state, alloc, matrix, rec.m, rec.n, g1_active, g2_active)
     return blocking

@@ -229,9 +229,9 @@ def build_share_spec(s: Scenario, n: int, state: AllocState, deficit_apps: List[
         if d > 0:
             monotone = False  # the -d*x term can make contributions decrease
         for k in range(s.K):
-            gap = state.remaining_request[j][k]
-            if gap <= 0:
+            if not state.app_has_deficit(j, k):
                 continue
+            gap = state.remaining_request[j][k]
             z = state.allocated[j][k]
             items.append(
                 SubproblemItem(
@@ -293,11 +293,7 @@ def solve_pair_match(
 
     Pure: does not mutate `state`. Returns (objective J, resources used R, allocation).
     """
-    deficit_apps = [
-        a.id
-        for a in s.apps_of(m)
-        if any(state.remaining_request[a.id][k] > 0 for k in range(s.K))
-    ]
+    deficit_apps = [a.id for a in s.apps_of(m) if state.app_has_deficit(a.id)]
     if not deficit_apps:
         return 0.0, 0.0, {}
     result = solve_surplus_share(s, n, state, deficit_apps)

@@ -1,8 +1,14 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mecshare
 from mecshare.cli import main
 from mecshare.model import load_scenario
 
@@ -182,3 +188,57 @@ class TestDeterminism:
         for path in (a, b):
             main(command + ["--scenario", scenario_file, "--out", str(path)])
         assert without_manifest(str(a)) == without_manifest(str(b))
+
+
+def two_provider_json(edit=None):
+    """K=1: provider 1 lacks 2 units for its app, provider 2 has 4 to spare."""
+    linear = {"kind": "linear", "params": {"a": 1.0, "c": 0.0}}
+    payload = {
+        "K": 1,
+        "providers": [
+            {"id": 1, "capacity": [2.0], "native_apps": [1]},
+            {"id": 2, "capacity": [6.0], "native_apps": [2]},
+        ],
+        "applications": [
+            {"id": 1, "owner": 1, "request": [4.0], "utility": linear},
+            {"id": 2, "owner": 2, "request": [2.0], "utility": linear},
+        ],
+    }
+    if edit is not None:
+        edit(payload)
+    return json.dumps(payload)
+
+
+BAD_INPUTS = {
+    "malformed-json": ("{not json", ["solo"]),
+    "missing-K": (two_provider_json(lambda d: d.pop("K")), ["solo"]),
+    "nan-delta": (two_provider_json(lambda d: d.update(delta=math.nan)), ["solo"]),
+    "nan-w1": (two_provider_json(lambda d: d["applications"][0].update(w1=math.nan)), ["gpoa"]),
+    "unknown-order": (two_provider_json(), ["gpoa", "--order", "bogus"]),
+    "order-resource-out-of-range": (two_provider_json(), ["gpoa", "--order", "cao:k=7"]),
+    "explicit-order-not-surplus": (two_provider_json(), ["gpoa", "--order", "explicit:9,8"]),
+    "table3-explicit-order": (two_provider_json(), ["table3", "--order", "explicit:2,3"]),
+    "verify-explicit-order": (
+        two_provider_json(), ["verify", "--no-sweep-orders", "--order", "explicit:2,3"]
+    ),
+    "misreport-unknown-provider": (two_provider_json(), ["misreport", "--provider", "99"]),
+    "misreport-zero-factor": (
+        two_provider_json(), ["misreport", "--provider", "1", "--cap-factor", "0"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
+    text, argv = BAD_INPUTS[case]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(mecshare.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mecshare.cli", argv[0], "--scenario", str(scenario)]
+        + argv[1:] + ["--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

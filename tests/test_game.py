@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
+from mecshare import subsolver
 from mecshare.model import Provider
 from mecshare.gpoa import OrderingScheme, run_gpoa
-from mecshare.ppmpoa import run_ppmpoa
+from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.game import (
     EmptyCoalition,
     TooManyProviders,
@@ -15,9 +18,8 @@ from mecshare.game import (
     realized_payoffs,
     restrict_scenario,
     run_events,
-    share_threads,
 )
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, Stream, generate_scenario
 
 from conftest import linear_app, make_scenario
 
@@ -81,21 +83,6 @@ class TestEnumerateCoalitions:
         s = make_scenario(providers, [])
         with pytest.raises(TooManyProviders):
             enumerate_coalitions(s, CDO)
-
-    def test_thread_count_from_environment(self, monkeypatch):
-        monkeypatch.delenv("COALITION_SHARE_THREADS", raising=False)
-        assert share_threads() == 1
-        monkeypatch.setenv("COALITION_SHARE_THREADS", "4")
-        assert share_threads() == 4
-        monkeypatch.setenv("COALITION_SHARE_THREADS", "junk")
-        assert share_threads() == 1
-
-    def test_threaded_enumeration_matches_serial(self, setting1_seed42, monkeypatch):
-        serial = enumerate_coalitions(setting1_seed42, CDO)
-        monkeypatch.setenv("COALITION_SHARE_THREADS", "3")
-        threaded = enumerate_coalitions(setting1_seed42, CDO)
-        for members, entry in serial.entries.items():
-            assert threaded.entries[members].value == pytest.approx(entry.value, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +159,44 @@ class TestRealizedPayoffs:
         replay_doubled = realized_payoffs(s, events)
         for n in replay_true:
             assert replay_doubled[n] <= 2 * replay_true[n] + 1e-6
+
+
+def with_comm_costs(s, seed):
+    """Cost d ~ U[0, 0.5] for every provider serving every remote app."""
+    rng = Stream(seed)
+    costs = {
+        (p.id, a.id): rng.uniform(0.0, 0.5)
+        for p in s.providers
+        for a in s.applications
+        if a.owner != p.id
+    }
+    return dataclasses.replace(s, comm_costs=costs)
+
+
+class TestCommCostsOnGeneratedScenarios:
+    def test_costly_sharing_stays_consistent_and_rolls_back(self, monkeypatch):
+        rolled_back = []
+        rollback = subsolver._rollback_uncovered_cost
+
+        def counting_rollback(s, n, state, result):
+            granted = [key for key, x in result.allocation.items() if x > 0]
+            result = rollback(s, n, state, result)
+            rolled_back.extend(key for key in granted if result.allocation[key] == 0.0)
+            return result
+
+        monkeypatch.setattr(subsolver, "_rollback_uncovered_cost", counting_rollback)
+        for setting in (1, 2):
+            for utility in ("linear", "sigmoid"):
+                s = generate_scenario(GenSpec(setting=setting, seed=3, utility_kind=utility))
+                s = with_comm_costs(s, 100 * setting + len(utility))
+                pres = run_ppmpoa(s)
+                for res in (run_gpoa(s, CDO), pres):
+                    assert res.allocation.check_feasibility(s) == []
+                    total = sum(p.total for p in res.payoffs.values())
+                    replay = sum(realized_payoffs(s, res.events).values())
+                    assert abs(replay - total) <= 1e-9 * max(1.0, abs(total))
+                assert check_matching_stability(pres, s) == []
+        assert rolled_back
 
 
 class TestMisreport:

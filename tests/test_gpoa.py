@@ -116,6 +116,11 @@ class TestRunGpoa:
         assert res.allocation.get(2, 1, 1) == pytest.approx((2.0,), abs=1e-9)
         assert res.allocation.check_feasibility(s) == []
 
+    @pytest.mark.parametrize("scheme", [OrderingScheme.cao(1), OrderingScheme.cdo(-1)])
+    def test_ordering_resource_must_exist(self, scheme):
+        with pytest.raises(ValueError):
+            run_gpoa(two_provider_scenario(), scheme)
+
     def test_bonus_uses_original_request_denominator(self):
         s = two_provider_scenario()
         res = run_gpoa(s, OrderingScheme.cao(0))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,11 +8,9 @@ from hypothesis import given, strategies as st
 from mecshare.model import (
     AllocationTensor,
     Application,
-    CommCostSpec,
     Provider,
     Scenario,
     UtilitySpec,
-    eval_comm_cost,
     eval_utility,
     feasibility_tol,
     load_scenario,
@@ -48,12 +47,6 @@ def test_sigmoid_utility_is_increasing_in_x():
 def test_unknown_utility_kind_raises():
     with pytest.raises(ValueError):
         eval_utility(UtilitySpec(kind="quadratic"), 1.0, 1.0)
-
-
-def test_comm_cost_is_linear_in_total_allocation():
-    c = CommCostSpec(d=0.25)
-    assert eval_comm_cost(c, (1.0, 2.0, 3.0)) == pytest.approx(1.5)
-    assert eval_comm_cost(CommCostSpec(), (5.0,)) == 0.0
 
 
 def test_feasibility_tol_scales_with_magnitude():
@@ -93,6 +86,31 @@ class TestValidateScenario:
         )
         s = make_scenario([Provider(id=1, capacity=(1.0,), native_apps=(1,))], [app])
         assert any("mu" in msg for msg in validate_scenario(s))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["delta", "epsilon_gain", "w1", "a", "c", "mu", "d"])
+    def test_non_finite_scalars_rejected(self, name, value):
+        utility = UtilitySpec.sigmoid(mu=1.0) if name == "mu" else UtilitySpec.linear(a=1.0, c=0.0)
+        app = Application(id=1, owner=1, request=(1.0,), utility=utility)
+        s = make_scenario(
+            [
+                Provider(id=1, capacity=(1.0,), native_apps=(1,)),
+                Provider(id=2, capacity=(1.0,), native_apps=()),
+            ],
+            [app],
+            comm_costs={(2, 1): 0.1},
+        )
+        assert validate_scenario(s) == []
+        if name in ("delta", "epsilon_gain"):
+            s = dataclasses.replace(s, **{name: value})
+        elif name == "d":
+            s = dataclasses.replace(s, comm_costs={(2, 1): value})
+        elif name == "w1":
+            s = dataclasses.replace(s, applications=(dataclasses.replace(app, weight_w1=value),))
+        else:
+            bad = dataclasses.replace(app, utility=dataclasses.replace(utility, **{name: value}))
+            s = dataclasses.replace(s, applications=(bad,))
+        assert any("finite" in msg for msg in validate_scenario(s))
 
 
 class TestAllocationTensor:

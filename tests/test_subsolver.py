@@ -275,6 +275,14 @@ class TestSurplusShare:
         j_val, r_val, alloc = solve_pair_match(s, 1, 2, state)
         assert (j_val, r_val, alloc) == (0.0, 0.0, {})
 
+    def test_residual_gap_within_tolerance_is_closed(self):
+        # A 1e-12 residual is bookkeeping noise, not a deficit: granting it
+        # would score (x/gap)^2 = 1 for a 1e-12 grant.
+        s, state = self._one_gap_scenario()
+        state.remaining_request[1][0] = 1e-12
+        assert solve_pair_match(s, 1, 2, state) == (0.0, 0.0, {})
+        assert build_share_spec(s, 2, state, [1]).items == []
+
 
 def test_sigmoid_solo_solve_stays_feasible():
     app = make_sigmoid_app(1, owner=1, request=(200.0,))
