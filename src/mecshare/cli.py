@@ -182,7 +182,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
     ]
     stability_ok = True
     if args.algorithm == "ppmpoa":
-        blocking = check_matching_stability(run_ppmpoa(s), s)
+        blocking = check_matching_stability(report.grand_result, s)
         stability_ok = not blocking
     payload = {
         "algorithm": args.algorithm,

@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
 from .model import AllocEvent, Scenario, eval_utility
-from .gpoa import GpoaResult, OrderingScheme, partition_players, run_gpoa, run_solo_phase
+from .gpoa import (
+    GpoaResult,
+    OrderingScheme,
+    order_surplus,
+    partition_players,
+    run_gpoa,
+    run_solo_phase,
+)
 from .ppmpoa import PpmpoaResult, run_ppmpoa
 
 MAX_PROVIDERS = 12
@@ -37,6 +44,8 @@ class CoalitionReport:
     entries: Dict[FrozenSet[int], CoalitionEntry]
     algorithm: str
     provider_ids: List[int]
+    # The grand coalition's own run, unless its entry came from an order sweep.
+    grand_result: GpoaResult | PpmpoaResult | None = None
 
     def grand(self) -> CoalitionEntry:
         return self.entries[frozenset(self.provider_ids)]
@@ -72,6 +81,19 @@ def run_algorithm(
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def run_coalition(
+    s: Scenario, members, scheme: OrderingScheme, algorithm: str = "gpoa"
+) -> GpoaResult | PpmpoaResult:
+    """Run the chosen algorithm on the sub-scenario of `members`."""
+    members = frozenset(members)
+    if not members:
+        raise EmptyCoalition("coalition must be nonempty")
+    unknown = members - set(s.provider_ids())
+    if unknown:
+        raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
+    return run_algorithm(restrict_scenario(s, members), algorithm, scheme)
+
+
 def coalition_value(
     s: Scenario,
     members,
@@ -79,13 +101,7 @@ def coalition_value(
     algorithm: str = "gpoa",
 ) -> Tuple[float, Dict[int, float], List[int]]:
     """Run the chosen algorithm on the sub-scenario of `members`; value = sum of payoffs."""
-    members = frozenset(members)
-    if not members:
-        raise EmptyCoalition("coalition must be nonempty")
-    unknown = members - set(s.provider_ids())
-    if unknown:
-        raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
-    result = run_algorithm(restrict_scenario(s, members), algorithm, scheme)
+    result = run_coalition(s, members, scheme, algorithm)
     payoffs = {n: p.total for n, p in result.payoffs.items()}
     return sum(payoffs.values()), payoffs, result.order_used
 
@@ -145,20 +161,38 @@ def enumerate_coalitions(
     if len(ids) > MAX_PROVIDERS:
         raise TooManyProviders(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
     coalitions = _coalitions_by_bitset(ids)
+    full = frozenset(ids)
+    if algorithm == "gpoa" and scheme.kind == "explicit":
+        # Raises InvalidExplicitOrder unless the order permutes the grand
+        # surplus set. A provider's surplus status comes from its own solo
+        # solve, so each coalition's surplus set is the grand one restricted
+        # to its members, and so is the order it gets.
+        state, _, _, _ = run_solo_phase(s)
+        order_surplus(partition_players(s, state)[1], scheme, state)
+    grand_result = None
 
     def evaluate(members: FrozenSet[int]) -> CoalitionEntry:
+        nonlocal grand_result
         if sweep_orders and algorithm == "gpoa":
             entry = _swept_entry(s, members, sweep_limit)
             if entry is not None:
                 return entry
-        value, payoffs, order = coalition_value(s, members, scheme, algorithm)
+        member_scheme = scheme
+        if scheme.kind == "explicit":
+            member_scheme = OrderingScheme.explicit(n for n in scheme.order if n in members)
+        result = run_coalition(s, members, member_scheme, algorithm)
+        if members == full:
+            grand_result = result
+        payoffs = {n: p.total for n, p in result.payoffs.items()}
         return CoalitionEntry(
-            value=value, payoffs=payoffs, order_used=order,
-            candidates=[(tuple(order), payoffs)],
+            value=sum(payoffs.values()), payoffs=payoffs, order_used=result.order_used,
+            candidates=[(tuple(result.order_used), payoffs)],
         )
 
     entries = {members: evaluate(members) for members in coalitions}
-    report = CoalitionReport(entries=entries, algorithm=algorithm, provider_ids=ids)
+    report = CoalitionReport(
+        entries=entries, algorithm=algorithm, provider_ids=ids, grand_result=grand_result
+    )
 
     if sweep_orders and algorithm == "gpoa":
         _select_core_grand(report)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Set
 
 from .model import AllocationTensor, Scenario, TOL
 
@@ -18,9 +18,11 @@ class MetricsReport:
 
 def request_satisfaction(s: Scenario, x: AllocationTensor):
     """Per app: mean of allocated/requested over demanded resource types; per provider: mean over native apps."""
+    by_app, _ = x.totals(s.K)
+    zeros = [0.0] * s.K
     per_app: Dict[int, float] = {}
     for a in s.applications:
-        totals = x.total_for_app(a.id, s.K)
+        totals = by_app.get(a.id, zeros)
         ratios = [
             min(1.0, totals[k] / a.request[k]) for k in range(s.K) if a.request[k] > 0
         ]
@@ -33,27 +35,26 @@ def request_satisfaction(s: Scenario, x: AllocationTensor):
 
 
 def resource_utilization(s: Scenario, x: AllocationTensor) -> Dict[int, float]:
+    _, by_provider = x.totals(s.K)
     out: Dict[int, float] = {}
     for p in s.providers:
         total_cap = sum(p.capacity)
         if total_cap <= 0:
             out[p.id] = 0.0
             continue
-        used = sum(x.used_by_provider(p.id, s.K))
+        used = sum(by_provider.get(p.id, [0.0] * s.K))
         out[p.id] = min(1.0, used / total_cap)
     return out
 
 
 def fragmentation_index(s: Scenario, x: AllocationTensor):
     """Per app: count of distinct remote providers serving it; aggregate: mean over remotely served apps."""
-    per_app: Dict[int, int] = {}
-    for a in s.applications:
-        remotes = {
-            n
-            for (n, j), vec in x.entries.items()
-            if j == a.id and n != a.owner and any(v > TOL for v in vec)
-        }
-        per_app[a.id] = len(remotes)
+    remotes: Dict[int, Set[int]] = {a.id: set() for a in s.applications}
+    owner = {a.id: a.owner for a in s.applications}
+    for (n, j), vec in x.entries.items():
+        if j in owner and n != owner[j] and any(v > TOL for v in vec):
+            remotes[j].add(n)
+    per_app = {j: len(providers) for j, providers in remotes.items()}
     served = [c for c in per_app.values() if c > 0]
     aggregate = sum(served) / len(served) if served else 0.0
     return per_app, aggregate

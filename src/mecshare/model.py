@@ -182,21 +182,23 @@ class AllocationTensor:
         cur[k] += amount
         self.entries[(n, j)] = tuple(cur)
 
+    def totals(self, k_count: int) -> Tuple[Dict[int, List[float]], Dict[int, List[float]]]:
+        """Per-app and per-provider sums over all entries, built in one pass in insertion order."""
+        by_app: Dict[int, List[float]] = {}
+        by_provider: Dict[int, List[float]] = {}
+        for (n, j), vec in self.entries.items():
+            app_totals = by_app.setdefault(j, [0.0] * k_count)
+            provider_totals = by_provider.setdefault(n, [0.0] * k_count)
+            for k, x in enumerate(vec):
+                app_totals[k] += x
+                provider_totals[k] += x
+        return by_app, by_provider
+
     def total_for_app(self, j: int, k_count: int) -> List[float]:
-        totals = [0.0] * k_count
-        for (n, jj), vec in self.entries.items():
-            if jj == j:
-                for k, x in enumerate(vec):
-                    totals[k] += x
-        return totals
+        return self.totals(k_count)[0].get(j, [0.0] * k_count)
 
     def used_by_provider(self, n: int, k_count: int) -> List[float]:
-        totals = [0.0] * k_count
-        for (nn, j), vec in self.entries.items():
-            if nn == n:
-                for k, x in enumerate(vec):
-                    totals[k] += x
-        return totals
+        return self.totals(k_count)[1].get(n, [0.0] * k_count)
 
     def check_feasibility(self, s: Scenario) -> List[str]:
         """Capacity, demand-cap, and nonnegativity violations for this allocation."""
@@ -205,15 +207,17 @@ class AllocationTensor:
             for k, x in enumerate(vec):
                 if x < -feasibility_tol(x):
                     out.append(f"x[{n},{j},{k}] = {x} is negative")
+        by_app, by_provider = self.totals(s.K)
+        zeros = [0.0] * s.K
         for p in s.providers:
-            used = self.used_by_provider(p.id, s.K)
+            used = by_provider.get(p.id, zeros)
             for k in range(s.K):
                 if used[k] > p.capacity[k] + feasibility_tol(p.capacity[k]):
                     out.append(
                         f"provider {p.id} resource {k}: used {used[k]} > capacity {p.capacity[k]}"
                     )
         for a in s.applications:
-            totals = self.total_for_app(a.id, s.K)
+            totals = by_app.get(a.id, zeros)
             for k in range(s.K):
                 if totals[k] > a.request[k] + feasibility_tol(a.request[k]):
                     out.append(

@@ -47,6 +47,16 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     The final unit is clamped to the exact remaining bound/capacity. Ties break
     on (app id, resource index) ascending; the loop stops once no item's gain
     exceeds epsilon_gain. Deterministic for identical inputs.
+
+    Precondition: every item's f is convex on [0, ub], so its delta-step gains
+    never decrease. The builders below satisfy it: linear utility plus x/r,
+    the logistic (centred at r, so x <= r stays below the inflection point),
+    and (x/gap)**2 together with -d*x. Hence, once an item wins a unit, it
+    keeps winning while a full delta step still fits: its own gain does not
+    shrink and no other item's gain moves while cap[k] >= delta. That run is
+    granted in one tight loop doing the same float additions in the same
+    order as one unit at a time, so the result is bit-identical except where
+    two items' gains lie within rounding noise of each other.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -103,8 +113,15 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
             heapq.heappush(heap, (-g, app, k, i))
             continue
         s = step_for(i)
-        x[i] += s
-        cap[k] = cap.get(k, 0.0) - s
+        xi = x[i] + s
+        ck = cap.get(k, 0.0) - s
+        # Run of full steps: the delta loop would pick this item again each time.
+        ub = items[i].ub
+        while ub - xi >= delta and ck >= delta:
+            xi += delta
+            ck -= delta
+        x[i] = xi
+        cap[k] = ck
         if not granted[i]:
             granted[i] = True
             first_grant.append((app, k))

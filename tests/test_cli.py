@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import mecshare
+from mecshare import cli, game
 from mecshare.cli import main
 from mecshare.model import load_scenario
+from mecshare.ppmpoa import run_ppmpoa
 
 
 def read_json(path):
@@ -105,6 +107,22 @@ class TestVerify:
         assert read_json(str(out))["matching_stable"] is True
 
 
+    def test_ppmpoa_verify_runs_each_coalition_once(self, scenario_file, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_ppmpoa(s):
+            calls.append(s.provider_ids())
+            return run_ppmpoa(s)
+
+        monkeypatch.setattr(game, "run_ppmpoa", counting_ppmpoa)
+        monkeypatch.setattr(cli, "run_ppmpoa", counting_ppmpoa)
+        out = tmp_path / "verify.json"
+        assert main(
+            ["verify", "--scenario", scenario_file, "--algorithm", "ppmpoa", "--out", str(out)]
+        ) == 0
+        assert len(calls) == 2**3 - 1
+
+
 class TestMisreport:
     def test_payload_reports_gain(self, scenario_file, tmp_path):
         out = tmp_path / "mis.json"
@@ -129,6 +147,25 @@ class TestTables:
         assert len(rows) == 8  # header + 7 coalitions
         assert rows[1][0] == "{1}"
         assert rows[-1][0] == "{1,2,3}"
+
+    def test_table3_explicit_order_is_restricted_per_coalition(self, scenario_file, tmp_path):
+        cdo_out = tmp_path / "cdo.json"
+        main(["gpoa", "--scenario", scenario_file, "--out", str(cdo_out)])
+        order = "explicit:" + ",".join(str(n) for n in read_json(str(cdo_out))["order_used"])
+        gpoa_out, table_out = tmp_path / "gpoa.json", tmp_path / "table3.csv"
+        assert main(
+            ["gpoa", "--scenario", scenario_file, "--order", order, "--out", str(gpoa_out)]
+        ) == 0
+        assert main(
+            ["table3", "--scenario", scenario_file, "--order", order, "--out", str(table_out)]
+        ) == 0
+        with open(table_out) as fh:
+            rows = list(csv.reader(fh))
+        grand = dict(zip(rows[0], rows[-1]))
+        payoffs = read_json(str(gpoa_out))["payoffs"]
+        assert {n: float(grand[f"player_{n}"]) for n in payoffs} == {
+            n: p["total"] for n, p in payoffs.items()
+        }
 
     def test_compare_lists_all_modes(self, scenario_file, tmp_path):
         out = tmp_path / "compare.csv"

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from mecshare import subsolver
@@ -19,9 +17,9 @@ from mecshare.game import (
     restrict_scenario,
     run_events,
 )
-from mecshare.scengen import GenSpec, Stream, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario
 
-from conftest import linear_app, make_scenario
+from conftest import linear_app, make_scenario, with_comm_costs
 
 CDO = OrderingScheme.cdo(0)
 
@@ -159,18 +157,6 @@ class TestRealizedPayoffs:
         replay_doubled = realized_payoffs(s, events)
         for n in replay_true:
             assert replay_doubled[n] <= 2 * replay_true[n] + 1e-6
-
-
-def with_comm_costs(s, seed):
-    """Cost d ~ U[0, 0.5] for every provider serving every remote app."""
-    rng = Stream(seed)
-    costs = {
-        (p.id, a.id): rng.uniform(0.0, 0.5)
-        for p in s.providers
-        for a in s.applications
-        if a.owner != p.id
-    }
-    return dataclasses.replace(s, comm_costs=costs)
 
 
 class TestCommCostsOnGeneratedScenarios:
