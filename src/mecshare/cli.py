@@ -347,7 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="coalition sweep with property checks")
     p.add_argument("--scenario", required=True)
     p.add_argument("--algorithm", choices=["gpoa", "ppmpoa"], default="gpoa")
-    p.add_argument("--order", default="cdo:k=0")
+    p.add_argument(
+        "--order",
+        default="cdo:k=0",
+        help="GPOA surplus order; with --sweep-orders it is read only for coalitions "
+        "with more than 4 surplus providers, and --algorithm ppmpoa never reads it",
+    )
     p.add_argument(
         "--sweep-orders",
         action=argparse.BooleanOptionalAction,

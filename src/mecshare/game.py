@@ -65,9 +65,13 @@ def restrict_scenario(s: Scenario, members: FrozenSet[int]) -> Scenario:
     comm = {
         (n, j): d for (n, j), d in s.comm_costs.items() if n in members and j in keep_app_ids
     }
-    return dataclasses.replace(
+    sub = dataclasses.replace(
         s, providers=keep_providers, applications=keep_apps, comm_costs=comm
     )
+    # Each member keeps its capacity, apps, K, delta and epsilon_gain, so its
+    # solo outcome is the parent's: all coalitions share one memo.
+    sub.__dict__["solo_outcomes"] = s.solo_outcomes
+    return sub
 
 
 def run_algorithm(

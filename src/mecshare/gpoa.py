@@ -111,15 +111,25 @@ def order_surplus(g2: List[int], scheme: OrderingScheme, state: AllocState) -> L
 def run_solo_phase(
     s: Scenario,
 ) -> Tuple[AllocState, AllocationTensor, Dict[int, Payoff], List[AllocEvent]]:
-    """Every provider serves its own applications; shared starting point of both algorithms."""
+    """Every provider serves its own applications; shared starting point of both algorithms.
+
+    Each provider is solved once per scenario (`Scenario.solo_outcomes`); every
+    call commits the outcome into fresh state, payoffs and events.
+    """
     state = AllocState.initial(s)
     alloc = AllocationTensor()
     payoffs: Dict[int, Payoff] = {}
     events: List[AllocEvent] = []
+    memo = s.solo_outcomes
     for n in s.provider_ids():
-        res = solve_single_provider(s, n)
-        payoffs[n] = Payoff(v_solo=res.objective_value)
-        events.append(state.commit(s, alloc, n, res.allocation, "solo"))
+        if n not in memo:
+            res = solve_single_provider(s, n)
+            memo[n] = (res.objective_value, tuple(
+                (j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0
+            ))
+        v_solo, chunks = memo[n]
+        payoffs[n] = Payoff(v_solo=v_solo)
+        events.append(state.commit(s, alloc, n, {(j, k): x for j, k, x in chunks}, "solo"))
     return state, alloc, payoffs, events
 
 

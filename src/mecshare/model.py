@@ -16,6 +16,9 @@ DEFAULT_EPSILON_GAIN = 1e-9
 
 ResourceVector = Tuple[float, ...]
 
+#: A provider's solo result: v_solo and its positive (app, resource, amount) grants.
+SoloOutcome = Tuple[float, Tuple[Tuple[int, int, float], ...]]
+
 
 def feasibility_tol(value: float) -> float:
     return 1e-9 * max(1.0, abs(value))
@@ -95,6 +98,16 @@ class Scenario:
     @cached_property
     def _apps_by_id(self) -> Dict[int, Application]:
         return {a.id: a for a in self.applications}
+
+    @cached_property
+    def solo_outcomes(self) -> Dict[int, SoloOutcome]:
+        """Provider id -> its solo outcome, filled by `gpoa.run_solo_phase`.
+
+        A solo solve reads only the provider's capacity, its own apps, K,
+        delta and epsilon_gain. `dataclasses.replace` builds a new scenario
+        with an empty memo; `game.restrict_scenario` hands the parent's on.
+        """
+        return {}
 
 
 def _check_vector(name: str, v: ResourceVector, k: int, out: List[str]) -> None:

@@ -53,17 +53,24 @@ class PpmpoaResult:
 
 
 def build_matching_matrix(
-    s: Scenario, state: AllocState, g1: List[int], g2: List[int]
+    s: Scenario, state: AllocState, g1: List[int], g2: List[int],
+    previous: MatchingMatrix | None = None, committed: Tuple[int, int] | None = None,
 ) -> MatchingMatrix:
     """Candidate (value, resources, allocation) for every deficit/surplus pair.
 
-    Each cell is evaluated on a private copy of the state; the shared state is
-    left untouched.
+    `solve_pair_match` leaves the state untouched. Given the `previous` round's
+    matrix and the cell (m, n) `committed` since, only row m and column n are
+    evaluated again: every other cell reads neither m's apps nor n's remaining
+    capacity, so it is carried over.
     """
     matrix = MatchingMatrix(rows=list(g1), cols=list(g2))
     for n in g2:
         for m in g1:
-            j_val, r_val, alloc = solve_pair_match(s, m, n, state.copy())
+            if previous is None or m == committed[0] or n == committed[1]:
+                j_val, r_val, alloc = solve_pair_match(s, m, n, state)
+            else:
+                cell = (m, n)
+                j_val, r_val, alloc = previous.J[cell], previous.R[cell], previous.allocs[cell]
             matrix.J[(m, n)] = j_val
             matrix.R[(m, n)] = r_val
             matrix.allocs[(m, n)] = alloc
@@ -109,8 +116,9 @@ def run_ppmpoa(s: Scenario) -> PpmpoaResult:
 
     matches: List[MatchRecord] = []
     round_no = 0
+    matrix, committed = None, None
     while g1_active and g2_active:
-        matrix = build_matching_matrix(s, state, g1_active, g2_active)
+        matrix = build_matching_matrix(s, state, g1_active, g2_active, matrix, committed)
         m, n = select_match(matrix)
         j_val, r_val = matrix.J[(m, n)], matrix.R[(m, n)]
         if j_val <= s.epsilon_gain or r_val <= TOL:
@@ -119,6 +127,7 @@ def run_ppmpoa(s: Scenario) -> PpmpoaResult:
         matches.append(MatchRecord(round=round_no, m=m, n=n, value=j_val, resources=r_val))
         payoffs[n].sharing += j_val
         ev = _commit_match(s, state, alloc, matrix, m, n, g1_active, g2_active)
+        committed = (m, n)
         bonus = 0.0
         for j, k, x in ev.chunks:
             r = s.app(j).request[k]
@@ -148,6 +157,7 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
     g1, g2 = partition_players(s, state)
     g1_active, g2_active = list(g1), list(g2)
     blocking: List[BlockingPair] = []
+    matrix, committed = None, None
 
     for rec in result.matches:
         if rec.m not in g1_active or rec.n not in g2_active:
@@ -156,18 +166,19 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
                              committed_value=rec.value)
             )
             continue
-        matrix = build_matching_matrix(s, state, g1_active, g2_active)
-        committed = matrix.J[(rec.m, rec.n)]
+        matrix = build_matching_matrix(s, state, g1_active, g2_active, matrix, committed)
+        value = matrix.J[(rec.m, rec.n)]
         for m_other in g1_active:
-            if m_other != rec.m and matrix.J[(m_other, rec.n)] > committed:
+            if m_other != rec.m and matrix.J[(m_other, rec.n)] > value:
                 blocking.append(
                     BlockingPair(
                         round=rec.round,
                         m=m_other,
                         n=rec.n,
                         value=matrix.J[(m_other, rec.n)],
-                        committed_value=committed,
+                        committed_value=value,
                     )
                 )
         _commit_match(s, state, alloc, matrix, rec.m, rec.n, g1_active, g2_active)
+        committed = (rec.m, rec.n)
     return blocking

@@ -106,6 +106,21 @@ class TestVerify:
         ) == 0
         assert read_json(str(out))["matching_stable"] is True
 
+    @pytest.mark.parametrize(
+        "flags,same",
+        [(["--algorithm", "gpoa"], True), (["--algorithm", "ppmpoa"], True),
+         (["--algorithm", "gpoa", "--no-sweep-orders"], False)],
+    )
+    def test_order_is_read_only_without_sweeping(self, scenario_file, tmp_path, flags, same):
+        # Setting 1 has 3 providers: no coalition has more than 4 surplus
+        # providers, so the default sweep evaluates every order of each one.
+        outs = []
+        for order in ("cao:k=0", "random:seed=5"):
+            out = tmp_path / f"verify-{order.replace(':', '-')}.json"
+            assert main(["verify", "--scenario", scenario_file, *flags,
+                         "--order", order, "--out", str(out)]) == 0
+            outs.append(without_manifest(str(out)))
+        assert (outs[0] == outs[1]) is same
 
     def test_ppmpoa_verify_runs_each_coalition_once(self, scenario_file, tmp_path, monkeypatch):
         calls = []

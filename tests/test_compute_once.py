@@ -1,0 +1,334 @@
+"""Work done once: the solo memo per scenario and the incremental PPMPOA matrix.
+
+The reference functions below are the PPMPOA loop and stability replay as they
+were when every round rebuilt every matrix cell on a private copy of the
+state, kept verbatim. The incremental build must give the same bits.
+"""
+from typing import List
+
+import pytest
+
+from mecshare import game, gpoa, ppmpoa
+from mecshare.game import (
+    enumerate_coalitions,
+    misreport_experiment,
+    restrict_scenario,
+)
+from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
+from mecshare.model import AllocState, Scenario, TOL, scenario_from_dict, scenario_to_dict
+from mecshare.ppmpoa import (
+    BlockingPair,
+    MatchingMatrix,
+    MatchRecord,
+    PpmpoaResult,
+    _commit_match,
+    check_matching_stability,
+    run_ppmpoa,
+    select_match,
+)
+from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.subsolver import solve_pair_match, solve_single_provider
+
+from conftest import with_comm_costs
+
+
+def fresh(s: Scenario) -> Scenario:
+    """An equal scenario that shares no memo with `s`."""
+    return scenario_from_dict(scenario_to_dict(s))
+
+
+# --- frozen full-rebuild reference -----------------------------------------
+
+
+def reference_build_matching_matrix(
+    s: Scenario, state: AllocState, g1: List[int], g2: List[int]
+) -> MatchingMatrix:
+    """Candidate (value, resources, allocation) for every deficit/surplus pair.
+
+    Each cell is evaluated on a private copy of the state; the shared state is
+    left untouched.
+    """
+    matrix = MatchingMatrix(rows=list(g1), cols=list(g2))
+    for n in g2:
+        for m in g1:
+            j_val, r_val, alloc = solve_pair_match(s, m, n, state.copy())
+            matrix.J[(m, n)] = j_val
+            matrix.R[(m, n)] = r_val
+            matrix.allocs[(m, n)] = alloc
+    return matrix
+
+
+def reference_run_ppmpoa(s: Scenario) -> PpmpoaResult:
+    state, alloc, payoffs, events = run_solo_phase(s)
+    g1, g2 = partition_players(s, state)
+    g1_active, g2_active = list(g1), list(g2)
+
+    matches: List[MatchRecord] = []
+    round_no = 0
+    while g1_active and g2_active:
+        matrix = reference_build_matching_matrix(s, state, g1_active, g2_active)
+        m, n = select_match(matrix)
+        j_val, r_val = matrix.J[(m, n)], matrix.R[(m, n)]
+        if j_val <= s.epsilon_gain or r_val <= TOL:
+            break
+        round_no += 1
+        matches.append(MatchRecord(round=round_no, m=m, n=n, value=j_val, resources=r_val))
+        payoffs[n].sharing += j_val
+        ev = _commit_match(s, state, alloc, matrix, m, n, g1_active, g2_active)
+        bonus = 0.0
+        for j, k, x in ev.chunks:
+            r = s.app(j).request[k]
+            if r > 0:
+                bonus += x / r
+        payoffs[m].bonus += bonus
+        events.append(ev)
+
+    return PpmpoaResult(
+        allocation=alloc,
+        payoffs=payoffs,
+        g1=g1,
+        g2=g2,
+        matches=matches,
+        rounds=round_no,
+        events=events,
+    )
+
+
+def reference_check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[BlockingPair]:
+    """Replay the match history and report any pair that objects to it.
+
+    At each round the committed surplus provider must have been offered no
+    larger value by any other available deficit provider.
+    """
+    state, alloc, _, _ = run_solo_phase(s)
+    g1, g2 = partition_players(s, state)
+    g1_active, g2_active = list(g1), list(g2)
+    blocking: List[BlockingPair] = []
+
+    for rec in result.matches:
+        if rec.m not in g1_active or rec.n not in g2_active:
+            blocking.append(
+                BlockingPair(round=rec.round, m=rec.m, n=rec.n, value=float("nan"),
+                             committed_value=rec.value)
+            )
+            continue
+        matrix = reference_build_matching_matrix(s, state, g1_active, g2_active)
+        committed = matrix.J[(rec.m, rec.n)]
+        for m_other in g1_active:
+            if m_other != rec.m and matrix.J[(m_other, rec.n)] > committed:
+                blocking.append(
+                    BlockingPair(
+                        round=rec.round,
+                        m=m_other,
+                        n=rec.n,
+                        value=matrix.J[(m_other, rec.n)],
+                        committed_value=committed,
+                    )
+                )
+        _commit_match(s, state, alloc, matrix, rec.m, rec.n, g1_active, g2_active)
+    return blocking
+
+
+# --- incremental matrix against the reference -------------------------------
+
+
+def run_fields(result: PpmpoaResult):
+    return (
+        [(r.round, r.m, r.n, r.value, r.resources) for r in result.matches],
+        result.rounds,
+        {n: (p.v_solo, p.sharing, p.bonus, p.total) for n, p in result.payoffs.items()},
+        [(ev.phase, ev.allocator, ev.chunks) for ev in result.events],
+        result.allocation.entries,
+    )
+
+
+def blocking_fields(blocking: List[BlockingPair]):
+    # repr, so that the NaN of a pair absent from the active sets compares equal.
+    return [(b.round, b.m, b.n, repr(b.value), b.committed_value) for b in blocking]
+
+
+SCENARIOS = [
+    (setting, seed, utility, costs)
+    for setting in (1, 2, 3, 4)
+    for seed in (1, 2, 3)
+    for utility in ("linear", "sigmoid")
+    for costs in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "setting,seed,utility,costs", SCENARIOS,
+    ids=[f"s{st}-seed{sd}-{u}-{'costs' if c else 'free'}" for st, sd, u, c in SCENARIOS],
+)
+def test_incremental_matrix_matches_full_rebuild(setting, seed, utility, costs):
+    s = generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility))
+    if costs:
+        s = with_comm_costs(s, 1000 * setting + 10 * seed + len(utility))
+    got = run_ppmpoa(s)
+    want = reference_run_ppmpoa(fresh(s))
+    assert run_fields(got) == run_fields(want)
+    assert blocking_fields(check_matching_stability(got, s)) == blocking_fields(
+        reference_check_matching_stability(want, fresh(s))
+    )
+    if len(got.matches) >= 2:
+        # Swapped rounds: both replays must object in the same places.
+        for res in (got, want):
+            res.matches[0], res.matches[1] = res.matches[1], res.matches[0]
+        assert blocking_fields(check_matching_stability(got, s)) == blocking_fields(
+            reference_check_matching_stability(want, fresh(s))
+        )
+
+
+def test_tampered_history_still_reports_blocking_pairs():
+    s = generate_scenario(GenSpec(setting=3, seed=7))
+    res = run_ppmpoa(s)
+    assert len(res.matches) >= 3
+    # Move the last round to the front: the replay must object somewhere.
+    res.matches.insert(0, res.matches.pop())
+    blocking = check_matching_stability(res, s)
+    assert blocking != []
+    assert blocking_fields(blocking) == blocking_fields(
+        reference_check_matching_stability(res, fresh(s))
+    )
+
+
+def test_matrix_re_evaluates_only_the_committed_row_and_column(monkeypatch):
+    s = generate_scenario(GenSpec(setting=4, seed=2))
+    builds = []
+
+    def counting_solve(s_, m, n, state):
+        builds[-1][1].append((m, n))
+        return solve_pair_match(s_, m, n, state)
+
+    def recording_build(s_, state, g1, g2, previous=None, committed=None):
+        builds.append(((list(g1), list(g2), committed), []))
+        return build(s_, state, g1, g2, previous, committed)
+
+    build = ppmpoa.build_matching_matrix
+    monkeypatch.setattr(ppmpoa, "solve_pair_match", counting_solve)
+    monkeypatch.setattr(ppmpoa, "build_matching_matrix", recording_build)
+    result = run_ppmpoa(s)
+    assert result.rounds >= 2
+    (g1, g2, committed), solved = builds[0]
+    assert committed is None and sorted(solved) == sorted((m, n) for m in g1 for n in g2)
+    for (g1, g2, (m_c, n_c)), solved in builds[1:]:
+        stale = [(m, n) for m in g1 for n in g2 if m == m_c or n == n_c]
+        assert sorted(solved) == sorted(stale)
+
+
+# --- the solo memo ----------------------------------------------------------
+
+
+def count_solo_solves(monkeypatch):
+    solves = []
+
+    def counting(s, n):
+        solves.append(n)
+        return solve_single_provider(s, n)
+
+    monkeypatch.setattr(gpoa, "solve_single_provider", counting)
+    return solves
+
+
+def test_each_provider_is_solved_once_per_scenario(monkeypatch):
+    s = generate_scenario(GenSpec(setting=3, seed=4))
+    solves = count_solo_solves(monkeypatch)
+    for scheme in (OrderingScheme.cao(0), OrderingScheme.cdo(0), OrderingScheme.random(3)):
+        run_gpoa(s, scheme)
+    check_matching_stability(run_ppmpoa(s), s)
+    assert sorted(solves) == s.provider_ids()
+
+
+def test_memo_holds_the_solo_solve():
+    s = generate_scenario(GenSpec(setting=2, seed=9, utility_kind="sigmoid"))
+    run_solo_phase(s)
+    for n in s.provider_ids():
+        res = solve_single_provider(s, n)
+        v_solo, chunks = s.solo_outcomes[n]
+        assert v_solo == res.objective_value
+        assert chunks == tuple((j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0)
+
+
+def test_restriction_shares_the_memo_and_replace_does_not():
+    s = generate_scenario(GenSpec(setting=2, seed=3))
+    sub = restrict_scenario(s, frozenset(s.provider_ids()[:2]))
+    assert sub.solo_outcomes is s.solo_outcomes
+    assert with_comm_costs(s, 5).solo_outcomes is not s.solo_outcomes
+    assert game._scaled_scenario(s, s.provider_ids()[0], 1.0, 1.0).solo_outcomes is not (
+        s.solo_outcomes
+    )
+
+
+def coalition_table(report):
+    return {
+        members: (e.value, e.payoffs, e.order_used, e.candidates)
+        for members, e in report.entries.items()
+    }
+
+
+@pytest.mark.parametrize("setting,seed", [(2, 5), (3, 2)])
+def test_swept_enumeration_equals_fresh_scenario_per_coalition(monkeypatch, setting, seed):
+    s = generate_scenario(GenSpec(setting=setting, seed=seed))
+    scheme = OrderingScheme.cdo(0)
+    run_gpoa(s, scheme)  # every provider's solo outcome is now in the memo
+
+    solves = count_solo_solves(monkeypatch)
+    cached = enumerate_coalitions(s, scheme, sweep_orders=True)
+    assert solves == []
+
+    restrict = game.restrict_scenario
+    monkeypatch.setattr(game, "restrict_scenario", lambda s_, m: fresh(restrict(s_, m)))
+    rebuilt = enumerate_coalitions(fresh(s), scheme, sweep_orders=True)
+    assert len(solves) > len(s.provider_ids())
+    assert coalition_table(cached) == coalition_table(rebuilt)
+
+
+def test_misreport_solves_the_scaled_provider_again(monkeypatch):
+    s = generate_scenario(GenSpec(setting=3, seed=7))
+    state, _, _, _ = run_solo_phase(s)
+    n = partition_players(s, state)[0][0]  # a deficit provider: capacity binds
+    runs = []
+
+    def recording(s_, algorithm, scheme):
+        events = run_gpoa(s_, scheme).events
+        runs.append((s_, events))
+        return events
+
+    monkeypatch.setattr(game, "run_events", recording)
+    outcome = misreport_experiment(s, n, 1.5, 1.0)
+    (truth_s, _), (reported, reported_events) = runs
+    assert truth_s is s
+    scaled_solve = solve_single_provider(game._scaled_scenario(fresh(s), n, 1.5, 1.0), n)
+    want = [(j, k, x) for (j, k), x in sorted(scaled_solve.allocation.items()) if x > 0]
+    solo_n = next(ev for ev in reported_events if ev.phase == "solo" and ev.allocator == n)
+    assert solo_n.chunks == want
+    assert tuple(want) != s.solo_outcomes[n][1]
+    monkeypatch.undo()
+    assert misreport_experiment(fresh(s), n, 1.5, 1.0) == outcome
+
+
+def test_mutating_a_result_does_not_reach_a_later_run():
+    s = generate_scenario(GenSpec(setting=2, seed=6))
+    scheme = OrderingScheme.cdo(0)
+    first = run_gpoa(s, scheme)
+    for ev in first.events:
+        ev.chunks.clear()
+    for p in first.payoffs.values():
+        p.v_solo += 100.0
+    ppm = run_ppmpoa(s)
+    ppm.events[0].chunks.append((0, 0, 1.0))
+    ppm.payoffs[s.provider_ids()[0]].v_solo = -1.0
+    state, _, payoffs, events = run_solo_phase(s)
+    state.remaining_capacity[s.provider_ids()[0]][0] = 0.0
+    events[0].chunks[:] = []
+    payoffs[s.provider_ids()[0]].bonus = 9.0
+
+    def dump(res):
+        return (
+            {n: (p.v_solo, p.sharing, p.bonus) for n, p in res.payoffs.items()},
+            [(ev.phase, ev.allocator, ev.chunks) for ev in res.events],
+            res.allocation.entries,
+        )
+
+    assert dump(run_gpoa(s, scheme)) == dump(run_gpoa(fresh(s), scheme))
+    assert dump(run_ppmpoa(s)) == dump(run_ppmpoa(fresh(s)))
