@@ -15,11 +15,13 @@ from .model import (
     Scenario,
     load_scenario,
     save_scenario,
+    validate_allocation,
     validate_scenario,
 )
 from .gpoa import parse_ordering, run_gpoa, run_solo_phase
 from .ppmpoa import check_matching_stability, run_ppmpoa
 from .game import (
+    SWEEP_LIMIT,
     check_no_blocking_coalition,
     check_rationality,
     check_superadditivity,
@@ -300,6 +302,9 @@ def cmd_report(args: argparse.Namespace, started: float) -> int:
             alloc = alloc_from_dict(json.load(fh)["allocation"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         _exit_with_error(f"cannot read allocation {args.allocation}: {_describe(exc)}")
+    problems = validate_allocation(s, alloc)
+    if problems:
+        _exit_with_error(f"invalid allocation {args.allocation}: " + "; ".join(problems))
     report = compute_metrics(s, alloc)
     rows = []
     for n in s.provider_ids():
@@ -351,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         default="cdo:k=0",
         help="GPOA surplus order; with --sweep-orders it is read only for coalitions "
-        "with more than 4 surplus providers, and --algorithm ppmpoa never reads it",
+        f"with more than {SWEEP_LIMIT} surplus providers, and --algorithm ppmpoa never reads it",
     )
     p.add_argument(
         "--sweep-orders",

@@ -20,6 +20,12 @@ from .ppmpoa import PpmpoaResult, run_ppmpoa
 
 MAX_PROVIDERS = 12
 
+#: An order sweep permutes surplus sets up to this size; a larger one runs the given scheme.
+SWEEP_LIMIT = 4
+
+#: Slack of the rationality and core checks and of the core selection, which must agree.
+PROPERTY_TOL = 1e-6
+
 
 class EmptyCoalition(ValueError):
     pass
@@ -34,9 +40,9 @@ class CoalitionEntry:
     value: float
     payoffs: Dict[int, float]
     order_used: List[int]
-    # One (surplus order, payoff vector) per swept ordering; a single entry
-    # when order sweeping is off or the surplus set is too large to sweep.
-    candidates: List[Tuple[Tuple[int, ...], Dict[int, float]]] = field(default_factory=list)
+    # One (surplus order, payoff vector) per evaluated ordering: every
+    # permutation under an order sweep, otherwise the single run.
+    candidates: List[Tuple[Tuple[int, ...], Dict[int, float]]]
 
 
 @dataclass
@@ -44,7 +50,8 @@ class CoalitionReport:
     entries: Dict[FrozenSet[int], CoalitionEntry]
     algorithm: str
     provider_ids: List[int]
-    # The grand coalition's own run, unless its entry came from an order sweep.
+    # The grand coalition's run when its entry comes from a single run, as
+    # it always does under PPMPOA.
     grand_result: GpoaResult | PpmpoaResult | None = None
 
     def grand(self) -> CoalitionEntry:
@@ -85,19 +92,6 @@ def run_algorithm(
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def run_coalition(
-    s: Scenario, members, scheme: OrderingScheme, algorithm: str = "gpoa"
-) -> GpoaResult | PpmpoaResult:
-    """Run the chosen algorithm on the sub-scenario of `members`."""
-    members = frozenset(members)
-    if not members:
-        raise EmptyCoalition("coalition must be nonempty")
-    unknown = members - set(s.provider_ids())
-    if unknown:
-        raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
-    return run_algorithm(restrict_scenario(s, members), algorithm, scheme)
-
-
 def coalition_value(
     s: Scenario,
     members,
@@ -105,7 +99,13 @@ def coalition_value(
     algorithm: str = "gpoa",
 ) -> Tuple[float, Dict[int, float], List[int]]:
     """Run the chosen algorithm on the sub-scenario of `members`; value = sum of payoffs."""
-    result = run_coalition(s, members, scheme, algorithm)
+    members = frozenset(members)
+    if not members:
+        raise EmptyCoalition("coalition must be nonempty")
+    unknown = members - set(s.provider_ids())
+    if unknown:
+        raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
+    result = run_algorithm(restrict_scenario(s, members), algorithm, scheme)
     payoffs = {n: p.total for n, p in result.payoffs.items()}
     return sum(payoffs.values()), payoffs, result.order_used
 
@@ -118,29 +118,9 @@ def _coalitions_by_bitset(provider_ids: List[int]) -> List[FrozenSet[int]]:
     return out
 
 
-def _swept_entry(s: Scenario, members: FrozenSet[int], sweep_limit: int) -> CoalitionEntry | None:
-    """Evaluate every surplus-order permutation of a coalition, best value first."""
-    sub = restrict_scenario(s, members)
-    state, _, _, _ = run_solo_phase(sub)
-    _, g2 = partition_players(sub, state)
-    if len(g2) > sweep_limit:
-        return None
-    candidates = []
-    for perm in itertools.permutations(sorted(g2)) if g2 else [()]:
-        result = run_gpoa(sub, OrderingScheme.explicit(perm))
-        candidates.append((tuple(perm), {n: p.total for n, p in result.payoffs.items()}))
-    best_order, best_payoffs = max(candidates, key=lambda c: sum(c[1].values()))
-    return CoalitionEntry(
-        value=sum(best_payoffs.values()),
-        payoffs=best_payoffs,
-        order_used=list(best_order),
-        candidates=candidates,
-    )
-
-
-def _dominating_candidate(entry: CoalitionEntry, members, grand_payoffs, tol: float):
-    for _, vec in entry.candidates or [((), entry.payoffs)]:
-        if all(vec[n] > grand_payoffs.get(n, 0.0) + tol for n in members):
+def _dominating_candidate(entry: CoalitionEntry, members, grand_payoffs):
+    for _, vec in entry.candidates:
+        if all(vec[n] > grand_payoffs.get(n, 0.0) + PROPERTY_TOL for n in members):
             return vec
     return None
 
@@ -150,22 +130,24 @@ def enumerate_coalitions(
     scheme: OrderingScheme,
     algorithm: str = "gpoa",
     sweep_orders: bool = False,
-    sweep_limit: int = 4,
 ) -> CoalitionReport:
     """Evaluate every nonempty coalition.
 
     With sweep_orders the surplus-order permutations of each coalition are all
-    evaluated (up to sweep_limit surplus members): a coalition's value is the
+    evaluated (up to SWEEP_LIMIT surplus members): a coalition's value is the
     best realizable one, and the grand coalition's representative vector is the
     highest-value candidate no sub-coalition can strictly improve upon. The
     realized value of a single fixed scheme is order-sensitive and would make
     an unlucky order look like a property violation.
     """
     ids = s.provider_ids()
+    if not ids:
+        raise EmptyCoalition("scenario has no providers")
     if len(ids) > MAX_PROVIDERS:
         raise TooManyProviders(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
     coalitions = _coalitions_by_bitset(ids)
     full = frozenset(ids)
+    sweep = sweep_orders and algorithm == "gpoa"
     if algorithm == "gpoa" and scheme.kind == "explicit":
         # Raises InvalidExplicitOrder unless the order permutes the grand
         # surplus set. A provider's surplus status comes from its own solo
@@ -177,20 +159,26 @@ def enumerate_coalitions(
 
     def evaluate(members: FrozenSet[int]) -> CoalitionEntry:
         nonlocal grand_result
-        if sweep_orders and algorithm == "gpoa":
-            entry = _swept_entry(s, members, sweep_limit)
-            if entry is not None:
-                return entry
-        member_scheme = scheme
+        sub = restrict_scenario(s, members)
+        schemes = [scheme]
         if scheme.kind == "explicit":
-            member_scheme = OrderingScheme.explicit(n for n in scheme.order if n in members)
-        result = run_coalition(s, members, member_scheme, algorithm)
-        if members == full:
+            schemes = [OrderingScheme.explicit(n for n in scheme.order if n in members)]
+        if sweep:
+            _, g2 = partition_players(sub, run_solo_phase(sub)[0])
+            if len(g2) <= SWEEP_LIMIT:
+                schemes = [OrderingScheme.explicit(p) for p in itertools.permutations(sorted(g2))]
+        candidates = []
+        for member_scheme in schemes:
+            result = run_algorithm(sub, algorithm, member_scheme)
+            candidates.append(
+                (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
+            )
+        if members == full and len(schemes) == 1:
             grand_result = result
-        payoffs = {n: p.total for n, p in result.payoffs.items()}
+        order, payoffs = max(candidates, key=lambda c: sum(c[1].values()))
         return CoalitionEntry(
-            value=sum(payoffs.values()), payoffs=payoffs, order_used=result.order_used,
-            candidates=[(tuple(result.order_used), payoffs)],
+            value=sum(payoffs.values()), payoffs=payoffs, order_used=list(order),
+            candidates=candidates,
         )
 
     entries = {members: evaluate(members) for members in coalitions}
@@ -198,19 +186,19 @@ def enumerate_coalitions(
         entries=entries, algorithm=algorithm, provider_ids=ids, grand_result=grand_result
     )
 
-    if sweep_orders and algorithm == "gpoa":
+    if sweep:
         _select_core_grand(report)
     return report
 
 
-def _select_core_grand(report: CoalitionReport, tol: float = 1e-6) -> None:
+def _select_core_grand(report: CoalitionReport) -> None:
     """Re-point the grand entry at its best candidate that no coalition blocks."""
     full = frozenset(report.provider_ids)
     grand = report.entries[full]
     ranked = sorted(grand.candidates, key=lambda c: (-sum(c[1].values()), c[0]))
     for order, payoffs in ranked:
         blocked = any(
-            _dominating_candidate(entry, members, payoffs, tol) is not None
+            _dominating_candidate(entry, members, payoffs) is not None
             for members, entry in report.entries.items()
             if members != full
         )
@@ -232,7 +220,7 @@ def check_superadditivity(report: CoalitionReport) -> PropertyVerdict:
             if s1 & s2 or min(s1) > min(s2):
                 continue
             union_value = report.entries[s1 | s2].value
-            tol = 1e-6 * (1 + abs(union_value))
+            tol = PROPERTY_TOL * (1 + abs(union_value))
             if union_value < report.entries[s1].value + report.entries[s2].value - tol:
                 witnesses.append((sorted(s1), sorted(s2), union_value))
     return PropertyVerdict(name="superadditivity", passed=not witnesses, witnesses=witnesses)
@@ -244,7 +232,7 @@ def check_rationality(report: CoalitionReport) -> PropertyVerdict:
     grand = report.grand()
     for n in report.provider_ids:
         solo = report.entries[frozenset({n})].value
-        if grand.payoffs.get(n, 0.0) < solo - 1e-6:
+        if grand.payoffs.get(n, 0.0) < solo - PROPERTY_TOL:
             witnesses.append(("individual", n, grand.payoffs.get(n, 0.0), solo))
     total = sum(grand.payoffs.values())
     if abs(total - grand.value) > 1e-9 * max(1.0, abs(grand.value)):
@@ -252,7 +240,7 @@ def check_rationality(report: CoalitionReport) -> PropertyVerdict:
     return PropertyVerdict(name="rationality", passed=not witnesses, witnesses=witnesses)
 
 
-def check_no_blocking_coalition(report: CoalitionReport, tol: float = 1e-6) -> PropertyVerdict:
+def check_no_blocking_coalition(report: CoalitionReport) -> PropertyVerdict:
     """No proper coalition can give every member strictly more than the grand vector.
 
     Every evaluated surplus ordering of each coalition counts as an achievable
@@ -264,7 +252,7 @@ def check_no_blocking_coalition(report: CoalitionReport, tol: float = 1e-6) -> P
     for members, entry in report.entries.items():
         if members == full:
             continue
-        vec = _dominating_candidate(entry, members, grand.payoffs, tol)
+        vec = _dominating_candidate(entry, members, grand.payoffs)
         if vec is not None:
             witnesses.append((sorted(members), sum(vec[n] for n in members)))
     return PropertyVerdict(name="no_blocking_coalition", passed=not witnesses, witnesses=witnesses)

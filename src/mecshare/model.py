@@ -114,7 +114,7 @@ def _check_vector(name: str, v: ResourceVector, k: int, out: List[str]) -> None:
     if len(v) != k:
         out.append(f"{name}: length {len(v)} != K={k}")
     for entry in v:
-        if not math.isfinite(entry) or entry < 0:
+        if not isinstance(entry, (int, float)) or not math.isfinite(entry) or entry < 0:
             out.append(f"{name}: entry {entry} must be finite and >= 0")
             break
 
@@ -181,14 +181,23 @@ def validate_scenario(s: Scenario) -> List[str]:
     return out
 
 
+def validate_allocation(s: Scenario, alloc: AllocationTensor) -> List[str]:
+    """Return the problems of a stored allocation against its scenario; empty means it fits."""
+    out: List[str] = []
+    for (n, j), vec in alloc.entries.items():
+        if n not in s._providers_by_id:
+            out.append(f"x[{n},{j}]: unknown provider {n}")
+        if j not in s._apps_by_id:
+            out.append(f"x[{n},{j}]: unknown app {j}")
+        _check_vector(f"x[{n},{j}]", vec, s.K, out)
+    return out
+
+
 @dataclass
 class AllocationTensor:
     """Allocation x_{n,k}^j keyed by (provider, application)."""
 
     entries: Dict[Tuple[int, int], ResourceVector] = field(default_factory=dict)
-
-    def get(self, n: int, j: int, k_count: int) -> ResourceVector:
-        return self.entries.get((n, j), (0.0,) * k_count)
 
     def add(self, n: int, j: int, k: int, amount: float, k_count: int) -> None:
         cur = list(self.entries.get((n, j), (0.0,) * k_count))
@@ -206,12 +215,6 @@ class AllocationTensor:
                 app_totals[k] += x
                 provider_totals[k] += x
         return by_app, by_provider
-
-    def total_for_app(self, j: int, k_count: int) -> List[float]:
-        return self.totals(k_count)[0].get(j, [0.0] * k_count)
-
-    def used_by_provider(self, n: int, k_count: int) -> List[float]:
-        return self.totals(k_count)[1].get(n, [0.0] * k_count)
 
     def check_feasibility(self, s: Scenario) -> List[str]:
         """Capacity, demand-cap, and nonnegativity violations for this allocation."""

@@ -43,8 +43,12 @@ class PpmpoaResult:
     g1: List[int]
     g2: List[int]
     matches: List[MatchRecord]
-    rounds: int
     events: List[AllocEvent] = field(default_factory=list)
+
+    @property
+    def rounds(self) -> int:
+        """Number of committed matches."""
+        return len(self.matches)
 
     @property
     def order_used(self) -> List[int]:
@@ -115,7 +119,6 @@ def run_ppmpoa(s: Scenario) -> PpmpoaResult:
     g1_active, g2_active = list(g1), list(g2)
 
     matches: List[MatchRecord] = []
-    round_no = 0
     matrix, committed = None, None
     while g1_active and g2_active:
         matrix = build_matching_matrix(s, state, g1_active, g2_active, matrix, committed)
@@ -123,8 +126,7 @@ def run_ppmpoa(s: Scenario) -> PpmpoaResult:
         j_val, r_val = matrix.J[(m, n)], matrix.R[(m, n)]
         if j_val <= s.epsilon_gain or r_val <= TOL:
             break
-        round_no += 1
-        matches.append(MatchRecord(round=round_no, m=m, n=n, value=j_val, resources=r_val))
+        matches.append(MatchRecord(round=len(matches) + 1, m=m, n=n, value=j_val, resources=r_val))
         payoffs[n].sharing += j_val
         ev = _commit_match(s, state, alloc, matrix, m, n, g1_active, g2_active)
         committed = (m, n)
@@ -142,7 +144,6 @@ def run_ppmpoa(s: Scenario) -> PpmpoaResult:
         g1=g1,
         g2=g2,
         matches=matches,
-        rounds=round_no,
         events=events,
     )
 

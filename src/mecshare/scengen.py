@@ -24,6 +24,16 @@ DEFICIT_SETS = {
     4: {1, 2, 5},
 }
 
+#: Each request entry is drawn from U[REQUEST_LO, REQUEST_HI).
+REQUEST_LO, REQUEST_HI = 1.0, 10.0
+#: Capacity is this multiple of the provider's own total demand per resource.
+DEFICIT_SCALE, SURPLUS_SCALE = 0.5, 1.6
+#: Linear utility a*x + c draws a from [LINEAR_A_LO, LINEAR_A_HI) and c from
+#: [LINEAR_C_LO, LINEAR_C_HI); every sigmoid utility has slope SIGMOID_MU.
+LINEAR_A_LO, LINEAR_A_HI = 0.5, 2.0
+LINEAR_C_LO, LINEAR_C_HI = 0.0, 1.0
+SIGMOID_MU = 0.01
+
 
 def prng_next(state: int) -> Tuple[int, int]:
     """One splitmix64 step: returns (output value, next state), all mod 2^64."""
@@ -65,25 +75,10 @@ class GenSpec:
     setting: int
     seed: int
     utility_kind: str = "linear"  # "linear" or "sigmoid"
-    request_lo: float = 1.0
-    request_hi: float = 10.0
-    deficit_scale: float = 0.5
-    surplus_scale: float = 1.6
-    linear_a_lo: float = 0.5
-    linear_a_hi: float = 2.0
-    linear_c_lo: float = 0.0
-    linear_c_hi: float = 1.0
-    sigmoid_mu: float = 0.01
-    delta: float = 0.01
-    epsilon_gain: float = 1e-9
 
     def validate(self) -> None:
         if self.setting not in SETTINGS:
             raise InvalidSpec(f"setting must be one of {sorted(SETTINGS)}")
-        if not (0 < self.request_lo <= self.request_hi):
-            raise InvalidSpec("request range requires 0 < lo <= hi")
-        if not (0 < self.deficit_scale < 1 <= self.surplus_scale):
-            raise InvalidSpec("scales require 0 < deficit_scale < 1 <= surplus_scale")
         if self.utility_kind not in ("linear", "sigmoid"):
             raise InvalidSpec("utility_kind must be 'linear' or 'sigmoid'")
 
@@ -108,14 +103,14 @@ def generate_scenario(spec: GenSpec) -> Scenario:
         demand = [0.0] * k_count
         for _ in range(apps_per):
             request = tuple(
-                rng.uniform(spec.request_lo, spec.request_hi) for _ in range(k_count)
+                rng.uniform(REQUEST_LO, REQUEST_HI) for _ in range(k_count)
             )
             if spec.utility_kind == "linear":
-                a = rng.uniform(spec.linear_a_lo, spec.linear_a_hi)
-                c = rng.uniform(spec.linear_c_lo, spec.linear_c_hi)
+                a = rng.uniform(LINEAR_A_LO, LINEAR_A_HI)
+                c = rng.uniform(LINEAR_C_LO, LINEAR_C_HI)
                 utility = UtilitySpec.linear(a=a, c=c)
             else:
-                utility = UtilitySpec.sigmoid(mu=spec.sigmoid_mu)
+                utility = UtilitySpec.sigmoid(mu=SIGMOID_MU)
             applications.append(
                 Application(id=next_app_id, owner=n, request=request, utility=utility)
             )
@@ -123,14 +118,8 @@ def generate_scenario(spec: GenSpec) -> Scenario:
             next_app_id += 1
             for k in range(k_count):
                 demand[k] += request[k]
-        scale = spec.deficit_scale if n in deficit else spec.surplus_scale
+        scale = DEFICIT_SCALE if n in deficit else SURPLUS_SCALE
         capacity = tuple(scale * demand[k] for k in range(k_count))
         providers.append(Provider(id=n, capacity=capacity, native_apps=tuple(native)))
 
-    return Scenario(
-        K=k_count,
-        providers=tuple(providers),
-        applications=tuple(applications),
-        delta=spec.delta,
-        epsilon_gain=spec.epsilon_gain,
-    )
+    return Scenario(K=k_count, providers=tuple(providers), applications=tuple(applications))

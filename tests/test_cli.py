@@ -261,6 +261,16 @@ def two_provider_json(edit=None):
     return json.dumps(payload)
 
 
+def report_case(allocation):
+    """A `report` run on the two-provider scenario with this stored allocation."""
+    return two_provider_json(), ["report", "--allocation", "alloc.json"], json.dumps(
+        {"allocation": allocation}
+    )
+
+
+NO_PROVIDERS = json.dumps({"K": 1, "providers": [], "applications": []})
+
+# name -> (scenario text, argv[, allocation text written next to the scenario])
 BAD_INPUTS = {
     "malformed-json": ("{not json", ["solo"]),
     "missing-K": (two_provider_json(lambda d: d.pop("K")), ["solo"]),
@@ -277,14 +287,23 @@ BAD_INPUTS = {
     "misreport-zero-factor": (
         two_provider_json(), ["misreport", "--provider", "1", "--cap-factor", "0"]
     ),
+    "verify-no-providers": (NO_PROVIDERS, ["verify"]),
+    "table3-no-providers": (NO_PROVIDERS, ["table3"]),
+    "report-vector-too-long": report_case({"2:1": [1.0, 1.0]}),
+    "report-string-entry": report_case({"2:1": ["1.0"]}),
+    "report-nan-entry": report_case({"2:1": [math.nan]}),
+    "report-negative-entry": report_case({"2:1": [-1.0]}),
+    "report-unknown-app": report_case({"1:999": [1.0]}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
-    text, argv = BAD_INPUTS[case]
+    text, argv, *allocation = BAD_INPUTS[case]
     scenario = tmp_path / "scenario.json"
     scenario.write_text(text)
+    if allocation:
+        (tmp_path / "alloc.json").write_text(allocation[0])
     env = dict(os.environ, PYTHONPATH=str(Path(mecshare.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "mecshare.cli", argv[0], "--scenario", str(scenario)]

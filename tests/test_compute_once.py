@@ -89,7 +89,6 @@ def reference_run_ppmpoa(s: Scenario) -> PpmpoaResult:
         g1=g1,
         g2=g2,
         matches=matches,
-        rounds=round_no,
         events=events,
     )
 

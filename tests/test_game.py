@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mecshare import subsolver
@@ -5,6 +7,7 @@ from mecshare.model import Provider
 from mecshare.gpoa import OrderingScheme, run_gpoa
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.game import (
+    SWEEP_LIMIT,
     EmptyCoalition,
     TooManyProviders,
     check_no_blocking_coalition,
@@ -81,6 +84,28 @@ class TestEnumerateCoalitions:
         s = make_scenario(providers, [])
         with pytest.raises(TooManyProviders):
             enumerate_coalitions(s, CDO)
+
+    def test_no_providers_rejected(self):
+        with pytest.raises(EmptyCoalition):
+            enumerate_coalitions(make_scenario([], []), CDO)
+
+    def test_sweep_runs_the_scheme_once_above_the_limit(self):
+        # Provider 1 lacks 2 units; providers 2.. each have a distinct surplus.
+        surplus = range(2, SWEEP_LIMIT + 3)
+        s = make_scenario(
+            [Provider(id=1, capacity=(1.0,), native_apps=(1,))]
+            + [Provider(id=n, capacity=(1.0 + 0.5 * n,), native_apps=(n,)) for n in surplus],
+            [linear_app(1, owner=1, request=(3.0,))]
+            + [linear_app(n, owner=n, request=(1.0,)) for n in surplus],
+        )
+        report = enumerate_coalitions(s, CDO, sweep_orders=True)
+        plain = run_gpoa(s, CDO)
+        assert report.grand().candidates == [
+            (tuple(plain.order_used), {n: p.total for n, p in plain.payoffs.items()})
+        ]
+        at_limit = [e for m, e in report.entries.items() if len(m - {1}) == SWEEP_LIMIT]
+        assert len(at_limit) == 2 * (SWEEP_LIMIT + 1)
+        assert all(len(e.candidates) == math.factorial(SWEEP_LIMIT) for e in at_limit)
 
 
 @pytest.fixture(scope="module")

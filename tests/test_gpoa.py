@@ -113,7 +113,7 @@ class TestRunGpoa:
         assert res.payoffs[1].bonus == pytest.approx(0.5, abs=1e-9)
         assert res.payoffs[2].sharing == pytest.approx(3.0, abs=1e-8)
         assert res.g1 == [1] and res.g2 == [2]
-        assert res.allocation.get(2, 1, 1) == pytest.approx((2.0,), abs=1e-9)
+        assert res.allocation.entries[(2, 1)] == pytest.approx((2.0,), abs=1e-9)
         assert res.allocation.check_feasibility(s) == []
 
     @pytest.mark.parametrize("scheme", [OrderingScheme.cao(1), OrderingScheme.cdo(-1)])

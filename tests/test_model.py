@@ -119,9 +119,10 @@ class TestAllocationTensor:
         t.add(1, 3, 0, 2.0, 2)
         t.add(1, 3, 1, 1.0, 2)
         t.add(2, 3, 0, 0.5, 2)
-        assert t.get(1, 3, 2) == (2.0, 1.0)
-        assert t.total_for_app(3, 2) == [2.5, 1.0]
-        assert t.used_by_provider(1, 2) == [2.0, 1.0]
+        assert t.entries == {(1, 3): (2.0, 1.0), (2, 3): (0.5, 0.0)}
+        by_app, by_provider = t.totals(2)
+        assert by_app == {3: [2.5, 1.0]}
+        assert by_provider[1] == [2.0, 1.0]
 
     def test_feasibility_flags_capacity_and_demand_violations(self):
         app = linear_app(1, owner=1, request=(2.0,))

@@ -3,8 +3,14 @@ from hypothesis import given, strategies as st
 
 from mecshare.model import validate_scenario
 from mecshare.scengen import (
+    DEFICIT_SCALE,
     DEFICIT_SETS,
+    LINEAR_A_HI,
+    LINEAR_A_LO,
+    LINEAR_C_HI,
+    LINEAR_C_LO,
     SETTINGS,
+    SURPLUS_SCALE,
     GenSpec,
     InvalidSpec,
     Stream,
@@ -63,14 +69,13 @@ def test_generated_shape_matches_setting(setting):
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_capacity_scaling_splits_deficit_and_surplus(setting):
-    spec = GenSpec(setting=setting, seed=3)
-    s = generate_scenario(spec)
+    s = generate_scenario(GenSpec(setting=setting, seed=3))
     for p in s.providers:
         demand = [0.0] * s.K
         for a in s.apps_of(p.id):
             for k in range(s.K):
                 demand[k] += a.request[k]
-        scale = spec.deficit_scale if p.id in DEFICIT_SETS[setting] else spec.surplus_scale
+        scale = DEFICIT_SCALE if p.id in DEFICIT_SETS[setting] else SURPLUS_SCALE
         for k in range(s.K):
             assert p.capacity[k] == pytest.approx(scale * demand[k], rel=1e-12)
 
@@ -98,19 +103,16 @@ def test_sigmoid_kind_uses_configured_mu():
 
 
 def test_linear_params_within_ranges():
-    spec = GenSpec(setting=1, seed=11)
-    s = generate_scenario(spec)
+    s = generate_scenario(GenSpec(setting=1, seed=11))
     for a in s.applications:
-        assert spec.linear_a_lo <= a.utility.a < spec.linear_a_hi
-        assert spec.linear_c_lo <= a.utility.c < spec.linear_c_hi
+        assert LINEAR_A_LO <= a.utility.a < LINEAR_A_HI
+        assert LINEAR_C_LO <= a.utility.c < LINEAR_C_HI
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"setting": 5, "seed": 1},
-        {"setting": 1, "seed": 1, "request_lo": 0.0},
-        {"setting": 1, "seed": 1, "deficit_scale": 1.5},
         {"setting": 1, "seed": 1, "utility_kind": "cubic"},
     ],
 )
