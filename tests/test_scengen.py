@@ -113,6 +113,8 @@ def test_linear_params_within_ranges():
     "kwargs",
     [
         {"setting": 5, "seed": 1},
+        {"setting": 0, "seed": 1},
+        {"setting": 1, "seed": 1, "utility_kind": "Linear"},
         {"setting": 1, "seed": 1, "utility_kind": "cubic"},
     ],
 )
