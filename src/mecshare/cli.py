@@ -305,6 +305,9 @@ def cmd_report(args: argparse.Namespace, started: float) -> int:
     problems = validate_allocation(s, alloc)
     if problems:
         _exit_with_error(f"invalid allocation {args.allocation}: " + "; ".join(problems))
+    violations = alloc.check_feasibility(s)
+    if violations:
+        _exit_with_error(f"infeasible allocation {args.allocation}: " + "; ".join(violations))
     report = compute_metrics(s, alloc)
     rows = []
     for n in s.provider_ids():

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from .model import AllocEvent, Scenario, eval_utility
+from .model import AllocEvent, Scenario, ShareOutcome, eval_utility
 from .gpoa import (
     GpoaResult,
     OrderingScheme,
@@ -139,6 +139,9 @@ def enumerate_coalitions(
     highest-value candidate no sub-coalition can strictly improve upon. The
     realized value of a single fixed scheme is order-sensitive and would make
     an unlucky order look like a property violation.
+
+    Every restriction shares one share-solve memo for the length of this call,
+    so each distinct share subproblem across coalitions and orders is solved once.
     """
     ids = s.provider_ids()
     if not ids:
@@ -156,10 +159,14 @@ def enumerate_coalitions(
         state, _, _, _ = run_solo_phase(s)
         order_surplus(partition_players(s, state)[1], scheme, state)
     grand_result = None
+    share_memo: Dict[tuple, ShareOutcome] = {}
 
     def evaluate(members: FrozenSet[int]) -> CoalitionEntry:
         nonlocal grand_result
         sub = restrict_scenario(s, members)
+        # A restriction keeps every member's requests, utilities, w1, comm_d,
+        # delta and epsilon_gain, so all of them can share one memo.
+        sub.__dict__["share_outcomes"] = share_memo
         schemes = [scheme]
         if scheme.kind == "explicit":
             schemes = [OrderingScheme.explicit(n for n in scheme.order if n in members)]
@@ -212,17 +219,30 @@ def _select_core_grand(report: CoalitionReport) -> None:
 
 
 def check_superadditivity(report: CoalitionReport) -> PropertyVerdict:
-    """v(S1 ∪ S2) ≥ v(S1) + v(S2) for every disjoint nonempty pair."""
+    """v(S1 ∪ S2) ≥ v(S1) + v(S2) for every disjoint nonempty pair.
+
+    Each unordered pair is checked once, as min(S1) < min(S2): S2 runs over
+    the submasks of S1's complement above min(S1), in increasing bitmask
+    order, so the witnesses come out in the order of `_coalitions_by_bitset`.
+    """
+    bits = {n: 1 << i for i, n in enumerate(sorted(report.provider_ids))}
+    mask = {members: sum(bits[n] for n in members) for members in report.entries}
+    value = [0.0] * (1 << len(bits))
+    for members, entry in report.entries.items():
+        value[mask[members]] = entry.value
+    full = len(value) - 1
     witnesses = []
-    coalitions = list(report.entries)
-    for s1 in coalitions:
-        for s2 in coalitions:
-            if s1 & s2 or min(s1) > min(s2):
-                continue
-            union_value = report.entries[s1 | s2].value
+    for s1, entry in report.entries.items():
+        m1 = mask[s1]
+        free = full & ~m1 & -((m1 & -m1) << 1)  # outside S1, above its lowest member
+        m2 = (-free) & free
+        while m2:
+            union_value = value[m1 | m2]
             tol = PROPERTY_TOL * (1 + abs(union_value))
-            if union_value < report.entries[s1].value + report.entries[s2].value - tol:
-                witnesses.append((sorted(s1), sorted(s2), union_value))
+            if union_value < entry.value + value[m2] - tol:
+                s2 = [n for n, bit in bits.items() if m2 & bit]
+                witnesses.append((sorted(s1), s2, union_value))
+            m2 = (m2 - free) & free
     return PropertyVerdict(name="superadditivity", passed=not witnesses, witnesses=witnesses)
 
 

@@ -5,7 +5,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 #: Absolute tolerance for partition thresholds and state bookkeeping.
 TOL = 1e-9
@@ -18,6 +18,11 @@ ResourceVector = Tuple[float, ...]
 
 #: A provider's solo result: v_solo and its positive (app, resource, amount) grants.
 SoloOutcome = Tuple[float, Tuple[Tuple[int, int, float], ...]]
+
+#: A share solve's objective, resources used, ((app, resource), amount) items and grant order.
+ShareOutcome = Tuple[
+    float, float, Tuple[Tuple[Tuple[int, int], float], ...], Tuple[Tuple[int, int], ...]
+]
 
 
 def feasibility_tol(value: float) -> float:
@@ -75,6 +80,10 @@ class Scenario:
     comm_costs: Dict[Tuple[int, int], float] = field(default_factory=dict)
     delta: float = DEFAULT_DELTA
     epsilon_gain: float = DEFAULT_EPSILON_GAIN
+    #: Share-solve memo that `game.enumerate_coalitions` puts on each of its
+    #: restrictions, read by `subsolver.solve_surplus_share`. Every other
+    #: scenario has none, so no memo outlives its enumeration.
+    share_outcomes: ClassVar[Dict[tuple, ShareOutcome] | None] = None
 
     def provider(self, n: int) -> Provider:
         return self._providers_by_id[n]

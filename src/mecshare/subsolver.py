@@ -292,6 +292,23 @@ def solve_single_provider(s: Scenario, n: int) -> SubproblemResult:
 def solve_surplus_share(
     s: Scenario, n: int, state: AllocState, deficit_apps: List[int]
 ) -> SubproblemResult:
+    """Provider n's share of its remaining capacity among the given deficit apps.
+
+    Within a coalition enumeration (`s.share_outcomes`) each distinct solve runs
+    once. The key holds everything the solve reads from `state`; the rest
+    (requests, utilities, w1, comm_d, delta, epsilon_gain) is the same in every
+    restriction of one scenario.
+    """
+    memo = s.share_outcomes
+    if memo is not None:
+        memo_key = (n, tuple(state.remaining_capacity[n])) + tuple(
+            (j, tuple(state.remaining_request[j]), tuple(state.allocated[j]))
+            for j in sorted(deficit_apps)
+        )
+        hit = memo.get(memo_key)
+        if hit is not None:
+            objective, used, allocation, grant_order = hit
+            return SubproblemResult(dict(allocation), objective, used, list(grant_order))
     spec = build_share_spec(s, n, state, deficit_apps)
     result = allocate_greedy(spec, s.delta, s.epsilon_gain)
     result = _rollback_uncovered_cost(s, n, state, result)
@@ -300,6 +317,11 @@ def solve_surplus_share(
     result.objective_value = sum(
         it.f(result.allocation.get(key, 0.0)) for key, it in by_key.items()
     )
+    if memo is not None:
+        memo[memo_key] = (
+            result.objective_value, result.resources_used,
+            tuple(result.allocation.items()), tuple(result.grant_order),
+        )
     return result
 
 

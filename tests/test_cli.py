@@ -294,6 +294,7 @@ BAD_INPUTS = {
     "report-nan-entry": report_case({"2:1": [math.nan]}),
     "report-negative-entry": report_case({"2:1": [-1.0]}),
     "report-unknown-app": report_case({"1:999": [1.0]}),
+    "report-over-capacity-and-request": report_case({"2:1": [1000.0]}),
 }
 
 

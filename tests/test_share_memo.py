@@ -1,0 +1,144 @@
+"""The share-solve memo that one coalition enumeration hands to its restrictions.
+
+A memoised enumeration must give the same bits as solving every share
+subproblem again, and the memo must end with the enumeration: no scenario it
+did not restrict carries one, and nothing the caller keeps can reach it.
+"""
+import dataclasses
+import gc
+import itertools
+import types
+
+import pytest
+
+from mecshare import game, gpoa, subsolver
+from mecshare.game import _scaled_scenario, coalition_value, enumerate_coalitions
+from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
+from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
+from mecshare.scengen import GenSpec, generate_scenario
+
+from conftest import with_comm_costs
+
+CDO = OrderingScheme.cdo(0)
+
+
+def record_share_solves(monkeypatch):
+    """Patch solve_surplus_share wherever it is bound; return the scenarios it was called on."""
+    calls = []
+    solve = subsolver.solve_surplus_share
+
+    def recording(s, n, state, deficit_apps):
+        calls.append(s)
+        return solve(s, n, state, deficit_apps)
+
+    monkeypatch.setattr(subsolver, "solve_surplus_share", recording)
+    monkeypatch.setattr(gpoa, "solve_surplus_share", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "setting,utility,costs",
+    list(itertools.product((1, 2, 3, 4), ("linear", "sigmoid"), (False, True))),
+)
+def test_every_candidate_equals_a_memo_free_run(setting, utility, costs):
+    s = generate_scenario(GenSpec(setting=setting, seed=2, utility_kind=utility))
+    if costs:
+        s = with_comm_costs(s, 10 * setting + len(utility))
+    for algorithm, sweep in (("gpoa", True), ("ppmpoa", False)):
+        report = enumerate_coalitions(s, CDO, algorithm, sweep_orders=sweep)
+        for members, entry in report.entries.items():
+            for order, payoffs in entry.candidates:
+                _, expected, used = coalition_value(
+                    s, members, OrderingScheme.explicit(order), algorithm
+                )
+                assert payoffs == expected
+                assert tuple(used) == order
+
+
+def test_swept_enumeration_solves_fewer_shares_than_it_asks_for(monkeypatch):
+    s = generate_scenario(GenSpec(setting=3, seed=4))
+    assert len(s.provider_ids()) == 6
+    asked = record_share_solves(monkeypatch)
+    solved = []
+    greedy = subsolver.allocate_greedy
+
+    def counting(spec, delta, epsilon_gain):
+        if spec.kind == "share":
+            solved.append(spec)
+        return greedy(spec, delta, epsilon_gain)
+
+    monkeypatch.setattr(subsolver, "allocate_greedy", counting)
+    enumerate_coalitions(s, CDO, sweep_orders=True)
+    assert 0 < len(solved) < len(asked)
+
+
+def test_only_the_enumeration_hands_out_a_memo(monkeypatch):
+    s = with_comm_costs(generate_scenario(GenSpec(setting=3, seed=7)), 5)
+    calls = record_share_solves(monkeypatch)
+    check_matching_stability(run_ppmpoa(s), s)
+    run_gpoa(s, CDO)
+    game.misreport_experiment(s, s.provider_ids()[-1], 1.5, 0.75)
+    assert calls and all(c.share_outcomes is None for c in calls)
+
+    calls.clear()
+    enumerate_coalitions(s, CDO, sweep_orders=True)
+    memos = {id(c.share_outcomes) for c in calls}
+    assert len(memos) == 1 and calls[0].share_outcomes
+
+
+def reachable(*roots):
+    """Ids of every object reachable from the roots through data, not code or modules."""
+    seen = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+        if hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return seen
+
+
+@pytest.mark.parametrize("algorithm,sweep", [("gpoa", True), ("gpoa", False), ("ppmpoa", False)])
+def test_memo_ends_with_the_enumeration(monkeypatch, algorithm, sweep):
+    s = generate_scenario(GenSpec(setting=3, seed=2))
+    calls = record_share_solves(monkeypatch)
+    report = enumerate_coalitions(s, CDO, algorithm, sweep_orders=sweep)
+    sub = calls[-1]
+    memo = sub.share_outcomes
+    assert memo and id(memo) in reachable(sub)
+
+    assert s.share_outcomes is None and "share_outcomes" not in vars(s)
+    assert id(memo) not in reachable(s, report)
+    n = sub.provider_ids()[0]
+    for derived in (_scaled_scenario(sub, n, 1.5, 1.0), with_comm_costs(sub, 3),
+                    dataclasses.replace(sub)):
+        assert derived.share_outcomes is None
+
+
+def test_mutating_a_hit_leaves_the_next_hit_unchanged():
+    s = generate_scenario(GenSpec(setting=3, seed=7))
+    s.__dict__["share_outcomes"] = {}
+    state = run_solo_phase(s)[0]
+    g1, g2 = partition_players(s, state)
+    apps = [a.id for m in g1 for a in s.apps_of(m) if state.app_has_deficit(a.id)]
+
+    def solve():
+        return subsolver.solve_surplus_share(s, g2[0], state, apps)
+
+    def fields(res):
+        return (dict(res.allocation), res.objective_value, res.resources_used,
+                list(res.grant_order))
+
+    miss = solve()
+    expected = fields(miss)
+    assert len(s.share_outcomes) == 1 and any(x > 0 for x in miss.allocation.values())
+    for res in (miss, solve()):
+        res.allocation.clear()
+        res.grant_order.append((-1, -1))
+        res.objective_value = -1.0
+        res.resources_used = -1.0
+        assert fields(solve()) == expected
+    assert len(s.share_outcomes) == 1
