@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from .model import AllocEvent, Scenario, ShareOutcome, eval_utility
+from .model import AllocEvent, Scenario, eval_utility
 from .gpoa import (
     GpoaResult,
     OrderingScheme,
@@ -17,6 +17,7 @@ from .gpoa import (
     run_solo_phase,
 )
 from .ppmpoa import PpmpoaResult, run_ppmpoa
+from .subsolver import ShareMemo
 
 MAX_PROVIDERS = 12
 
@@ -82,13 +83,13 @@ def restrict_scenario(s: Scenario, members: FrozenSet[int]) -> Scenario:
 
 
 def run_algorithm(
-    s: Scenario, algorithm: str, scheme: OrderingScheme
+    s: Scenario, algorithm: str, scheme: OrderingScheme, share_memo: ShareMemo | None = None
 ) -> GpoaResult | PpmpoaResult:
     """Run GPOA under `scheme`, or PPMPOA (which takes no ordering)."""
     if algorithm == "gpoa":
-        return run_gpoa(s, scheme)
+        return run_gpoa(s, scheme, share_memo)
     if algorithm == "ppmpoa":
-        return run_ppmpoa(s)
+        return run_ppmpoa(s, share_memo)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -140,8 +141,8 @@ def enumerate_coalitions(
     realized value of a single fixed scheme is order-sensitive and would make
     an unlucky order look like a property violation.
 
-    Every restriction shares one share-solve memo for the length of this call,
-    so each distinct share subproblem across coalitions and orders is solved once.
+    Every run shares one share-solve memo for the length of this call, so each
+    distinct share subproblem across coalitions and orders is solved once.
     """
     ids = s.provider_ids()
     if not ids:
@@ -159,14 +160,11 @@ def enumerate_coalitions(
         state, _, _, _ = run_solo_phase(s)
         order_surplus(partition_players(s, state)[1], scheme, state)
     grand_result = None
-    share_memo: Dict[tuple, ShareOutcome] = {}
+    share_memo: ShareMemo = {}
 
     def evaluate(members: FrozenSet[int]) -> CoalitionEntry:
         nonlocal grand_result
         sub = restrict_scenario(s, members)
-        # A restriction keeps every member's requests, utilities, w1, comm_d,
-        # delta and epsilon_gain, so all of them can share one memo.
-        sub.__dict__["share_outcomes"] = share_memo
         schemes = [scheme]
         if scheme.kind == "explicit":
             schemes = [OrderingScheme.explicit(n for n in scheme.order if n in members)]
@@ -176,7 +174,7 @@ def enumerate_coalitions(
                 schemes = [OrderingScheme.explicit(p) for p in itertools.permutations(sorted(g2))]
         candidates = []
         for member_scheme in schemes:
-            result = run_algorithm(sub, algorithm, member_scheme)
+            result = run_algorithm(sub, algorithm, member_scheme, share_memo)
             candidates.append(
                 (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
             )

@@ -6,7 +6,7 @@ from typing import Dict, List, Tuple
 
 from .model import AllocEvent, AllocState, AllocationTensor, Scenario
 from .scengen import Stream
-from .subsolver import solve_single_provider, solve_surplus_share
+from .subsolver import ShareMemo, solve_single_provider, solve_surplus_share
 
 
 class InvalidExplicitOrder(ValueError):
@@ -133,7 +133,9 @@ def run_solo_phase(
     return state, alloc, payoffs, events
 
 
-def run_gpoa(s: Scenario, scheme: OrderingScheme) -> GpoaResult:
+def run_gpoa(
+    s: Scenario, scheme: OrderingScheme, share_memo: ShareMemo | None = None
+) -> GpoaResult:
     if scheme.kind in ("cao", "cdo") and not 0 <= scheme.k < s.K:
         raise ValueError(f"{scheme.kind}:k={scheme.k} names no resource type of K={s.K}")
     state, alloc, payoffs, events = run_solo_phase(s)
@@ -145,7 +147,7 @@ def run_gpoa(s: Scenario, scheme: OrderingScheme) -> GpoaResult:
         deficit_apps = [a.id for m in g1 for a in s.apps_of(m) if state.app_has_deficit(a.id)]
         if not deficit_apps:
             break
-        res = solve_surplus_share(s, n, state, deficit_apps)
+        res = solve_surplus_share(s, n, state, deficit_apps, share_memo)
         payoffs[n].sharing += res.objective_value
         ev = state.commit(s, alloc, n, res.allocation, "share")
         for j, k, x in ev.chunks:

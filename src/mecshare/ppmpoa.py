@@ -6,7 +6,7 @@ from typing import Dict, List, Tuple
 
 from .model import AllocEvent, AllocState, AllocationTensor, Scenario, TOL
 from .gpoa import Payoff, partition_players, run_solo_phase
-from .subsolver import solve_pair_match
+from .subsolver import ShareMemo, solve_pair_match
 
 
 @dataclass
@@ -57,27 +57,20 @@ class PpmpoaResult:
 
 
 def build_matching_matrix(
-    s: Scenario, state: AllocState, g1: List[int], g2: List[int],
-    previous: MatchingMatrix | None = None, committed: Tuple[int, int] | None = None,
+    s: Scenario, state: AllocState, g1: List[int], g2: List[int], memo: ShareMemo
 ) -> MatchingMatrix:
     """Candidate (value, resources, allocation) for every deficit/surplus pair.
 
-    `solve_pair_match` leaves the state untouched. Given the `previous` round's
-    matrix and the cell (m, n) `committed` since, only row m and column n are
-    evaluated again: every other cell reads neither m's apps nor n's remaining
-    capacity, so it is carried over.
+    `solve_pair_match` leaves the state untouched. Every cell is solved through
+    `memo`: after a committed match (m, n), a cell outside row m and column n
+    reads neither m's apps nor n's remaining capacity, so it is a hit.
     """
     matrix = MatchingMatrix(rows=list(g1), cols=list(g2))
     for n in g2:
         for m in g1:
-            if previous is None or m == committed[0] or n == committed[1]:
-                j_val, r_val, alloc = solve_pair_match(s, m, n, state)
-            else:
-                cell = (m, n)
-                j_val, r_val, alloc = previous.J[cell], previous.R[cell], previous.allocs[cell]
-            matrix.J[(m, n)] = j_val
-            matrix.R[(m, n)] = r_val
-            matrix.allocs[(m, n)] = alloc
+            matrix.J[(m, n)], matrix.R[(m, n)], matrix.allocs[(m, n)] = solve_pair_match(
+                s, m, n, state, memo
+            )
     return matrix
 
 
@@ -113,15 +106,15 @@ def _commit_match(
     return ev
 
 
-def run_ppmpoa(s: Scenario) -> PpmpoaResult:
+def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> PpmpoaResult:
+    memo = {} if share_memo is None else share_memo
     state, alloc, payoffs, events = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
     g1_active, g2_active = list(g1), list(g2)
 
     matches: List[MatchRecord] = []
-    matrix, committed = None, None
     while g1_active and g2_active:
-        matrix = build_matching_matrix(s, state, g1_active, g2_active, matrix, committed)
+        matrix = build_matching_matrix(s, state, g1_active, g2_active, memo)
         m, n = select_match(matrix)
         j_val, r_val = matrix.J[(m, n)], matrix.R[(m, n)]
         if j_val <= s.epsilon_gain or r_val <= TOL:
@@ -129,7 +122,6 @@ def run_ppmpoa(s: Scenario) -> PpmpoaResult:
         matches.append(MatchRecord(round=len(matches) + 1, m=m, n=n, value=j_val, resources=r_val))
         payoffs[n].sharing += j_val
         ev = _commit_match(s, state, alloc, matrix, m, n, g1_active, g2_active)
-        committed = (m, n)
         bonus = 0.0
         for j, k, x in ev.chunks:
             r = s.app(j).request[k]
@@ -152,13 +144,14 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
     """Replay the match history and report any pair that objects to it.
 
     At each round the committed surplus provider must have been offered no
-    larger value by any other available deficit provider.
+    larger value by any other available deficit provider. The replay solves
+    through a memo of its own.
     """
+    memo: ShareMemo = {}
     state, alloc, _, _ = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
     g1_active, g2_active = list(g1), list(g2)
     blocking: List[BlockingPair] = []
-    matrix, committed = None, None
 
     for rec in result.matches:
         if rec.m not in g1_active or rec.n not in g2_active:
@@ -167,7 +160,7 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
                              committed_value=rec.value)
             )
             continue
-        matrix = build_matching_matrix(s, state, g1_active, g2_active, matrix, committed)
+        matrix = build_matching_matrix(s, state, g1_active, g2_active, memo)
         value = matrix.J[(rec.m, rec.n)]
         for m_other in g1_active:
             if m_other != rec.m and matrix.J[(m_other, rec.n)] > value:
@@ -181,5 +174,4 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
                     )
                 )
         _commit_match(s, state, alloc, matrix, rec.m, rec.n, g1_active, g2_active)
-        committed = (rec.m, rec.n)
     return blocking

@@ -10,6 +10,13 @@ from .model import AllocState, Scenario, eval_utility
 
 ORACLE_STATE_CAP = 10**7
 
+#: A share solve's objective, resources used, ((app, resource), amount) items and grant order.
+ShareOutcome = Tuple[
+    float, float, Tuple[Tuple[Tuple[int, int], float], ...], Tuple[Tuple[int, int], ...]
+]
+#: `solve_surplus_share`'s memo: the state a solve reads -> its outcome.
+ShareMemo = Dict[tuple, ShareOutcome]
+
 
 class GridTooLarge(ValueError):
     pass
@@ -290,16 +297,16 @@ def solve_single_provider(s: Scenario, n: int) -> SubproblemResult:
 
 
 def solve_surplus_share(
-    s: Scenario, n: int, state: AllocState, deficit_apps: List[int]
+    s: Scenario, n: int, state: AllocState, deficit_apps: List[int],
+    memo: ShareMemo | None = None,
 ) -> SubproblemResult:
     """Provider n's share of its remaining capacity among the given deficit apps.
 
-    Within a coalition enumeration (`s.share_outcomes`) each distinct solve runs
-    once. The key holds everything the solve reads from `state`; the rest
-    (requests, utilities, w1, comm_d, delta, epsilon_gain) is the same in every
-    restriction of one scenario.
+    Given a `memo`, each distinct solve runs once per memo. The key holds
+    everything the solve reads from `state`; the rest (requests, utilities,
+    w1, comm_d, delta, epsilon_gain) must be the same in every scenario that
+    shares the memo, as it is in the restrictions of one scenario.
     """
-    memo = s.share_outcomes
     if memo is not None:
         memo_key = (n, tuple(state.remaining_capacity[n])) + tuple(
             (j, tuple(state.remaining_request[j]), tuple(state.allocated[j]))
@@ -326,7 +333,7 @@ def solve_surplus_share(
 
 
 def solve_pair_match(
-    s: Scenario, m: int, n: int, state: AllocState
+    s: Scenario, m: int, n: int, state: AllocState, memo: ShareMemo | None = None
 ) -> Tuple[float, float, Dict[Tuple[int, int], float]]:
     """Candidate value of surplus provider n serving deficit provider m's apps.
 
@@ -335,5 +342,5 @@ def solve_pair_match(
     deficit_apps = [a.id for a in s.apps_of(m) if state.app_has_deficit(a.id)]
     if not deficit_apps:
         return 0.0, 0.0, {}
-    result = solve_surplus_share(s, n, state, deficit_apps)
+    result = solve_surplus_share(s, n, state, deficit_apps, memo)
     return result.objective_value, result.resources_used, result.allocation

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,9 +126,9 @@ class TestVerify:
     def test_ppmpoa_verify_runs_each_coalition_once(self, scenario_file, tmp_path, monkeypatch):
         calls = []
 
-        def counting_ppmpoa(s):
+        def counting_ppmpoa(s, share_memo=None):
             calls.append(s.provider_ids())
-            return run_ppmpoa(s)
+            return run_ppmpoa(s, share_memo)
 
         monkeypatch.setattr(game, "run_ppmpoa", counting_ppmpoa)
         monkeypatch.setattr(cli, "run_ppmpoa", counting_ppmpoa)
@@ -268,12 +269,26 @@ def report_case(allocation):
     )
 
 
+def fine_delta_grid(d):
+    """Provider 1 could grant 5e10 delta-steps of 0.01 towards a request of 1e9."""
+    d["providers"][0].update(capacity=[5e8])
+    d["applications"][0].update(request=[1e9])
+    d.update(delta=0.01)
+
+
 NO_PROVIDERS = json.dumps({"K": 1, "providers": [], "applications": []})
+HUGE_SLOPE = {"kind": "linear", "params": {"a": 1e308, "c": 0.0}}
 
 # name -> (scenario text, argv[, allocation text written next to the scenario])
 BAD_INPUTS = {
     "malformed-json": ("{not json", ["solo"]),
     "missing-K": (two_provider_json(lambda d: d.pop("K")), ["solo"]),
+    "float-K": (two_provider_json(lambda d: d.update(K=1.0)), ["solo"]),
+    "bool-K": (two_provider_json(lambda d: d.update(K=True)), ["solo"]),
+    "infinite-total-utility": (
+        two_provider_json(lambda d: d["applications"][0].update(utility=HUGE_SLOPE)), ["gpoa"]
+    ),
+    "too-many-delta-steps": (two_provider_json(fine_delta_grid), ["solo"]),
     "nan-delta": (two_provider_json(lambda d: d.update(delta=math.nan)), ["solo"]),
     "nan-w1": (two_provider_json(lambda d: d["applications"][0].update(w1=math.nan)), ["gpoa"]),
     "unknown-order": (two_provider_json(), ["gpoa", "--order", "bogus"]),
@@ -314,3 +329,24 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+STEEP_SIGMOID = {"kind": "sigmoid", "params": {"mu": 1000.0}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solo"], ["gpoa"], ["ppmpoa"], ["verify", "--algorithm", "gpoa"],
+     ["verify", "--algorithm", "ppmpoa"], ["table3"], ["compare"],
+     ["misreport", "--provider", "1"]],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_steep_sigmoid_gives_a_result_without_overflow(tmp_path, argv):
+    # mu * r is 4000 and 2000, so exp overflows at every allocation below the request.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        two_provider_json(lambda d: [a.update(utility=STEEP_SIGMOID) for a in d["applications"]])
+    )
+    out = tmp_path / "out"
+    assert cli.run([argv[0], "--scenario", str(scenario), "--out", str(out)] + argv[1:]) in (0, 1)
+    assert not re.search(r"\b(nan|inf|infinity)\b", out.read_text(), re.IGNORECASE)

@@ -1,14 +1,14 @@
-"""Work done once: the solo memo per scenario and the incremental PPMPOA matrix.
+"""Work done once: the solo memo per scenario and the memoised PPMPOA matrix.
 
 The reference functions below are the PPMPOA loop and stability replay as they
 were when every round rebuilt every matrix cell on a private copy of the
-state, kept verbatim. The incremental build must give the same bits.
+state, kept verbatim. The memoised build must give the same bits.
 """
 from typing import List
 
 import pytest
 
-from mecshare import game, gpoa, ppmpoa
+from mecshare import game, gpoa, ppmpoa, subsolver
 from mecshare.game import (
     enumerate_coalitions,
     misreport_experiment,
@@ -128,7 +128,7 @@ def reference_check_matching_stability(result: PpmpoaResult, s: Scenario) -> Lis
     return blocking
 
 
-# --- incremental matrix against the reference -------------------------------
+# --- memoised matrix against the reference ----------------------------------
 
 
 def run_fields(result: PpmpoaResult):
@@ -193,25 +193,32 @@ def test_tampered_history_still_reports_blocking_pairs():
 
 def test_matrix_re_evaluates_only_the_committed_row_and_column(monkeypatch):
     s = generate_scenario(GenSpec(setting=4, seed=2))
-    builds = []
+    builds = []  # per build: (g1, g2, the cells whose share solve reached the allocator)
+    cell = []
 
-    def counting_solve(s_, m, n, state):
-        builds[-1][1].append((m, n))
-        return solve_pair_match(s_, m, n, state)
+    def recording_pair(s_, m, n, state, memo=None):
+        cell[:] = [(m, n)]
+        return pair(s_, m, n, state, memo)
 
-    def recording_build(s_, state, g1, g2, previous=None, committed=None):
-        builds.append(((list(g1), list(g2), committed), []))
-        return build(s_, state, g1, g2, previous, committed)
+    def counting_greedy(spec, delta, epsilon_gain):
+        if spec.kind == "share":
+            builds[-1][2].append(cell[0])
+        return greedy(spec, delta, epsilon_gain)
 
-    build = ppmpoa.build_matching_matrix
-    monkeypatch.setattr(ppmpoa, "solve_pair_match", counting_solve)
+    def recording_build(s_, state, g1, g2, memo):
+        builds.append((list(g1), list(g2), []))
+        return build(s_, state, g1, g2, memo)
+
+    pair, greedy, build = solve_pair_match, subsolver.allocate_greedy, ppmpoa.build_matching_matrix
+    monkeypatch.setattr(ppmpoa, "solve_pair_match", recording_pair)
+    monkeypatch.setattr(subsolver, "allocate_greedy", counting_greedy)
     monkeypatch.setattr(ppmpoa, "build_matching_matrix", recording_build)
     result = run_ppmpoa(s)
-    assert result.rounds >= 2
-    (g1, g2, committed), solved = builds[0]
-    assert committed is None and sorted(solved) == sorted((m, n) for m in g1 for n in g2)
-    for (g1, g2, (m_c, n_c)), solved in builds[1:]:
-        stale = [(m, n) for m in g1 for n in g2 if m == m_c or n == n_c]
+    assert result.rounds >= 2 and len(builds) - result.rounds in (0, 1)
+    g1, g2, solved = builds[0]
+    assert sorted(solved) == sorted((m, n) for m in g1 for n in g2)
+    for (g1, g2, solved), committed in zip(builds[1:], result.matches):
+        stale = [(m, n) for m in g1 for n in g2 if m == committed.m or n == committed.n]
         assert sorted(solved) == sorted(stale)
 
 

@@ -37,6 +37,11 @@ def test_sigmoid_utility_matches_logistic_formula():
     assert eval_utility(u, 500.0, 500.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_steep_sigmoid_far_below_the_request_is_zero():
+    # mu * r = 10000: exp overflows, and 1 / (1 + inf) is 0.0.
+    assert eval_utility(UtilitySpec.sigmoid(1000.0), 0.0, 10.0) == 0.0
+
+
 def test_sigmoid_utility_is_increasing_in_x():
     u = UtilitySpec.sigmoid(mu=0.01)
     values = [eval_utility(u, x, 100.0) for x in (0.0, 25.0, 50.0, 100.0)]

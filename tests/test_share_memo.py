@@ -1,10 +1,11 @@
-"""The share-solve memo that one coalition enumeration hands to its restrictions.
+"""The share-solve memo, passed explicitly by the call that owns its scope.
 
-A memoised enumeration must give the same bits as solving every share
-subproblem again, and the memo must end with the enumeration: no scenario it
-did not restrict carries one, and nothing the caller keeps can reach it.
+One coalition enumeration passes one memo to every run it makes; each PPMPOA
+run and each stability replay otherwise solves through a fresh memo of its
+own; plain GPOA runs take none. A memoised enumeration must give the same bits
+as solving every share subproblem again, and no memo outlives its owner:
+nothing the caller keeps can reach it.
 """
-import dataclasses
 import gc
 import itertools
 import types
@@ -12,7 +13,7 @@ import types
 import pytest
 
 from mecshare import game, gpoa, subsolver
-from mecshare.game import _scaled_scenario, coalition_value, enumerate_coalitions
+from mecshare.game import coalition_value, enumerate_coalitions
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
@@ -23,17 +24,17 @@ CDO = OrderingScheme.cdo(0)
 
 
 def record_share_solves(monkeypatch):
-    """Patch solve_surplus_share wherever it is bound; return the scenarios it was called on."""
-    calls = []
+    """Patch solve_surplus_share wherever it is bound; return the memo each call was given."""
+    memos = []
     solve = subsolver.solve_surplus_share
 
-    def recording(s, n, state, deficit_apps):
-        calls.append(s)
-        return solve(s, n, state, deficit_apps)
+    def recording(s, n, state, deficit_apps, memo=None):
+        memos.append(memo)
+        return solve(s, n, state, deficit_apps, memo)
 
     monkeypatch.setattr(subsolver, "solve_surplus_share", recording)
     monkeypatch.setattr(gpoa, "solve_surplus_share", recording)
-    return calls
+    return memos
 
 
 @pytest.mark.parametrize(
@@ -74,16 +75,31 @@ def test_swept_enumeration_solves_fewer_shares_than_it_asks_for(monkeypatch):
 
 def test_only_the_enumeration_hands_out_a_memo(monkeypatch):
     s = with_comm_costs(generate_scenario(GenSpec(setting=3, seed=7)), 5)
-    calls = record_share_solves(monkeypatch)
-    check_matching_stability(run_ppmpoa(s), s)
+    memos = record_share_solves(monkeypatch)
     run_gpoa(s, CDO)
     game.misreport_experiment(s, s.provider_ids()[-1], 1.5, 0.75)
-    assert calls and all(c.share_outcomes is None for c in calls)
+    assert memos and all(memo is None for memo in memos)
 
-    calls.clear()
+    memos.clear()
     enumerate_coalitions(s, CDO, sweep_orders=True)
-    memos = {id(c.share_outcomes) for c in calls}
-    assert len(memos) == 1 and calls[0].share_outcomes
+    assert len({id(memo) for memo in memos}) == 1 and memos[0]
+
+
+def test_each_ppmpoa_run_and_replay_solves_through_a_fresh_memo(monkeypatch):
+    s = with_comm_costs(generate_scenario(GenSpec(setting=3, seed=7)), 5)
+    memos = record_share_solves(monkeypatch)
+    owned = []
+    for _ in range(2):
+        result = run_ppmpoa(s)
+        check_matching_stability(result, s)
+        run_memo = memos[0]
+        replay_memo = memos[-1]
+        assert run_memo and replay_memo and run_memo is not replay_memo
+        assert all(memo is run_memo or memo is replay_memo for memo in memos)
+        assert {id(run_memo), id(replay_memo)}.isdisjoint(reachable(s, result))
+        owned += [run_memo, replay_memo]
+        memos.clear()
+    assert len({id(memo) for memo in owned}) == 4
 
 
 def reachable(*roots):
@@ -104,29 +120,22 @@ def reachable(*roots):
 @pytest.mark.parametrize("algorithm,sweep", [("gpoa", True), ("gpoa", False), ("ppmpoa", False)])
 def test_memo_ends_with_the_enumeration(monkeypatch, algorithm, sweep):
     s = generate_scenario(GenSpec(setting=3, seed=2))
-    calls = record_share_solves(monkeypatch)
+    memos = record_share_solves(monkeypatch)
     report = enumerate_coalitions(s, CDO, algorithm, sweep_orders=sweep)
-    sub = calls[-1]
-    memo = sub.share_outcomes
-    assert memo and id(memo) in reachable(sub)
-
-    assert s.share_outcomes is None and "share_outcomes" not in vars(s)
-    assert id(memo) not in reachable(s, report)
-    n = sub.provider_ids()[0]
-    for derived in (_scaled_scenario(sub, n, 1.5, 1.0), with_comm_costs(sub, 3),
-                    dataclasses.replace(sub)):
-        assert derived.share_outcomes is None
+    memo = memos[-1]
+    assert memo and all(m is memo for m in memos)
+    assert id(memo) not in reachable(s, report, report.grand_result)
 
 
 def test_mutating_a_hit_leaves_the_next_hit_unchanged():
     s = generate_scenario(GenSpec(setting=3, seed=7))
-    s.__dict__["share_outcomes"] = {}
+    memo = {}
     state = run_solo_phase(s)[0]
     g1, g2 = partition_players(s, state)
     apps = [a.id for m in g1 for a in s.apps_of(m) if state.app_has_deficit(a.id)]
 
     def solve():
-        return subsolver.solve_surplus_share(s, g2[0], state, apps)
+        return subsolver.solve_surplus_share(s, g2[0], state, apps, memo)
 
     def fields(res):
         return (dict(res.allocation), res.objective_value, res.resources_used,
@@ -134,11 +143,11 @@ def test_mutating_a_hit_leaves_the_next_hit_unchanged():
 
     miss = solve()
     expected = fields(miss)
-    assert len(s.share_outcomes) == 1 and any(x > 0 for x in miss.allocation.values())
+    assert len(memo) == 1 and any(x > 0 for x in miss.allocation.values())
     for res in (miss, solve()):
         res.allocation.clear()
         res.grant_order.append((-1, -1))
         res.objective_value = -1.0
         res.resources_used = -1.0
         assert fields(solve()) == expected
-    assert len(s.share_outcomes) == 1
+    assert len(memo) == 1
