@@ -7,7 +7,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, NoReturn
+from typing import Dict, List, NoReturn, Tuple, Union
 
 from . import __version__
 from .model import (
@@ -22,6 +22,8 @@ from .gpoa import parse_ordering, run_gpoa, run_solo_phase
 from .ppmpoa import check_matching_stability, run_ppmpoa
 from .game import (
     SWEEP_LIMIT,
+    CoalitionReport,
+    PropertyVerdict,
     check_no_blocking_coalition,
     check_rationality,
     check_superadditivity,
@@ -32,11 +34,15 @@ from .metrics import compute_metrics
 from .scengen import GenSpec, generate_scenario
 
 
-def _manifest(command: str, args: argparse.Namespace, started: float) -> dict:
-    skip = {"func"}
+#: What a command returns for `main` to write: a scenario (`gen`), a JSON
+#: payload without its manifest, or a CSV (header, rows).
+Artifact = Union[Scenario, dict, Tuple[List[str], List[list]]]
+
+
+def _manifest(args: argparse.Namespace, started: float) -> dict:
     return {
-        "command": command,
-        "args": {k: v for k, v in sorted(vars(args).items()) if k not in skip},
+        "command": args.command,
+        "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "tool_version": __version__,
         "wall_time_s": time.perf_counter() - started,
     }
@@ -82,10 +88,6 @@ def _load_scenario_or_exit(path: str) -> Scenario:
     return s
 
 
-def _alloc_to_dict(alloc: AllocationTensor) -> Dict[str, List[float]]:
-    return {f"{n}:{j}": list(vec) for (n, j), vec in sorted(alloc.entries.items())}
-
-
 def alloc_from_dict(d: Dict[str, List[float]]) -> AllocationTensor:
     tensor = AllocationTensor()
     for key, vec in d.items():
@@ -94,65 +96,57 @@ def alloc_from_dict(d: Dict[str, List[float]]) -> AllocationTensor:
     return tensor
 
 
-def _payoffs_to_dict(payoffs) -> dict:
+def _outcome(payoffs, alloc: AllocationTensor) -> dict:
+    """The payoffs, value and allocation keys that end a solo, gpoa or ppmpoa payload."""
     return {
-        str(n): {
-            "v_solo": p.v_solo,
-            "sharing": p.sharing,
-            "bonus": p.bonus,
-            "total": p.total,
-        }
-        for n, p in sorted(payoffs.items())
+        "payoffs": {
+            str(n): {"v_solo": p.v_solo, "sharing": p.sharing, "bonus": p.bonus, "total": p.total}
+            for n, p in sorted(payoffs.items())
+        },
+        "value": sum(p.total for p in payoffs.values()),
+        "allocation": {f"{n}:{j}": list(vec) for (n, j), vec in sorted(alloc.entries.items())},
     }
+
+
+def _verdicts(report: CoalitionReport) -> List[PropertyVerdict]:
+    """The coalition properties that verify reports and table3 tabulates, in column order."""
+    checks = (check_superadditivity, check_rationality, check_no_blocking_coalition)
+    return [check(report) for check in checks]
 
 
 # --- subcommands ----------------------------------------------------------
+# Each takes the parsed arguments and the loaded scenario (None for gen) and
+# returns (artifact, exit code); `main` stamps the manifest and writes.
 
 
-def cmd_gen(args: argparse.Namespace, started: float) -> int:
+def cmd_gen(args: argparse.Namespace, _s: None) -> Tuple[Artifact, int]:
     spec = GenSpec(setting=args.setting, seed=args.seed, utility_kind=args.utility)
-    scenario = generate_scenario(spec)
-    save_scenario(scenario, args.out, manifest=_manifest("gen", args, started))
-    return 0
+    return generate_scenario(spec), 0
 
 
-def cmd_solo(args: argparse.Namespace, started: float) -> int:
-    s = _load_scenario_or_exit(args.scenario)
-    state, alloc, payoffs, _events = run_solo_phase(s)
-    payload = {
-        "algorithm": "solo",
-        "payoffs": _payoffs_to_dict(payoffs),
-        "value": sum(p.total for p in payoffs.values()),
-        "allocation": _alloc_to_dict(alloc),
-        "manifest": _manifest("solo", args, started),
-    }
-    _write_json(args.out, payload)
-    return 0
+def cmd_solo(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
+    _state, alloc, payoffs, _events = run_solo_phase(s)
+    return {"algorithm": "solo", **_outcome(payoffs, alloc)}, 0
 
 
-def cmd_gpoa(args: argparse.Namespace, started: float) -> int:
-    s = _load_scenario_or_exit(args.scenario)
-    scheme = parse_ordering(args.order)
-    result = run_gpoa(s, scheme)
-    payload = {
+def cmd_gpoa(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
+    result = run_gpoa(s, parse_ordering(args.order))
+    return {
         "algorithm": "gpoa",
         "ordering": args.order,
         "g1": result.g1,
         "g2": result.g2,
         "order_used": result.order_used,
-        "payoffs": _payoffs_to_dict(result.payoffs),
-        "value": sum(p.total for p in result.payoffs.values()),
-        "allocation": _alloc_to_dict(result.allocation),
-        "manifest": _manifest("gpoa", args, started),
-    }
-    _write_json(args.out, payload)
-    return 0
+        **_outcome(result.payoffs, result.allocation),
+    }, 0
 
 
-def cmd_ppmpoa(args: argparse.Namespace, started: float) -> int:
-    s = _load_scenario_or_exit(args.scenario)
+def cmd_ppmpoa(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     result = run_ppmpoa(s)
-    payload = {
+    if args.trace:
+        rows = [[r.round, r.m, r.n, r.value, r.resources] for r in result.matches]
+        _write_csv(args.trace, ["round", "m", "n", "J", "R"], rows)
+    return {
         "algorithm": "ppmpoa",
         "g1": result.g1,
         "g2": result.g2,
@@ -161,27 +155,14 @@ def cmd_ppmpoa(args: argparse.Namespace, started: float) -> int:
             {"round": r.round, "m": r.m, "n": r.n, "value": r.value, "resources": r.resources}
             for r in result.matches
         ],
-        "payoffs": _payoffs_to_dict(result.payoffs),
-        "value": sum(p.total for p in result.payoffs.values()),
-        "allocation": _alloc_to_dict(result.allocation),
-        "manifest": _manifest("ppmpoa", args, started),
-    }
-    _write_json(args.out, payload)
-    if args.trace:
-        rows = [[r.round, r.m, r.n, r.value, r.resources] for r in result.matches]
-        _write_csv(args.trace, ["round", "m", "n", "J", "R"], rows)
-    return 0
+        **_outcome(result.payoffs, result.allocation),
+    }, 0
 
 
-def cmd_verify(args: argparse.Namespace, started: float) -> int:
-    s = _load_scenario_or_exit(args.scenario)
+def cmd_verify(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     scheme = parse_ordering(args.order)
     report = enumerate_coalitions(s, scheme, args.algorithm, sweep_orders=args.sweep_orders)
-    verdicts = [
-        check_superadditivity(report),
-        check_rationality(report),
-        check_no_blocking_coalition(report),
-    ]
+    verdicts = _verdicts(report)
     stability_ok = True
     if args.algorithm == "ppmpoa":
         blocking = check_matching_stability(report.grand_result, s)
@@ -201,21 +182,18 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
             for v in verdicts
         },
         "matching_stable": stability_ok,
-        "manifest": _manifest("verify", args, started),
     }
-    _write_json(args.out, payload)
     ok = all(v.passed for v in verdicts) and stability_ok
     for v in verdicts:
         print(f"{v.name}: {'pass' if v.passed else 'FAIL'}")
-    return 0 if ok else 1
+    return payload, 0 if ok else 1
 
 
-def cmd_misreport(args: argparse.Namespace, started: float) -> int:
-    s = _load_scenario_or_exit(args.scenario)
+def cmd_misreport(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     truthful, misreport = misreport_experiment(
         s, args.provider, args.cap_factor, args.req_factor, args.algorithm
     )
-    payload = {
+    return {
         "provider": args.provider,
         "cap_factor": args.cap_factor,
         "req_factor": args.req_factor,
@@ -223,19 +201,12 @@ def cmd_misreport(args: argparse.Namespace, started: float) -> int:
         "truthful_payoff": truthful,
         "misreport_payoff": misreport,
         "gain": misreport - truthful,
-        "manifest": _manifest("misreport", args, started),
-    }
-    _write_json(args.out, payload)
-    return 0
+    }, 0
 
 
-def cmd_table3(args: argparse.Namespace, started: float) -> int:
-    s = _load_scenario_or_exit(args.scenario)
-    scheme = parse_ordering(args.order)
-    report = enumerate_coalitions(s, scheme, args.algorithm)
-    superadd = check_superadditivity(report)
-    rational = check_rationality(report)
-    core = check_no_blocking_coalition(report)
+def cmd_table3(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
+    report = enumerate_coalitions(s, parse_ordering(args.order), args.algorithm)
+    verdicts = ["pass" if v.passed else "fail" for v in _verdicts(report)]
     ids = report.provider_ids
     header = (
         ["coalition"]
@@ -247,22 +218,11 @@ def cmd_table3(args: argparse.Namespace, started: float) -> int:
         report.entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
     ):
         label = "{" + ",".join(str(n) for n in sorted(members)) + "}"
-        rows.append(
-            [label]
-            + [entry.payoffs.get(n, 0.0) for n in ids]
-            + [
-                entry.value,
-                "pass" if superadd.passed else "fail",
-                "pass" if rational.passed else "fail",
-                "pass" if core.passed else "fail",
-            ]
-        )
-    _write_csv(args.out, header, rows)
-    return 0 if superadd.passed and rational.passed and core.passed else 1
+        rows.append([label] + [entry.payoffs.get(n, 0.0) for n in ids] + [entry.value] + verdicts)
+    return (header, rows), 0 if "fail" not in verdicts else 1
 
 
-def cmd_compare(args: argparse.Namespace, started: float) -> int:
-    s = _load_scenario_or_exit(args.scenario)
+def cmd_compare(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     orderings = [o for o in (args.orderings or "").split(",") if o] or ["cdo:k=0"]
 
     rows = []
@@ -289,12 +249,10 @@ def cmd_compare(args: argparse.Namespace, started: float) -> int:
     pres = run_ppmpoa(s)
     add_rows("ppmpoa", pres.allocation, pres.payoffs)
 
-    _write_csv(args.out, ["provider", "mode", "utility", "satisfaction", "utilization"], rows)
-    return 0
+    return (["provider", "mode", "utility", "satisfaction", "utilization"], rows), 0
 
 
-def cmd_report(args: argparse.Namespace, started: float) -> int:
-    s = _load_scenario_or_exit(args.scenario)
+def cmd_report(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     if not os.path.exists(args.allocation):
         _exit_with_error(f"allocation file not found: {args.allocation}")
     try:
@@ -317,8 +275,7 @@ def cmd_report(args: argparse.Namespace, started: float) -> int:
         rows.append([f"app:{a.id}", "satisfaction", report.app_satisfaction[a.id]])
         rows.append([f"app:{a.id}", "fragmentation", report.app_fragmentation[a.id]])
     rows.append(["aggregate", "mean_fragmentation", report.mean_fragmentation])
-    _write_csv(args.out, ["entity", "metric", "value"], rows)
-    return 0
+    return (["entity", "metric", "value"], rows), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,28 +289,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", type=int, required=True, choices=[1, 2, 3, 4])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--utility", choices=["linear", "sigmoid"], default="linear")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solo", help="run the no-sharing baseline")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_solo)
+    def on_scenario(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--scenario", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gpoa", help="run the ordered surplus-sharing algorithm")
-    p.add_argument("--scenario", required=True)
+    on_scenario("solo", cmd_solo, "run the no-sharing baseline")
+
+    p = on_scenario("gpoa", cmd_gpoa, "run the ordered surplus-sharing algorithm")
     p.add_argument("--order", default="cdo:k=0")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gpoa)
 
-    p = sub.add_parser("ppmpoa", help="run the matching-based algorithm")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--out", required=True)
+    p = on_scenario("ppmpoa", cmd_ppmpoa, "run the matching-based algorithm")
     p.add_argument("--trace", default=None, help="per-round match CSV")
-    p.set_defaults(func=cmd_ppmpoa)
 
-    p = sub.add_parser("verify", help="coalition sweep with property checks")
-    p.add_argument("--scenario", required=True)
+    p = on_scenario("verify", cmd_verify, "coalition sweep with property checks")
     p.add_argument("--algorithm", choices=["gpoa", "ppmpoa"], default="gpoa")
     p.add_argument(
         "--order",
@@ -367,44 +319,41 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="evaluate every surplus-order permutation per coalition",
     )
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("misreport", help="truthful vs misreported capacity/requests")
-    p.add_argument("--scenario", required=True)
+    p = on_scenario("misreport", cmd_misreport, "truthful vs misreported capacity/requests")
     p.add_argument("--provider", type=int, required=True)
     p.add_argument("--cap-factor", type=float, default=1.0)
     p.add_argument("--req-factor", type=float, default=1.0)
     p.add_argument("--algorithm", choices=["gpoa", "ppmpoa"], default="gpoa")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_misreport)
 
-    p = sub.add_parser("table3", help="coalition payoff table with verdict columns")
-    p.add_argument("--scenario", required=True)
+    p = on_scenario("table3", cmd_table3, "coalition payoff table with verdict columns")
     p.add_argument("--algorithm", choices=["gpoa", "ppmpoa"], default="gpoa")
     p.add_argument("--order", default="cdo:k=0")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_table3)
 
-    p = sub.add_parser("compare", help="solo vs gpoa vs ppmpoa side by side")
-    p.add_argument("--scenario", required=True)
+    p = on_scenario("compare", cmd_compare, "solo vs gpoa vs ppmpoa side by side")
     p.add_argument("--orderings", default="", help="comma-separated ordering specs")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("report", help="metrics CSV for a stored allocation")
-    p.add_argument("--scenario", required=True)
+    p = on_scenario("report", cmd_report, "metrics CSV for a stored allocation")
     p.add_argument("--allocation", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 
 def main(argv: List[str] | None = None) -> int:
+    """Parse, load the scenario, run the command, and write its artifact with a manifest."""
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
-    return args.func(args, started)
+    s = _load_scenario_or_exit(args.scenario) if "scenario" in args else None
+    artifact, code = args.func(args, s)
+    if isinstance(artifact, tuple):
+        _write_csv(args.out, *artifact)
+    elif isinstance(artifact, Scenario):
+        save_scenario(artifact, args.out, manifest=_manifest(args, started))
+    else:
+        _write_json(args.out, {**artifact, "manifest": _manifest(args, started)})
+    return code
 
 
 def run(argv: List[str] | None = None) -> int:

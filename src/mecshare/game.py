@@ -152,13 +152,17 @@ def enumerate_coalitions(
     coalitions = _coalitions_by_bitset(ids)
     full = frozenset(ids)
     sweep = sweep_orders and algorithm == "gpoa"
-    if algorithm == "gpoa" and scheme.kind == "explicit":
-        # Raises InvalidExplicitOrder unless the order permutes the grand
-        # surplus set. A provider's surplus status comes from its own solo
-        # solve, so each coalition's surplus set is the grand one restricted
-        # to its members, and so is the order it gets.
+    explicit = algorithm == "gpoa" and scheme.kind == "explicit"
+    surplus: List[int] = []
+    if sweep or explicit:
+        # A provider's surplus status comes from its own solo solve, so each
+        # coalition's surplus set is the grand one restricted to its members,
+        # and so is the explicit order it gets.
         state, _, _, _ = run_solo_phase(s)
-        order_surplus(partition_players(s, state)[1], scheme, state)
+        surplus = partition_players(s, state)[1]
+        if explicit:
+            # Raises InvalidExplicitOrder unless the order permutes `surplus`.
+            order_surplus(surplus, scheme, state)
     grand_result = None
     share_memo: ShareMemo = {}
 
@@ -166,10 +170,10 @@ def enumerate_coalitions(
         nonlocal grand_result
         sub = restrict_scenario(s, members)
         schemes = [scheme]
-        if scheme.kind == "explicit":
+        if explicit:
             schemes = [OrderingScheme.explicit(n for n in scheme.order if n in members)]
         if sweep:
-            _, g2 = partition_players(sub, run_solo_phase(sub)[0])
+            g2 = [n for n in surplus if n in members]
             if len(g2) <= SWEEP_LIMIT:
                 schemes = [OrderingScheme.explicit(p) for p in itertools.permutations(sorted(g2))]
         candidates = []
@@ -313,11 +317,7 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
 
     for ev in events:
         n = ev.allocator
-        chunks = sorted(ev.chunks)
-        z_entry = {
-            j: list(z[j]) for j in {j for (j, _k, _x) in chunks}
-        }
-        for j, k, x in chunks:
+        for j, k, x in sorted(ev.chunks):
             a = s.app(j)
             r = a.request[k]
             x_eff = min(x, max(0.0, cap[n][k]), max(0.0, r - z[j][k]))
@@ -330,7 +330,7 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
                         eval_utility(a.utility, x_eff, r) - eval_utility(a.utility, 0.0, r)
                     ) + x_eff / r
             else:
-                z0 = z_entry[j][k]
+                z0 = z[j][k]
                 d = s.comm_d(n, j)
                 gap = r - z0
                 inc = eval_utility(a.utility, z0 + x_eff, r) - eval_utility(a.utility, z0, r)

@@ -127,10 +127,14 @@ def _check_vector(name: str, v: ResourceVector, k: int, out: List[str]) -> None:
             break
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_scenario(s: Scenario) -> List[str]:
     """Return a list of invariant violations; empty means the scenario is well formed."""
     out: List[str] = []
-    if not isinstance(s.K, int) or isinstance(s.K, bool) or s.K <= 0:
+    if not _is_int(s.K) or s.K <= 0:
         out.append("K must be an integer > 0")
     if not math.isfinite(s.delta) or s.delta <= 0:
         out.append("delta must be finite and > 0")
@@ -143,6 +147,12 @@ def validate_scenario(s: Scenario) -> List[str]:
     app_ids = [a.id for a in s.applications]
     if len(set(app_ids)) != len(app_ids):
         out.append("application ids must be unique")
+    for p in s.providers:
+        if not _is_int(p.id) or not all(_is_int(j) for j in p.native_apps):
+            out.append(f"provider {p.id!r}: id and native apps must be integers")
+    for a in s.applications:
+        if not _is_int(a.id) or not _is_int(a.owner):
+            out.append(f"app {a.id!r}: id and owner must be integers")
 
     owners: Dict[int, int] = {}
     for p in s.providers:

@@ -11,8 +11,6 @@ from .subsolver import ShareMemo, solve_pair_match
 
 @dataclass
 class MatchingMatrix:
-    rows: List[int]  # deficit providers
-    cols: List[int]  # surplus providers
     J: Dict[Tuple[int, int], float] = field(default_factory=dict)
     R: Dict[Tuple[int, int], float] = field(default_factory=dict)
     allocs: Dict[Tuple[int, int], Dict[Tuple[int, int], float]] = field(default_factory=dict)
@@ -65,7 +63,7 @@ def build_matching_matrix(
     `memo`: after a committed match (m, n), a cell outside row m and column n
     reads neither m's apps nor n's remaining capacity, so it is a hit.
     """
-    matrix = MatchingMatrix(rows=list(g1), cols=list(g2))
+    matrix = MatchingMatrix()
     for n in g2:
         for m in g1:
             matrix.J[(m, n)], matrix.R[(m, n)], matrix.allocs[(m, n)] = solve_pair_match(
@@ -76,21 +74,7 @@ def build_matching_matrix(
 
 def select_match(matrix: MatchingMatrix) -> Tuple[int, int]:
     """Largest value wins; ties go to the cell using fewest resources, then lowest ids."""
-    best: Tuple[int, int] | None = None
-    for m in matrix.rows:
-        for n in matrix.cols:
-            if best is None:
-                best = (m, n)
-                continue
-            cand, cur = matrix.J[(m, n)], matrix.J[best]
-            if cand > cur:
-                best = (m, n)
-            elif cand == cur:
-                r_cand, r_cur = matrix.R[(m, n)], matrix.R[best]
-                if r_cand < r_cur or (r_cand == r_cur and (m, n) < best):
-                    best = (m, n)
-    assert best is not None
-    return best
+    return min(matrix.J, key=lambda c: (-matrix.J[c], matrix.R[c], c))
 
 
 def _commit_match(

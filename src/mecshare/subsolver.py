@@ -34,7 +34,7 @@ class SubproblemItem:
 class SubproblemSpec:
     items: List[SubproblemItem]
     capacity: Dict[int, float]  # available amount per resource index
-    kind: str = "solo"  # "solo" | "share" | "match"
+    kind: str = "solo"  # "solo" | "share"
     # True when every item's contribution is non-decreasing in x; enables the
     # saturation shortcut for resource types whose capacity is not binding.
     monotone: bool = False

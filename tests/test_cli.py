@@ -52,6 +52,24 @@ class TestGen:
         assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solo"], ["gpoa", "--order", "cao:k=0"], ["ppmpoa"], ["verify", "--algorithm", "ppmpoa"],
+     ["misreport", "--provider", "2", "--cap-factor", "1.5"]],
+    ids=lambda argv: argv[0],
+)
+def test_json_artifact_ends_with_the_manifest_of_its_command(scenario_file, tmp_path, argv):
+    argv = argv + ["--scenario", scenario_file, "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    payload = read_json(str(tmp_path / "out.json"))
+    assert list(payload)[-1] == "manifest"
+    manifest = payload["manifest"]
+    assert manifest["command"] == argv[0]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert "func" in parsed and "func" not in manifest["args"]
+    assert manifest["args"] == {k: v for k, v in parsed.items() if k != "func"}
+
+
 class TestAlgorithms:
     def test_solo_payload_shape(self, scenario_file, tmp_path):
         out = tmp_path / "solo.json"
@@ -276,6 +294,14 @@ def fine_delta_grid(d):
     d.update(delta=0.01)
 
 
+def provider_2_id(value):
+    """Provider 2, and the owner of its app, get the id `value`."""
+    def edit(d):
+        d["providers"][1].update(id=value)
+        d["applications"][1].update(owner=value)
+    return edit
+
+
 NO_PROVIDERS = json.dumps({"K": 1, "providers": [], "applications": []})
 HUGE_SLOPE = {"kind": "linear", "params": {"a": 1e308, "c": 0.0}}
 
@@ -285,6 +311,8 @@ BAD_INPUTS = {
     "missing-K": (two_provider_json(lambda d: d.pop("K")), ["solo"]),
     "float-K": (two_provider_json(lambda d: d.update(K=1.0)), ["solo"]),
     "bool-K": (two_provider_json(lambda d: d.update(K=True)), ["solo"]),
+    "string-provider-id": (two_provider_json(provider_2_id("2")), ["solo"]),
+    "float-provider-id": (two_provider_json(provider_2_id(2.0)), ["gpoa"]),
     "infinite-total-utility": (
         two_provider_json(lambda d: d["applications"][0].update(utility=HUGE_SLOPE)), ["gpoa"]
     ),

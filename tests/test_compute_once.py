@@ -48,7 +48,7 @@ def reference_build_matching_matrix(
     Each cell is evaluated on a private copy of the state; the shared state is
     left untouched.
     """
-    matrix = MatchingMatrix(rows=list(g1), cols=list(g2))
+    matrix = MatchingMatrix()
     for n in g2:
         for m in g1:
             j_val, r_val, alloc = solve_pair_match(s, m, n, state.copy())

@@ -15,9 +15,7 @@ from conftest import linear_app, make_scenario
 
 class TestSelectMatch:
     def _matrix(self, j, r):
-        rows = sorted({m for m, _ in j})
-        cols = sorted({n for _, n in j})
-        return MatchingMatrix(rows=rows, cols=cols, J=dict(j), R=dict(r))
+        return MatchingMatrix(J=dict(j), R=dict(r))
 
     def test_largest_value_wins(self):
         m = self._matrix({(1, 4): 2.0, (2, 4): 5.0}, {(1, 4): 1.0, (2, 4): 9.0})
