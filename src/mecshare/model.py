@@ -142,10 +142,12 @@ def validate_scenario(s: Scenario) -> List[str]:
         out.append("epsilon_gain must be finite and >= 0")
 
     provider_ids = [p.id for p in s.providers]
-    if len(set(provider_ids)) != len(provider_ids):
+    provider_set = set(provider_ids)
+    if len(provider_set) != len(provider_ids):
         out.append("provider ids must be unique")
     app_ids = [a.id for a in s.applications]
-    if len(set(app_ids)) != len(app_ids):
+    app_set = set(app_ids)
+    if len(app_set) != len(app_ids):
         out.append("application ids must be unique")
     for p in s.providers:
         if not _is_int(p.id) or not all(_is_int(j) for j in p.native_apps):
@@ -161,7 +163,7 @@ def validate_scenario(s: Scenario) -> List[str]:
             if j in owners:
                 out.append(f"app {j}: multiple owners ({owners[j]} and {p.id})")
             owners[j] = p.id
-            if j not in set(app_ids):
+            if j not in app_set:
                 out.append(f"provider {p.id}: unknown native app {j}")
 
     min_positive_request = math.inf
@@ -169,7 +171,7 @@ def validate_scenario(s: Scenario) -> List[str]:
         _check_vector(f"app {a.id} request", a.request, s.K, out)
         if not math.isfinite(a.weight_w1) or a.weight_w1 <= 0:
             out.append(f"app {a.id}: weight_w1 must be finite and > 0")
-        if a.owner not in set(provider_ids):
+        if a.owner not in provider_set:
             out.append(f"app {a.id}: owner {a.owner} does not exist")
         elif owners.get(a.id) != a.owner:
             out.append(f"app {a.id}: not listed among native apps of owner {a.owner}")
@@ -189,6 +191,8 @@ def validate_scenario(s: Scenario) -> List[str]:
                 min_positive_request = min(min_positive_request, r)
 
     for (n, j), d in s.comm_costs.items():
+        if not (_is_int(n) and _is_int(j) and n in provider_set and j in app_set):
+            out.append(f"comm cost ({n!r},{j!r}): provider and app must be ids in the scenario")
         if not math.isfinite(d) or d < 0:
             out.append(f"comm cost ({n},{j}): d must be finite and >= 0")
 

@@ -129,7 +129,7 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
 
     At each round the committed surplus provider must have been offered no
     larger value by any other available deficit provider. The replay solves
-    through a memo of its own.
+    only that provider's column, through a memo of its own.
     """
     memo: ShareMemo = {}
     state, alloc, _, _ = run_solo_phase(s)
@@ -144,7 +144,7 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
                              committed_value=rec.value)
             )
             continue
-        matrix = build_matching_matrix(s, state, g1_active, g2_active, memo)
+        matrix = build_matching_matrix(s, state, g1_active, [rec.n], memo)
         value = matrix.J[(rec.m, rec.n)]
         for m_other in g1_active:
             if m_other != rec.m and matrix.J[(m_other, rec.n)] > value:

@@ -10,10 +10,8 @@ from .model import AllocState, Scenario, eval_utility
 
 ORACLE_STATE_CAP = 10**7
 
-#: A share solve's objective, resources used, ((app, resource), amount) items and grant order.
-ShareOutcome = Tuple[
-    float, float, Tuple[Tuple[Tuple[int, int], float], ...], Tuple[Tuple[int, int], ...]
-]
+#: A share solve's objective, resources used and ((app, resource), amount) items.
+ShareOutcome = Tuple[float, float, Tuple[Tuple[Tuple[int, int], float], ...]]
 #: `solve_surplus_share`'s memo: the state a solve reads -> its outcome.
 ShareMemo = Dict[tuple, ShareOutcome]
 
@@ -45,7 +43,6 @@ class SubproblemResult:
     allocation: Dict[Tuple[int, int], float] = field(default_factory=dict)
     objective_value: float = 0.0
     resources_used: float = 0.0
-    grant_order: List[Tuple[int, int]] = field(default_factory=list)
 
 
 def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> SubproblemResult:
@@ -70,9 +67,6 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     items = sorted(spec.items, key=lambda it: (it.app, it.k))
     cap = dict(spec.capacity)
     x = [0.0] * len(items)
-    first_grant: List[Tuple[int, int]] = []
-    granted = [False] * len(items)
-    saturated = [False] * len(items)
 
     if spec.monotone:
         # Non-binding resource types saturate every item at its bound; the
@@ -85,10 +79,6 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
             if it.k in slack:
                 x[i] = it.ub
                 cap[it.k] -= it.ub
-                saturated[i] = True
-                if it.ub > 0:
-                    granted[i] = True
-                    first_grant.append((it.app, it.k))
 
     def step_for(i: int) -> float:
         it = items[i]
@@ -103,8 +93,6 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
 
     heap: List[Tuple[float, int, int, int]] = []
     for i, it in enumerate(items):
-        if saturated[i]:
-            continue
         g = gain_for(i)
         if g > epsilon_gain:
             heap.append((-g, it.app, it.k, i))
@@ -129,9 +117,6 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
             ck -= delta
         x[i] = xi
         cap[k] = ck
-        if not granted[i]:
-            granted[i] = True
-            first_grant.append((app, k))
         g2 = gain_for(i)
         if g2 > epsilon_gain:
             heapq.heappush(heap, (-g2, app, k, i))
@@ -142,7 +127,6 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
         allocation=allocation,
         objective_value=objective,
         resources_used=sum(x),
-        grant_order=first_grant,
     )
 
 
@@ -272,23 +256,20 @@ def build_share_spec(s: Scenario, n: int, state: AllocState, deficit_apps: List[
 def _rollback_uncovered_cost(
     s: Scenario, n: int, state: AllocState, result: SubproblemResult
 ) -> SubproblemResult:
-    """Zero out items whose incremental utility does not cover the communication cost.
+    """Zero out grants whose incremental utility does not cover the communication cost.
 
-    Walks the first-grant order in reverse; freed capacity is not re-granted.
+    Each grant is judged against the unchanged state alone; freed capacity is
+    not re-granted.
     """
-    for app, k in reversed(result.grant_order):
-        x = result.allocation.get((app, k), 0.0)
-        if x <= 0:
-            continue
+    for (app, k), x in result.allocation.items():
         d = s.comm_d(n, app)
-        if d == 0.0:
+        if x <= 0 or d == 0.0:
             continue
         a = s.app(app)
         z = state.allocated[app][k]
         inc = eval_utility(a.utility, z + x, a.request[k]) - eval_utility(a.utility, z, a.request[k])
         if inc < d * x - 1e-12:
             result.allocation[(app, k)] = 0.0
-            result.resources_used -= x
     return result
 
 
@@ -314,20 +295,17 @@ def solve_surplus_share(
         )
         hit = memo.get(memo_key)
         if hit is not None:
-            objective, used, allocation, grant_order = hit
-            return SubproblemResult(dict(allocation), objective, used, list(grant_order))
+            objective, used, allocation = hit
+            return SubproblemResult(dict(allocation), objective, used)
     spec = build_share_spec(s, n, state, deficit_apps)
     result = allocate_greedy(spec, s.delta, s.epsilon_gain)
     result = _rollback_uncovered_cost(s, n, state, result)
-    # Recompute the objective after any rollback so it matches the allocation.
-    by_key = {(it.app, it.k): it for it in spec.items}
-    result.objective_value = sum(
-        it.f(result.allocation.get(key, 0.0)) for key, it in by_key.items()
-    )
+    # Recompute the objective and resources after any rollback so they match the allocation.
+    result.objective_value = sum(it.f(result.allocation[(it.app, it.k)]) for it in spec.items)
+    result.resources_used = sum(result.allocation.values())
     if memo is not None:
         memo[memo_key] = (
-            result.objective_value, result.resources_used,
-            tuple(result.allocation.items()), tuple(result.grant_order),
+            result.objective_value, result.resources_used, tuple(result.allocation.items())
         )
     return result
 

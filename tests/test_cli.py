@@ -302,6 +302,11 @@ def provider_2_id(value):
     return edit
 
 
+def comm_cost(provider, app):
+    """One cost d = 0.5 on the (provider, app) pair."""
+    return lambda d: d.update(comm_costs=[{"provider": provider, "app": app, "d": 0.5}])
+
+
 NO_PROVIDERS = json.dumps({"K": 1, "providers": [], "applications": []})
 HUGE_SLOPE = {"kind": "linear", "params": {"a": 1e308, "c": 0.0}}
 
@@ -313,6 +318,8 @@ BAD_INPUTS = {
     "bool-K": (two_provider_json(lambda d: d.update(K=True)), ["solo"]),
     "string-provider-id": (two_provider_json(provider_2_id("2")), ["solo"]),
     "float-provider-id": (two_provider_json(provider_2_id(2.0)), ["gpoa"]),
+    "comm-cost-string-provider": (two_provider_json(comm_cost("2", 1)), ["gpoa"]),
+    "comm-cost-unknown-pair": (two_provider_json(comm_cost(99, 77)), ["gpoa"]),
     "infinite-total-utility": (
         two_provider_json(lambda d: d["applications"][0].update(utility=HUGE_SLOPE)), ["gpoa"]
     ),
@@ -378,3 +385,38 @@ def test_steep_sigmoid_gives_a_result_without_overflow(tmp_path, argv):
     out = tmp_path / "out"
     assert cli.run([argv[0], "--scenario", str(scenario), "--out", str(out)] + argv[1:]) in (0, 1)
     assert not re.search(r"\b(nan|inf|infinity)\b", out.read_text(), re.IGNORECASE)
+
+
+# Imports nothing before recording sys.modules; prints the exit codes, then the
+# top-level names of the modules the nine commands imported.
+STDLIB_ONLY_SCRIPT = """
+import sys
+before = set(sys.modules)
+from mecshare import cli
+argvs = [
+    ["gen", "--setting", "1", "--seed", "42", "--out", "s.json"],
+    ["solo", "--scenario", "s.json", "--out", "solo.json"],
+    ["gpoa", "--scenario", "s.json", "--out", "gpoa.json"],
+    ["ppmpoa", "--scenario", "s.json", "--trace", "trace.csv", "--out", "ppmpoa.json"],
+    ["verify", "--scenario", "s.json", "--out", "verify.json"],
+    ["misreport", "--scenario", "s.json", "--provider", "2", "--out", "misreport.json"],
+    ["table3", "--scenario", "s.json", "--out", "table3.csv"],
+    ["compare", "--scenario", "s.json", "--out", "compare.json"],
+    ["report", "--scenario", "s.json", "--allocation", "gpoa.json", "--out", "report.csv"],
+]
+print(*(cli.run(argv) for argv in argvs))
+print(*sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
+"""
+
+
+def test_every_command_imports_only_the_standard_library(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(mecshare.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY_SCRIPT],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = proc.stdout.splitlines()[-2:]
+    assert codes.split() == ["0"] * 9, proc.stderr
+    outside = set(modules.split()) - set(sys.stdlib_module_names) - {"mecshare"}
+    assert not outside

@@ -222,6 +222,41 @@ def test_matrix_re_evaluates_only_the_committed_row_and_column(monkeypatch):
         assert sorted(solved) == sorted(stale)
 
 
+COSTED = [scenario for scenario in SCENARIOS if scenario[3]]
+
+
+@pytest.mark.parametrize(
+    "setting,seed,utility,costs", COSTED,
+    ids=[f"s{st}-seed{sd}-{u}" for st, sd, u, _ in COSTED],
+)
+def test_match_resources_equal_the_committed_grants(setting, seed, utility, costs):
+    s = with_comm_costs(
+        generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility)),
+        1000 * setting + 10 * seed + len(utility),
+    )
+    result = run_ppmpoa(s)
+    shares = [ev for ev in result.events if ev.phase == "share"]
+    assert len(shares) == len(result.matches)
+    for rec, ev in zip(result.matches, shares):
+        assert rec.resources == sum(x for _, _, x in ev.chunks)
+
+
+def test_stability_replay_builds_only_the_committed_column(monkeypatch):
+    s = generate_scenario(GenSpec(setting=4, seed=2))
+    result = run_ppmpoa(s)
+    columns = []
+
+    def recording_build(s_, state, g1, g2, memo):
+        columns.append(list(g2))
+        return build(s_, state, g1, g2, memo)
+
+    build = ppmpoa.build_matching_matrix
+    monkeypatch.setattr(ppmpoa, "build_matching_matrix", recording_build)
+    assert check_matching_stability(result, s) == []
+    assert len(result.g2) >= 2 and result.rounds >= 2
+    assert columns == [[rec.n] for rec in result.matches]
+
+
 # --- the solo memo ----------------------------------------------------------
 
 

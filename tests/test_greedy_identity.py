@@ -1,8 +1,9 @@
 """allocate_greedy against a frozen copy of the one-unit-at-a-time delta-greedy.
 
 `allocate_greedy` grants each run of full delta steps in one tight loop. The
-reference below is the allocator as it was before that, kept verbatim: every
-spec the protocols hand the allocator must give the same bits from both.
+reference below is the allocator as it was before that, kept verbatim except
+that it records no grant order: every spec the protocols hand the allocator
+must give the same bits from both.
 """
 import heapq
 import math
@@ -38,8 +39,6 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
     items = sorted(spec.items, key=lambda it: (it.app, it.k))
     cap = dict(spec.capacity)
     x = [0.0] * len(items)
-    first_grant: List[Tuple[int, int]] = []
-    granted = [False] * len(items)
     saturated = [False] * len(items)
 
     if spec.monotone:
@@ -54,9 +53,6 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
                 x[i] = it.ub
                 cap[it.k] -= it.ub
                 saturated[i] = True
-                if it.ub > 0:
-                    granted[i] = True
-                    first_grant.append((it.app, it.k))
 
     def step_for(i: int) -> float:
         it = items[i]
@@ -90,9 +86,6 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
         s = step_for(i)
         x[i] += s
         cap[k] = cap.get(k, 0.0) - s
-        if not granted[i]:
-            granted[i] = True
-            first_grant.append((app, k))
         g2 = gain_for(i)
         if g2 > epsilon_gain:
             heapq.heappush(heap, (-g2, app, k, i))
@@ -103,7 +96,6 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
         allocation=allocation,
         objective_value=objective,
         resources_used=sum(x),
-        grant_order=first_grant,
     )
 
 
@@ -111,7 +103,6 @@ def assert_identical(spec, delta, epsilon_gain):
     got = allocate_greedy(spec, delta, epsilon_gain)
     want = reference_delta_greedy(spec, delta, epsilon_gain)
     assert got.allocation == want.allocation
-    assert got.grant_order == want.grant_order
     assert got.objective_value == want.objective_value
     assert got.resources_used == want.resources_used
     return got
@@ -182,7 +173,6 @@ class TestEdgeCases:
         )
         res = assert_identical(spec, 0.01, 1e-9)
         assert res.allocation[(1, 0)] == 0.004
-        assert res.grant_order == [(1, 0), (2, 0)]
 
     def test_capacity_remainder_goes_to_second_item(self):
         # The first item fills its bound of 1 and leaves 0.005 < delta of the
@@ -212,8 +202,7 @@ class TestEdgeCases:
                    linear_item(3, 1, 0.4, 0.5)],
             capacity={0: 0.45, 1: 1.0},
         )
-        res = assert_identical(spec, 0.5, 1e-9)
-        assert res.grant_order == [(2, 0), (3, 1), (1, 0)]
+        assert_identical(spec, 0.5, 1e-9)
 
     def test_zero_gain_item_left_untouched(self):
         spec = SubproblemSpec(
@@ -223,7 +212,6 @@ class TestEdgeCases:
         )
         res = assert_identical(spec, 0.01, 1e-9)
         assert res.allocation[(1, 0)] == 0.0
-        assert res.grant_order == [(2, 0)]
 
 
 # --- the precondition the tight loop relies on ------------------------------

@@ -92,6 +92,17 @@ class TestValidateScenario:
         s = make_scenario([Provider(id=1, capacity=(1.0,), native_apps=(1,))], [app])
         assert any("mu" in msg for msg in validate_scenario(s))
 
+    @pytest.mark.parametrize("pair", [("2", 1), (2.0, 1), (2, True), (9, 1), (2, 7)])
+    def test_comm_cost_keys_must_name_integer_ids_in_the_scenario(self, pair):
+        app = linear_app(1, owner=1, request=(1.0,))
+        providers = [
+            Provider(id=1, capacity=(1.0,), native_apps=(1,)),
+            Provider(id=2, capacity=(1.0,), native_apps=()),
+        ]
+        assert validate_scenario(make_scenario(providers, [app], comm_costs={(2, 1): 0.1})) == []
+        s = make_scenario(providers, [app], comm_costs={pair: 0.1})
+        assert any("comm cost" in msg for msg in validate_scenario(s))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["delta", "epsilon_gain", "w1", "a", "c", "mu", "d"])
     def test_non_finite_scalars_rejected(self, name, value):

@@ -68,15 +68,6 @@ class TestAllocateGreedy:
         )
         res = allocate_greedy(spec, delta=0.1, epsilon_gain=1e-9)
         assert res.allocation[(1, 0)] == 0.0
-        assert res.grant_order == []
-
-    def test_grant_order_records_first_touch_sequence(self):
-        spec = SubproblemSpec(
-            items=linear_items([(1, 0, 2.0, 2.0, 0.0), (2, 0, 2.0, 1.0, 0.0)]),
-            capacity={0: 4.0},
-        )
-        res = allocate_greedy(spec, delta=0.5, epsilon_gain=1e-9)
-        assert res.grant_order == [(1, 0), (2, 0)]
 
     def test_monotone_fast_path_agrees_with_plain_greedy(self):
         params = [(1, 0, 3.0, 1.5, 0.2), (2, 0, 2.0, 0.7, 0.0), (3, 1, 4.0, 1.1, 0.5)]
