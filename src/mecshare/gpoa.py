@@ -114,7 +114,7 @@ def run_solo_phase(
     """Every provider serves its own applications; shared starting point of both algorithms.
 
     Each provider is solved once per scenario (`Scenario.solo_outcomes`); every
-    call commits the outcome into fresh state, payoffs and events.
+    call commits the result into fresh state, payoffs and events.
     """
     state = AllocState.initial(s)
     alloc = AllocationTensor()
@@ -123,13 +123,9 @@ def run_solo_phase(
     memo = s.solo_outcomes
     for n in s.provider_ids():
         if n not in memo:
-            res = solve_single_provider(s, n)
-            memo[n] = (res.objective_value, tuple(
-                (j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0
-            ))
-        v_solo, chunks = memo[n]
-        payoffs[n] = Payoff(v_solo=v_solo)
-        events.append(state.commit(s, alloc, n, {(j, k): x for j, k, x in chunks}, "solo"))
+            memo[n] = solve_single_provider(s, n)
+        payoffs[n] = Payoff(v_solo=memo[n].objective_value)
+        events.append(state.commit(s, alloc, n, memo[n].allocation, "solo"))
     return state, alloc, payoffs, events
 
 

@@ -5,7 +5,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+
+if TYPE_CHECKING:
+    from .subsolver import SubproblemResult
 
 #: Absolute tolerance for partition thresholds and state bookkeeping.
 TOL = 1e-9
@@ -20,9 +23,6 @@ DEFAULT_EPSILON_GAIN = 1e-9
 MAX_DELTA_STEPS = 10**7
 
 ResourceVector = Tuple[float, ...]
-
-#: A provider's solo result: v_solo and its positive (app, resource, amount) grants.
-SoloOutcome = Tuple[float, Tuple[Tuple[int, int, float], ...]]
 
 
 def feasibility_tol(value: float) -> float:
@@ -108,8 +108,8 @@ class Scenario:
         return {a.id: a for a in self.applications}
 
     @cached_property
-    def solo_outcomes(self) -> Dict[int, SoloOutcome]:
-        """Provider id -> its solo outcome, filled by `gpoa.run_solo_phase`.
+    def solo_outcomes(self) -> Dict[int, SubproblemResult]:
+        """Provider id -> its solo solve's result, filled by `gpoa.run_solo_phase`.
 
         A solo solve reads only the provider's capacity, its own apps, K,
         delta and epsilon_gain. `dataclasses.replace` builds a new scenario
@@ -308,7 +308,7 @@ class AllocState:
 
     def commit(
         self, s: Scenario, alloc: AllocationTensor, n: int,
-        allocation: Dict[Tuple[int, int], float], phase: str,
+        allocation: Mapping[Tuple[int, int], float], phase: str,
     ) -> "AllocEvent":
         """Grant provider n's positive amounts in (app, resource) order and record the event."""
         chunks = []
@@ -318,13 +318,6 @@ class AllocState:
                 self.apply(n, j, k, x)
                 chunks.append((j, k, x))
         return AllocEvent(phase=phase, allocator=n, chunks=chunks)
-
-    def copy(self) -> "AllocState":
-        return AllocState(
-            remaining_capacity={n: list(v) for n, v in self.remaining_capacity.items()},
-            remaining_request={j: list(v) for j, v in self.remaining_request.items()},
-            allocated={j: list(v) for j, v in self.allocated.items()},
-        )
 
 
 @dataclass
@@ -394,9 +387,12 @@ def scenario_from_dict(d: dict) -> Scenario:
         )
         for a in d["applications"]
     )
-    comm_costs = {
-        (c["provider"], c["app"]): c["d"] for c in d.get("comm_costs", [])
-    }
+    comm_costs = {}
+    for c in d.get("comm_costs", []):
+        key = (c["provider"], c["app"])
+        if key in comm_costs:
+            raise ValueError(f"comm cost ({key[0]!r},{key[1]!r}) is listed twice")
+        comm_costs[key] = c["d"]
     return Scenario(
         K=d["K"],
         providers=providers,

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .model import AllocEvent, AllocState, AllocationTensor, Scenario, TOL
 from .gpoa import Payoff, partition_players, run_solo_phase
@@ -13,7 +13,7 @@ from .subsolver import ShareMemo, solve_pair_match
 class MatchingMatrix:
     J: Dict[Tuple[int, int], float] = field(default_factory=dict)
     R: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    allocs: Dict[Tuple[int, int], Dict[Tuple[int, int], float]] = field(default_factory=dict)
+    allocs: Dict[Tuple[int, int], Mapping[Tuple[int, int], float]] = field(default_factory=dict)
 
 
 @dataclass
@@ -55,13 +55,13 @@ class PpmpoaResult:
 
 
 def build_matching_matrix(
-    s: Scenario, state: AllocState, g1: List[int], g2: List[int], memo: ShareMemo
+    s: Scenario, state: AllocState, g1: List[int], g2: List[int], memo: ShareMemo | None
 ) -> MatchingMatrix:
     """Candidate (value, resources, allocation) for every deficit/surplus pair.
 
-    `solve_pair_match` leaves the state untouched. Every cell is solved through
-    `memo`: after a committed match (m, n), a cell outside row m and column n
-    reads neither m's apps nor n's remaining capacity, so it is a hit.
+    `solve_pair_match` leaves the state untouched. Given a `memo`, after a
+    committed match (m, n), a cell outside row m and column n reads neither
+    m's apps nor n's remaining capacity, so it is a hit.
     """
     matrix = MatchingMatrix()
     for n in g2:
@@ -129,9 +129,10 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
 
     At each round the committed surplus provider must have been offered no
     larger value by any other available deficit provider. The replay solves
-    only that provider's column, through a memo of its own.
+    only that provider's column, without a memo: each column is keyed by the
+    provider's remaining capacity, which every committed round lowers, so no
+    solve could repeat.
     """
-    memo: ShareMemo = {}
     state, alloc, _, _ = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
     g1_active, g2_active = list(g1), list(g2)
@@ -144,7 +145,7 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
                              committed_value=rec.value)
             )
             continue
-        matrix = build_matching_matrix(s, state, g1_active, [rec.n], memo)
+        matrix = build_matching_matrix(s, state, g1_active, [rec.n], None)
         value = matrix.J[(rec.m, rec.n)]
         for m_other in g1_active:
             if m_other != rec.m and matrix.J[(m_other, rec.n)] > value:

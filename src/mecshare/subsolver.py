@@ -3,17 +3,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from .model import AllocState, Scenario, eval_utility
 
 ORACLE_STATE_CAP = 10**7
-
-#: A share solve's objective, resources used and ((app, resource), amount) items.
-ShareOutcome = Tuple[float, float, Tuple[Tuple[Tuple[int, int], float], ...]]
-#: `solve_surplus_share`'s memo: the state a solve reads -> its outcome.
-ShareMemo = Dict[tuple, ShareOutcome]
 
 
 class GridTooLarge(ValueError):
@@ -38,11 +34,17 @@ class SubproblemSpec:
     monotone: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubproblemResult:
-    allocation: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    objective_value: float = 0.0
-    resources_used: float = 0.0
+    """One solve's outcome; immutable, so a memo can hand out the object it stored."""
+
+    allocation: Mapping[Tuple[int, int], float]  # read-only (app, resource) -> amount
+    objective_value: float
+    resources_used: float
+
+
+#: `solve_surplus_share`'s memo: the state a solve reads -> its result.
+ShareMemo = Dict[tuple, SubproblemResult]
 
 
 def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> SubproblemResult:
@@ -124,7 +126,7 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     allocation = {(it.app, it.k): x[i] for i, it in enumerate(items)}
     objective = sum(it.f(x[i]) for i, it in enumerate(items))
     return SubproblemResult(
-        allocation=allocation,
+        allocation=MappingProxyType(allocation),
         objective_value=objective,
         resources_used=sum(x),
     )
@@ -181,7 +183,7 @@ def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
 
     allocation = {(it.app, it.k): best_x[i] for i, it in enumerate(items)}
     return SubproblemResult(
-        allocation=allocation,
+        allocation=MappingProxyType(allocation),
         objective_value=best_obj if best_obj != -math.inf else 0.0,
         resources_used=sum(best_x),
     )
@@ -255,12 +257,14 @@ def build_share_spec(s: Scenario, n: int, state: AllocState, deficit_apps: List[
 
 def _rollback_uncovered_cost(
     s: Scenario, n: int, state: AllocState, result: SubproblemResult
-) -> SubproblemResult:
-    """Zero out grants whose incremental utility does not cover the communication cost.
+) -> Dict[Tuple[int, int], float]:
+    """A copy of `result.allocation` with each grant zeroed whose incremental
+    utility does not cover the communication cost.
 
     Each grant is judged against the unchanged state alone; freed capacity is
     not re-granted.
     """
+    allocation = dict(result.allocation)
     for (app, k), x in result.allocation.items():
         d = s.comm_d(n, app)
         if x <= 0 or d == 0.0:
@@ -269,8 +273,8 @@ def _rollback_uncovered_cost(
         z = state.allocated[app][k]
         inc = eval_utility(a.utility, z + x, a.request[k]) - eval_utility(a.utility, z, a.request[k])
         if inc < d * x - 1e-12:
-            result.allocation[(app, k)] = 0.0
-    return result
+            allocation[(app, k)] = 0.0
+    return allocation
 
 
 def solve_single_provider(s: Scenario, n: int) -> SubproblemResult:
@@ -295,24 +299,25 @@ def solve_surplus_share(
         )
         hit = memo.get(memo_key)
         if hit is not None:
-            objective, used, allocation = hit
-            return SubproblemResult(dict(allocation), objective, used)
+            return hit
     spec = build_share_spec(s, n, state, deficit_apps)
-    result = allocate_greedy(spec, s.delta, s.epsilon_gain)
-    result = _rollback_uncovered_cost(s, n, state, result)
-    # Recompute the objective and resources after any rollback so they match the allocation.
-    result.objective_value = sum(it.f(result.allocation[(it.app, it.k)]) for it in spec.items)
-    result.resources_used = sum(result.allocation.values())
+    allocation = _rollback_uncovered_cost(
+        s, n, state, allocate_greedy(spec, s.delta, s.epsilon_gain)
+    )
+    # The objective and resources are taken after any rollback so they match the allocation.
+    result = SubproblemResult(
+        allocation=MappingProxyType(allocation),
+        objective_value=sum(it.f(allocation[(it.app, it.k)]) for it in spec.items),
+        resources_used=sum(allocation.values()),
+    )
     if memo is not None:
-        memo[memo_key] = (
-            result.objective_value, result.resources_used, tuple(result.allocation.items())
-        )
+        memo[memo_key] = result
     return result
 
 
 def solve_pair_match(
     s: Scenario, m: int, n: int, state: AllocState, memo: ShareMemo | None = None
-) -> Tuple[float, float, Dict[Tuple[int, int], float]]:
+) -> Tuple[float, float, Mapping[Tuple[int, int], float]]:
     """Candidate value of surplus provider n serving deficit provider m's apps.
 
     Pure: does not mutate `state`. Returns (objective J, resources used R, allocation).

@@ -320,6 +320,12 @@ BAD_INPUTS = {
     "float-provider-id": (two_provider_json(provider_2_id(2.0)), ["gpoa"]),
     "comm-cost-string-provider": (two_provider_json(comm_cost("2", 1)), ["gpoa"]),
     "comm-cost-unknown-pair": (two_provider_json(comm_cost(99, 77)), ["gpoa"]),
+    "comm-cost-duplicate": (
+        two_provider_json(lambda d: d.update(comm_costs=[
+            {"provider": 2, "app": 1, "d": 0.5}, {"provider": 2, "app": 1, "d": 0.1},
+        ])),
+        ["gpoa"],
+    ),
     "infinite-total-utility": (
         two_provider_json(lambda d: d["applications"][0].update(utility=HUGE_SLOPE)), ["gpoa"]
     ),

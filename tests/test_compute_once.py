@@ -4,6 +4,7 @@ The reference functions below are the PPMPOA loop and stability replay as they
 were when every round rebuilt every matrix cell on a private copy of the
 state, kept verbatim. The memoised build must give the same bits.
 """
+import copy
 from typing import List
 
 import pytest
@@ -51,7 +52,7 @@ def reference_build_matching_matrix(
     matrix = MatchingMatrix()
     for n in g2:
         for m in g1:
-            j_val, r_val, alloc = solve_pair_match(s, m, n, state.copy())
+            j_val, r_val, alloc = solve_pair_match(s, m, n, copy.deepcopy(state))
             matrix.J[(m, n)] = j_val
             matrix.R[(m, n)] = r_val
             matrix.allocs[(m, n)] = alloc
@@ -282,12 +283,12 @@ def test_each_provider_is_solved_once_per_scenario(monkeypatch):
 
 def test_memo_holds_the_solo_solve():
     s = generate_scenario(GenSpec(setting=2, seed=9, utility_kind="sigmoid"))
-    run_solo_phase(s)
-    for n in s.provider_ids():
+    _, _, payoffs, events = run_solo_phase(s)
+    for n, ev in zip(s.provider_ids(), events):
         res = solve_single_provider(s, n)
-        v_solo, chunks = s.solo_outcomes[n]
-        assert v_solo == res.objective_value
-        assert chunks == tuple((j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0)
+        assert s.solo_outcomes[n] == res
+        assert payoffs[n].v_solo == res.objective_value
+        assert ev.chunks == [(j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0]
 
 
 def test_restriction_shares_the_memo_and_replace_does_not():
@@ -343,7 +344,7 @@ def test_misreport_solves_the_scaled_provider_again(monkeypatch):
     want = [(j, k, x) for (j, k), x in sorted(scaled_solve.allocation.items()) if x > 0]
     solo_n = next(ev for ev in reported_events if ev.phase == "solo" and ev.allocator == n)
     assert solo_n.chunks == want
-    assert tuple(want) != s.solo_outcomes[n][1]
+    assert scaled_solve.allocation != s.solo_outcomes[n].allocation
     monkeypatch.undo()
     assert misreport_experiment(fresh(s), n, 1.5, 1.0) == outcome
 

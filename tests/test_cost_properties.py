@@ -4,6 +4,8 @@ Costs d ~ U[0, 0.5] on every remote (provider, app) pair make the share
 objectives non-monotone and let `_rollback_uncovered_cost` zero grants. The
 examples are derandomized, so the suite stays deterministic.
 """
+import copy
+
 from hypothesis import given, settings, strategies as st
 
 from mecshare.game import realized_payoffs
@@ -56,7 +58,7 @@ def test_ppmpoa_is_feasible_replays_and_is_stable(s):
 @given(s=costly_scenarios)
 def test_pair_match_leaves_the_state_unchanged(s):
     state = run_solo_phase(s)[0]
-    before = state.copy()
+    before = copy.deepcopy(state)
     g1, g2 = partition_players(s, state)
     for m in g1:
         for n in g2:

@@ -190,10 +190,11 @@ class TestCommCostsOnGeneratedScenarios:
         rollback = subsolver._rollback_uncovered_cost
 
         def counting_rollback(s, n, state, result):
-            granted = [key for key, x in result.allocation.items() if x > 0]
-            result = rollback(s, n, state, result)
-            rolled_back.extend(key for key in granted if result.allocation[key] == 0.0)
-            return result
+            allocation = rollback(s, n, state, result)
+            rolled_back.extend(
+                key for key, x in result.allocation.items() if x > 0 and allocation[key] == 0.0
+            )
+            return allocation
 
         monkeypatch.setattr(subsolver, "_rollback_uncovered_cost", counting_rollback)
         for setting in (1, 2):

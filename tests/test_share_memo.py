@@ -1,11 +1,13 @@
 """The share-solve memo, passed explicitly by the call that owns its scope.
 
 One coalition enumeration passes one memo to every run it makes; each PPMPOA
-run and each stability replay otherwise solves through a fresh memo of its
-own; plain GPOA runs take none. A memoised enumeration must give the same bits
-as solving every share subproblem again, and no memo outlives its owner:
-nothing the caller keeps can reach it.
+run otherwise solves through a fresh memo of its own; plain GPOA runs and the
+stability replay take none. A memoised enumeration must give the same bits as
+solving every share subproblem again, and no memo outlives its owner: nothing
+the caller keeps can reach it. A memo holds each solve's immutable result and
+hands out that very object on a hit.
 """
+import dataclasses
 import gc
 import itertools
 import types
@@ -85,21 +87,45 @@ def test_only_the_enumeration_hands_out_a_memo(monkeypatch):
     assert len({id(memo) for memo in memos}) == 1 and memos[0]
 
 
-def test_each_ppmpoa_run_and_replay_solves_through_a_fresh_memo(monkeypatch):
+def test_each_ppmpoa_run_solves_through_a_fresh_memo_and_its_replay_through_none(monkeypatch):
     s = with_comm_costs(generate_scenario(GenSpec(setting=3, seed=7)), 5)
     memos = record_share_solves(monkeypatch)
     owned = []
     for _ in range(2):
         result = run_ppmpoa(s)
-        check_matching_stability(result, s)
         run_memo = memos[0]
-        replay_memo = memos[-1]
-        assert run_memo and replay_memo and run_memo is not replay_memo
-        assert all(memo is run_memo or memo is replay_memo for memo in memos)
-        assert {id(run_memo), id(replay_memo)}.isdisjoint(reachable(s, result))
-        owned += [run_memo, replay_memo]
+        assert run_memo and all(memo is run_memo for memo in memos)
+        assert id(run_memo) not in reachable(s, result)
+        owned.append(run_memo)
         memos.clear()
-    assert len({id(memo) for memo in owned}) == 4
+        check_matching_stability(result, s)
+        assert memos and all(memo is None for memo in memos)
+        memos.clear()
+    assert owned[0] is not owned[1]
+
+
+@pytest.mark.parametrize("setting", [1, 2, 3, 4])
+def test_a_memo_would_never_hit_in_the_stability_replay(monkeypatch, setting):
+    """Each replay round keys column n by n's remaining capacity, which every
+    committed round lowers, so no replay solve repeats an earlier one."""
+    lookups, memo = [], {}
+    solve = subsolver.solve_surplus_share
+
+    def memoised(s, n, state, deficit_apps, _memo=None):
+        lookups.append(n)
+        return solve(s, n, state, deficit_apps, memo)
+
+    monkeypatch.setattr(subsolver, "solve_surplus_share", memoised)
+    for seed in range(1, 5):
+        for utility in ("linear", "sigmoid"):
+            s = with_comm_costs(
+                generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility)), seed
+            )
+            result = run_ppmpoa(s)
+            memo.clear()
+            lookups.clear()
+            check_matching_stability(result, s)
+            assert len(memo) == len(lookups)
 
 
 def reachable(*roots):
@@ -143,9 +169,15 @@ def test_mutating_a_hit_leaves_the_next_hit_unchanged():
     miss = solve()
     expected = fields(miss)
     assert len(memo) == 1 and any(x > 0 for x in miss.allocation.values())
-    for res in (miss, solve()):
-        res.allocation.clear()
-        res.objective_value = -1.0
-        res.resources_used = -1.0
-        assert fields(solve()) == expected
+    hit = solve()
+    assert hit is miss
+    key = next(iter(hit.allocation))
+    with pytest.raises(TypeError):
+        hit.allocation[key] = -1.0
+    with pytest.raises(AttributeError):
+        hit.allocation.clear()
+    for name in ("allocation", "objective_value", "resources_used"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(hit, name, -1.0)
+    assert fields(solve()) == expected
     assert len(memo) == 1

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -252,7 +253,7 @@ class TestSurplusShare:
 
     def test_pair_match_is_pure(self):
         s, state = self._one_gap_scenario()
-        before = state.copy()
+        before = copy.deepcopy(state)
         j_val, r_val, alloc = solve_pair_match(s, 1, 2, state)
         assert state.remaining_capacity == before.remaining_capacity
         assert state.remaining_request == before.remaining_request
