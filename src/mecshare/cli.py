@@ -66,25 +66,20 @@ def _write_csv(path: str, header: List[str], rows: List[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _exit_with_error(message: str) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(2)
-
-
 def _describe(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _load_scenario_or_exit(path: str) -> Scenario:
+def _load_scenario(path: str) -> Scenario:
     if not os.path.exists(path):
-        _exit_with_error(f"scenario file not found: {path}")
+        raise ValueError(f"scenario file not found: {path}")
     try:
         s = load_scenario(path)
         problems = validate_scenario(s)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        _exit_with_error(f"cannot read scenario {path}: {_describe(exc)}")
+        raise ValueError(f"cannot read scenario {path}: {_describe(exc)}") from exc
     if problems:
-        _exit_with_error(f"invalid scenario {path}: " + "; ".join(problems))
+        raise ValueError(f"invalid scenario {path}: " + "; ".join(problems))
     return s
 
 
@@ -254,18 +249,18 @@ def cmd_compare(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
 
 def cmd_report(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     if not os.path.exists(args.allocation):
-        _exit_with_error(f"allocation file not found: {args.allocation}")
+        raise ValueError(f"allocation file not found: {args.allocation}")
     try:
         with open(args.allocation) as fh:
             alloc = alloc_from_dict(json.load(fh)["allocation"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        _exit_with_error(f"cannot read allocation {args.allocation}: {_describe(exc)}")
+        raise ValueError(f"cannot read allocation {args.allocation}: {_describe(exc)}") from exc
     problems = validate_allocation(s, alloc)
     if problems:
-        _exit_with_error(f"invalid allocation {args.allocation}: " + "; ".join(problems))
+        raise ValueError(f"invalid allocation {args.allocation}: " + "; ".join(problems))
     violations = alloc.check_feasibility(s)
     if violations:
-        _exit_with_error(f"infeasible allocation {args.allocation}: " + "; ".join(violations))
+        raise ValueError(f"infeasible allocation {args.allocation}: " + "; ".join(violations))
     report = compute_metrics(s, alloc)
     rows = []
     for n in s.provider_ids():
@@ -278,8 +273,15 @@ def cmd_report(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     return (["entity", "metric", "value"], rows), 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a bad argument with a ValueError, which `run` reports on one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mecshare",
         description="Cooperative resource sharing simulator for edge clouds.",
     )
@@ -345,7 +347,7 @@ def main(argv: List[str] | None = None) -> int:
     """Parse, load the scenario, run the command, and write its artifact with a manifest."""
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
-    s = _load_scenario_or_exit(args.scenario) if "scenario" in args else None
+    s = _load_scenario(args.scenario) if "scenario" in args else None
     artifact, code = args.func(args, s)
     if isinstance(artifact, tuple):
         _write_csv(args.out, *artifact)
@@ -357,7 +359,7 @@ def main(argv: List[str] | None = None) -> int:
 
 
 def run(argv: List[str] | None = None) -> int:
-    """Process entry point: a rejected argument or unwritable output ends in exit 2."""
+    """Process entry point: a rejected argument or input, or an unwritable output, ends in exit 2."""
     try:
         return main(argv)
     except (OSError, ValueError) as exc:

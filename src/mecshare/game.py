@@ -349,10 +349,6 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
     return payoff
 
 
-def run_events(s: Scenario, algorithm: str, scheme: OrderingScheme) -> List[AllocEvent]:
-    return run_algorithm(s, algorithm, scheme).events
-
-
 def misreport_experiment(
     s: Scenario,
     n: int,
@@ -379,7 +375,7 @@ def misreport_experiment(
         raise ValueError(f"unknown provider {n}")
     if scheme is None:
         scheme = OrderingScheme.random(0)
-    truth_events = run_events(s, algorithm, scheme)
+    truth_events = run_algorithm(s, algorithm, scheme).events
     truthful = realized_payoffs(s, truth_events)[n]
     reported = _scaled_scenario(s, n, factor_capacity, factor_requests)
     solo_truth = {
@@ -387,7 +383,7 @@ def misreport_experiment(
     }
     mis_events = [
         solo_truth[ev.allocator] if ev.phase == "solo" and ev.allocator == n else ev
-        for ev in run_events(reported, algorithm, scheme)
+        for ev in run_algorithm(reported, algorithm, scheme).events
     ]
     misreport = realized_payoffs(s, mis_events)[n]
     return truthful, misreport

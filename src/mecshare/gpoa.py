@@ -140,7 +140,7 @@ def run_gpoa(
 
     shared: Dict[Tuple[int, int], float] = {}  # (app, k) -> amount granted in sharing rounds
     for n in order:
-        deficit_apps = [a.id for m in g1 for a in s.apps_of(m) if state.app_has_deficit(a.id)]
+        deficit_apps = state.deficit_apps(s, g1)
         if not deficit_apps:
             break
         res = solve_surplus_share(s, n, state, deficit_apps, share_memo)

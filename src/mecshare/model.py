@@ -5,7 +5,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
 
 if TYPE_CHECKING:
     from .subsolver import SubproblemResult
@@ -193,6 +193,8 @@ def validate_scenario(s: Scenario) -> List[str]:
     for (n, j), d in s.comm_costs.items():
         if not (_is_int(n) and _is_int(j) and n in provider_set and j in app_set):
             out.append(f"comm cost ({n!r},{j!r}): provider and app must be ids in the scenario")
+        elif owners.get(j) == n:
+            out.append(f"comm cost ({n},{j}): app {j} is native to provider {n}")
         if not math.isfinite(d) or d < 0:
             out.append(f"comm cost ({n},{j}): d must be finite and >= 0")
 
@@ -300,8 +302,12 @@ class AllocState:
             return any(r > TOL for r in self.remaining_request[j])
         return self.remaining_request[j][k] > TOL
 
+    def deficit_apps(self, s: Scenario, providers: Iterable[int]) -> List[int]:
+        """Apps of `providers` that still miss some resource, in provider then native-app order."""
+        return [a.id for n in providers for a in s.apps_of(n) if self.app_has_deficit(a.id)]
+
     def has_deficit(self, s: Scenario, n: int) -> bool:
-        return any(self.app_has_deficit(a.id) for a in s.apps_of(n))
+        return bool(self.deficit_apps(s, [n]))
 
     def has_surplus(self, n: int) -> bool:
         return any(c > TOL for c in self.remaining_capacity[n])

@@ -6,7 +6,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from .model import AllocEvent, AllocState, AllocationTensor, Scenario, TOL
 from .gpoa import Payoff, partition_players, run_solo_phase
-from .subsolver import ShareMemo, solve_pair_match
+from .subsolver import ShareMemo, solve_surplus_share
 
 
 @dataclass
@@ -59,16 +59,19 @@ def build_matching_matrix(
 ) -> MatchingMatrix:
     """Candidate (value, resources, allocation) for every deficit/surplus pair.
 
-    `solve_pair_match` leaves the state untouched. Given a `memo`, after a
+    Cell (m, n) is n's share solve over m's deficit apps; every m in g1 has
+    one. The solves leave the state untouched. Given a `memo`, after a
     committed match (m, n), a cell outside row m and column n reads neither
     m's apps nor n's remaining capacity, so it is a hit.
     """
     matrix = MatchingMatrix()
+    apps = {m: state.deficit_apps(s, [m]) for m in g1}
     for n in g2:
         for m in g1:
-            matrix.J[(m, n)], matrix.R[(m, n)], matrix.allocs[(m, n)] = solve_pair_match(
-                s, m, n, state, memo
-            )
+            res = solve_surplus_share(s, n, state, apps[m], memo)
+            matrix.J[(m, n)] = res.objective_value
+            matrix.R[(m, n)] = res.resources_used
+            matrix.allocs[(m, n)] = res.allocation
     return matrix
 
 

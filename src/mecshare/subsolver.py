@@ -313,17 +313,3 @@ def solve_surplus_share(
     if memo is not None:
         memo[memo_key] = result
     return result
-
-
-def solve_pair_match(
-    s: Scenario, m: int, n: int, state: AllocState, memo: ShareMemo | None = None
-) -> Tuple[float, float, Mapping[Tuple[int, int], float]]:
-    """Candidate value of surplus provider n serving deficit provider m's apps.
-
-    Pure: does not mutate `state`. Returns (objective J, resources used R, allocation).
-    """
-    deficit_apps = [a.id for a in s.apps_of(m) if state.app_has_deficit(a.id)]
-    if not deficit_apps:
-        return 0.0, 0.0, {}
-    result = solve_surplus_share(s, n, state, deficit_apps, memo)
-    return result.objective_value, result.resources_used, result.allocation

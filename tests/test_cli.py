@@ -227,18 +227,21 @@ class TestTables:
 
 
 class TestErrorHandling:
-    def test_missing_scenario_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["solo", "--scenario", str(tmp_path / "nope.json"), "--out",
-                  str(tmp_path / "x.json")])
-        assert exc.value.code == 2
+    def test_missing_scenario_exits_2(self, tmp_path, capsys):
+        argv = ["solo", "--scenario", str(tmp_path / "nope.json"), "--out",
+                str(tmp_path / "x.json")]
+        with pytest.raises(ValueError, match="scenario file not found"):
+            main(argv)
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: scenario file not found")
 
     def test_invalid_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"K": 0, "providers": [], "applications": []}))
-        with pytest.raises(SystemExit) as exc:
-            main(["solo", "--scenario", str(bad), "--out", str(tmp_path / "x.json")])
-        assert exc.value.code == 2
+        argv = ["solo", "--scenario", str(bad), "--out", str(tmp_path / "x.json")]
+        with pytest.raises(ValueError, match="invalid scenario"):
+            main(argv)
+        assert cli.run(argv) == 2
         assert "invalid scenario" in capsys.readouterr().err
 
 
@@ -320,6 +323,7 @@ BAD_INPUTS = {
     "float-provider-id": (two_provider_json(provider_2_id(2.0)), ["gpoa"]),
     "comm-cost-string-provider": (two_provider_json(comm_cost("2", 1)), ["gpoa"]),
     "comm-cost-unknown-pair": (two_provider_json(comm_cost(99, 77)), ["gpoa"]),
+    "comm-cost-own-app": (two_provider_json(comm_cost(1, 1)), ["gpoa"]),
     "comm-cost-duplicate": (
         two_provider_json(lambda d: d.update(comm_costs=[
             {"provider": 2, "app": 1, "d": 0.5}, {"provider": 2, "app": 1, "d": 0.1},
@@ -343,6 +347,8 @@ BAD_INPUTS = {
     "misreport-zero-factor": (
         two_provider_json(), ["misreport", "--provider", "1", "--cap-factor", "0"]
     ),
+    "misreport-non-int-provider": (two_provider_json(), ["misreport", "--provider", "two"]),
+    "misreport-missing-provider": (two_provider_json(), ["misreport"]),
     "verify-no-providers": (NO_PROVIDERS, ["verify"]),
     "table3-no-providers": (NO_PROVIDERS, ["table3"]),
     "report-vector-too-long": report_case({"2:1": [1.0, 1.0]}),

@@ -2,7 +2,8 @@
 
 The reference functions below are the PPMPOA loop and stability replay as they
 were when every round rebuilt every matrix cell on a private copy of the
-state, kept verbatim. The memoised build must give the same bits.
+state, kept verbatim apart from the cell solve, which is written out in full.
+The memoised build must give the same bits.
 """
 import copy
 from typing import List
@@ -28,7 +29,7 @@ from mecshare.ppmpoa import (
     select_match,
 )
 from mecshare.scengen import GenSpec, generate_scenario
-from mecshare.subsolver import solve_pair_match, solve_single_provider
+from mecshare.subsolver import solve_single_provider, solve_surplus_share
 
 from conftest import with_comm_costs
 
@@ -52,7 +53,13 @@ def reference_build_matching_matrix(
     matrix = MatchingMatrix()
     for n in g2:
         for m in g1:
-            j_val, r_val, alloc = solve_pair_match(s, m, n, copy.deepcopy(state))
+            cell = copy.deepcopy(state)
+            deficit_apps = [a.id for a in s.apps_of(m) if cell.app_has_deficit(a.id)]
+            if deficit_apps:
+                res = solve_surplus_share(s, n, cell, deficit_apps)
+                j_val, r_val, alloc = res.objective_value, res.resources_used, res.allocation
+            else:
+                j_val, r_val, alloc = 0.0, 0.0, {}
             matrix.J[(m, n)] = j_val
             matrix.R[(m, n)] = r_val
             matrix.allocs[(m, n)] = alloc
@@ -197,9 +204,10 @@ def test_matrix_re_evaluates_only_the_committed_row_and_column(monkeypatch):
     builds = []  # per build: (g1, g2, the cells whose share solve reached the allocator)
     cell = []
 
-    def recording_pair(s_, m, n, state, memo=None):
+    def recording_share(s_, n, state, deficit_apps, memo=None):
+        (m,) = {s_.app(j).owner for j in deficit_apps}
         cell[:] = [(m, n)]
-        return pair(s_, m, n, state, memo)
+        return share(s_, n, state, deficit_apps, memo)
 
     def counting_greedy(spec, delta, epsilon_gain):
         if spec.kind == "share":
@@ -210,8 +218,8 @@ def test_matrix_re_evaluates_only_the_committed_row_and_column(monkeypatch):
         builds.append((list(g1), list(g2), []))
         return build(s_, state, g1, g2, memo)
 
-    pair, greedy, build = solve_pair_match, subsolver.allocate_greedy, ppmpoa.build_matching_matrix
-    monkeypatch.setattr(ppmpoa, "solve_pair_match", recording_pair)
+    share, greedy, build = solve_surplus_share, subsolver.allocate_greedy, ppmpoa.build_matching_matrix
+    monkeypatch.setattr(ppmpoa, "solve_surplus_share", recording_share)
     monkeypatch.setattr(subsolver, "allocate_greedy", counting_greedy)
     monkeypatch.setattr(ppmpoa, "build_matching_matrix", recording_build)
     result = run_ppmpoa(s)
@@ -331,12 +339,12 @@ def test_misreport_solves_the_scaled_provider_again(monkeypatch):
     n = partition_players(s, state)[0][0]  # a deficit provider: capacity binds
     runs = []
 
-    def recording(s_, algorithm, scheme):
-        events = run_gpoa(s_, scheme).events
-        runs.append((s_, events))
-        return events
+    def recording(s_, algorithm, scheme, share_memo=None):
+        result = run_gpoa(s_, scheme, share_memo)
+        runs.append((s_, result.events))
+        return result
 
-    monkeypatch.setattr(game, "run_events", recording)
+    monkeypatch.setattr(game, "run_algorithm", recording)
     outcome = misreport_experiment(s, n, 1.5, 1.0)
     (truth_s, _), (reported, reported_events) = runs
     assert truth_s is s

@@ -12,7 +12,7 @@ from mecshare.game import realized_payoffs
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
-from mecshare.subsolver import solve_pair_match
+from mecshare.subsolver import solve_surplus_share
 
 from conftest import with_comm_costs
 
@@ -62,5 +62,5 @@ def test_pair_match_leaves_the_state_unchanged(s):
     g1, g2 = partition_players(s, state)
     for m in g1:
         for n in g2:
-            solve_pair_match(s, m, n, state)
+            solve_surplus_share(s, n, state, state.deficit_apps(s, [m]))
             assert state == before

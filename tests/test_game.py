@@ -18,7 +18,7 @@ from mecshare.game import (
     misreport_experiment,
     realized_payoffs,
     restrict_scenario,
-    run_events,
+    run_algorithm,
 )
 from mecshare.scengen import GenSpec, generate_scenario
 
@@ -173,7 +173,7 @@ class TestRealizedPayoffs:
 
     def test_overclaimed_grants_are_clipped(self, setting1_seed42):
         s = setting1_seed42
-        events = run_events(s, "gpoa", CDO)
+        events = run_algorithm(s, "gpoa", CDO).events
         replay_true = realized_payoffs(s, events)
         # Doubling every granted amount must not double the realized payoff:
         # grants beyond true capacity/requests are clipped on replay.

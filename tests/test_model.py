@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mecshare.model import (
+    AllocState,
     AllocationTensor,
     Application,
     Provider,
@@ -92,7 +93,7 @@ class TestValidateScenario:
         s = make_scenario([Provider(id=1, capacity=(1.0,), native_apps=(1,))], [app])
         assert any("mu" in msg for msg in validate_scenario(s))
 
-    @pytest.mark.parametrize("pair", [("2", 1), (2.0, 1), (2, True), (9, 1), (2, 7)])
+    @pytest.mark.parametrize("pair", [("2", 1), (2.0, 1), (2, True), (9, 1), (2, 7), (1, 1)])
     def test_comm_cost_keys_must_name_integer_ids_in_the_scenario(self, pair):
         app = linear_app(1, owner=1, request=(1.0,))
         providers = [
@@ -165,6 +166,24 @@ def test_scenario_round_trip_through_json(tmp_path, setting1_seed42):
     save_scenario(setting1_seed42, str(path))
     loaded = load_scenario(str(path))
     assert loaded == setting1_seed42
+
+
+def test_deficit_apps_follow_provider_then_native_app_order():
+    apps = [linear_app(j, owner=1 if j != 2 else 2, request=(1.0,)) for j in (1, 2, 3)]
+    s = make_scenario(
+        [
+            Provider(id=1, capacity=(1.0,), native_apps=(3, 1)),
+            Provider(id=2, capacity=(1.0,), native_apps=(2,)),
+        ],
+        apps,
+    )
+    state = AllocState.initial(s)
+    assert state.deficit_apps(s, [2, 1]) == [2, 3, 1]
+    state.apply(1, 3, 0, 1.0)
+    assert state.deficit_apps(s, [2, 1]) == [2, 1]
+    assert state.has_deficit(s, 1)
+    state.apply(1, 1, 0, 1.0)
+    assert state.deficit_apps(s, [1]) == [] and not state.has_deficit(s, 1)
 
 
 def test_scenario_round_trip_preserves_comm_costs():

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from mecshare import ppmpoa
 from mecshare.model import Provider
 from mecshare.gpoa import OrderingScheme, run_gpoa
 from mecshare.ppmpoa import (
@@ -10,7 +13,7 @@ from mecshare.ppmpoa import (
 )
 from mecshare.scengen import GenSpec, generate_scenario
 
-from conftest import linear_app, make_scenario
+from conftest import linear_app, make_scenario, with_comm_costs
 
 
 class TestSelectMatch:
@@ -112,3 +115,29 @@ class TestMatchingStability:
         # Swap the first two rounds: the replay should object somewhere.
         res.matches[0], res.matches[1] = res.matches[1], res.matches[0]
         assert check_matching_stability(res, setting3_seed7) != []
+
+
+@pytest.mark.parametrize("setting", [1, 2, 3, 4])
+def test_every_matrix_row_has_a_deficit_app(monkeypatch, setting):
+    """Cell (m, n) is n's share solve over m's deficit apps, so every m that a
+    matrix build is given, by the run or by its replay, must still have one."""
+    rows = {"run": [], "replay": []}  # caller -> (m, m's deficit apps) per row built
+    caller = ["run"]
+    build = ppmpoa.build_matching_matrix
+
+    def checking(s_, state, g1, g2, memo):
+        rows[caller[0]].extend((m, state.deficit_apps(s_, [m])) for m in g1)
+        return build(s_, state, g1, g2, memo)
+
+    monkeypatch.setattr(ppmpoa, "build_matching_matrix", checking)
+    for seed, utility, costs in itertools.product(range(1, 5), ("linear", "sigmoid"), (False, True)):
+        s = generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility))
+        if costs:
+            s = with_comm_costs(s, 100 * setting + seed)
+        caller[0] = "run"
+        result = run_ppmpoa(s)
+        caller[0] = "replay"
+        check_matching_stability(result, s)
+    assert rows["run"] and rows["replay"]
+    for m, apps in rows["run"] + rows["replay"]:
+        assert apps, f"provider {m} reached the matrix without a deficit app"

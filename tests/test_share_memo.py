@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from mecshare import game, gpoa, subsolver
+from mecshare import game, gpoa, ppmpoa, subsolver
 from mecshare.game import coalition_value, enumerate_coalitions
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
@@ -34,8 +34,8 @@ def record_share_solves(monkeypatch):
         memos.append(memo)
         return solve(s, n, state, deficit_apps, memo)
 
-    monkeypatch.setattr(subsolver, "solve_surplus_share", recording)
-    monkeypatch.setattr(gpoa, "solve_surplus_share", recording)
+    for module in (subsolver, gpoa, ppmpoa):
+        monkeypatch.setattr(module, "solve_surplus_share", recording)
     return memos
 
 
@@ -108,14 +108,14 @@ def test_each_ppmpoa_run_solves_through_a_fresh_memo_and_its_replay_through_none
 def test_a_memo_would_never_hit_in_the_stability_replay(monkeypatch, setting):
     """Each replay round keys column n by n's remaining capacity, which every
     committed round lowers, so no replay solve repeats an earlier one."""
-    lookups, memo = [], {}
+    lookups, memo, replayed = [], {}, 0
     solve = subsolver.solve_surplus_share
 
     def memoised(s, n, state, deficit_apps, _memo=None):
         lookups.append(n)
         return solve(s, n, state, deficit_apps, memo)
 
-    monkeypatch.setattr(subsolver, "solve_surplus_share", memoised)
+    monkeypatch.setattr(ppmpoa, "solve_surplus_share", memoised)
     for seed in range(1, 5):
         for utility in ("linear", "sigmoid"):
             s = with_comm_costs(
@@ -126,6 +126,8 @@ def test_a_memo_would_never_hit_in_the_stability_replay(monkeypatch, setting):
             lookups.clear()
             check_matching_stability(result, s)
             assert len(memo) == len(lookups)
+            replayed += len(lookups)
+    assert replayed
 
 
 def reachable(*roots):
@@ -158,7 +160,7 @@ def test_mutating_a_hit_leaves_the_next_hit_unchanged():
     memo = {}
     state = run_solo_phase(s)[0]
     g1, g2 = partition_players(s, state)
-    apps = [a.id for m in g1 for a in s.apps_of(m) if state.app_has_deficit(a.id)]
+    apps = state.deficit_apps(s, g1)
 
     def solve():
         return subsolver.solve_surplus_share(s, g2[0], state, apps, memo)

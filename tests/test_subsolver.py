@@ -12,7 +12,6 @@ from mecshare.subsolver import (
     allocate_oracle,
     build_share_spec,
     build_solo_spec,
-    solve_pair_match,
     solve_single_provider,
     solve_surplus_share,
 )
@@ -251,10 +250,16 @@ class TestSurplusShare:
         res = solve_surplus_share(s, 2, state, [1])
         assert res.allocation[(1, 0)] == 0.0
 
+    @staticmethod
+    def _pair_match(s, m, n, state):
+        """Cell (m, n) of the PPMPOA matrix: n's share solve over m's deficit apps."""
+        res = solve_surplus_share(s, n, state, state.deficit_apps(s, [m]))
+        return res.objective_value, res.resources_used, dict(res.allocation)
+
     def test_pair_match_is_pure(self):
         s, state = self._one_gap_scenario()
         before = copy.deepcopy(state)
-        j_val, r_val, alloc = solve_pair_match(s, 1, 2, state)
+        j_val, r_val, alloc = self._pair_match(s, 1, 2, state)
         assert state.remaining_capacity == before.remaining_capacity
         assert state.remaining_request == before.remaining_request
         assert j_val == pytest.approx(3.0, abs=1e-9)
@@ -264,7 +269,8 @@ class TestSurplusShare:
     def test_pair_match_without_deficit_returns_zero(self):
         s, state = self._one_gap_scenario()
         state.apply(2, 1, 0, 2.0)  # close the gap
-        j_val, r_val, alloc = solve_pair_match(s, 1, 2, state)
+        assert state.deficit_apps(s, [1]) == [] and not state.has_deficit(s, 1)
+        j_val, r_val, alloc = self._pair_match(s, 1, 2, state)
         assert (j_val, r_val, alloc) == (0.0, 0.0, {})
 
     def test_residual_gap_within_tolerance_is_closed(self):
@@ -272,7 +278,8 @@ class TestSurplusShare:
         # would score (x/gap)^2 = 1 for a 1e-12 grant.
         s, state = self._one_gap_scenario()
         state.remaining_request[1][0] = 1e-12
-        assert solve_pair_match(s, 1, 2, state) == (0.0, 0.0, {})
+        assert state.deficit_apps(s, [1]) == []
+        assert self._pair_match(s, 1, 2, state) == (0.0, 0.0, {})
         assert build_share_spec(s, 2, state, [1]).items == []
 
 
