@@ -160,8 +160,7 @@ def cmd_verify(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     verdicts = _verdicts(report)
     stability_ok = True
     if args.algorithm == "ppmpoa":
-        blocking = check_matching_stability(report.grand_result, s)
-        stability_ok = not blocking
+        stability_ok = not check_matching_stability(run_ppmpoa(s), s)
     payload = {
         "algorithm": args.algorithm,
         "coalitions": {

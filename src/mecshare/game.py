@@ -9,14 +9,14 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from .model import AllocEvent, Scenario, eval_utility
 from .gpoa import (
-    GpoaResult,
     OrderingScheme,
+    RunResult,
     order_surplus,
     partition_players,
     run_gpoa,
     run_solo_phase,
 )
-from .ppmpoa import PpmpoaResult, run_ppmpoa
+from .ppmpoa import run_ppmpoa
 from .subsolver import ShareMemo
 
 MAX_PROVIDERS = 12
@@ -51,9 +51,6 @@ class CoalitionReport:
     entries: Dict[FrozenSet[int], CoalitionEntry]
     algorithm: str
     provider_ids: List[int]
-    # The grand coalition's run when its entry comes from a single run, as
-    # it always does under PPMPOA.
-    grand_result: GpoaResult | PpmpoaResult | None = None
 
     def grand(self) -> CoalitionEntry:
         return self.entries[frozenset(self.provider_ids)]
@@ -84,7 +81,7 @@ def restrict_scenario(s: Scenario, members: FrozenSet[int]) -> Scenario:
 
 def run_algorithm(
     s: Scenario, algorithm: str, scheme: OrderingScheme, share_memo: ShareMemo | None = None
-) -> GpoaResult | PpmpoaResult:
+) -> RunResult:
     """Run GPOA under `scheme`, or PPMPOA (which takes no ordering)."""
     if algorithm == "gpoa":
         return run_gpoa(s, scheme, share_memo)
@@ -150,7 +147,6 @@ def enumerate_coalitions(
     if len(ids) > MAX_PROVIDERS:
         raise TooManyProviders(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
     coalitions = _coalitions_by_bitset(ids)
-    full = frozenset(ids)
     sweep = sweep_orders and algorithm == "gpoa"
     explicit = algorithm == "gpoa" and scheme.kind == "explicit"
     surplus: List[int] = []
@@ -163,11 +159,9 @@ def enumerate_coalitions(
         if explicit:
             # Raises InvalidExplicitOrder unless the order permutes `surplus`.
             order_surplus(surplus, scheme, state)
-    grand_result = None
     share_memo: ShareMemo = {}
 
     def evaluate(members: FrozenSet[int]) -> CoalitionEntry:
-        nonlocal grand_result
         sub = restrict_scenario(s, members)
         schemes = [scheme]
         if explicit:
@@ -182,8 +176,6 @@ def enumerate_coalitions(
             candidates.append(
                 (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
             )
-        if members == full and len(schemes) == 1:
-            grand_result = result
         order, payoffs = max(candidates, key=lambda c: sum(c[1].values()))
         return CoalitionEntry(
             value=sum(payoffs.values()), payoffs=payoffs, order_used=list(order),
@@ -191,9 +183,7 @@ def enumerate_coalitions(
         )
 
     entries = {members: evaluate(members) for members in coalitions}
-    report = CoalitionReport(
-        entries=entries, algorithm=algorithm, provider_ids=ids, grand_result=grand_result
-    )
+    report = CoalitionReport(entries=entries, algorithm=algorithm, provider_ids=ids)
 
     if sweep:
         _select_core_grand(report)

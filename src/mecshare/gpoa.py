@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .model import AllocEvent, AllocState, AllocationTensor, Scenario
 from .scengen import Stream
 from .subsolver import ShareMemo, solve_single_provider, solve_surplus_share
+
+if TYPE_CHECKING:
+    from .ppmpoa import MatchRecord
 
 
 class InvalidExplicitOrder(ValueError):
@@ -71,13 +74,21 @@ class Payoff:
 
 
 @dataclass
-class GpoaResult:
+class RunResult:
+    """A GPOA or PPMPOA run; only PPMPOA records matches."""
+
     allocation: AllocationTensor
     payoffs: Dict[int, Payoff]
     g1: List[int]
     g2: List[int]
-    order_used: List[int]
-    events: List[AllocEvent] = field(default_factory=list)
+    order_used: List[int]  # surplus providers in the order they shared
+    events: List[AllocEvent]
+    matches: List[MatchRecord] = field(default_factory=list)
+
+    @property
+    def rounds(self) -> int:
+        """Number of committed matches."""
+        return len(self.matches)
 
 
 def partition_players(s: Scenario, state: AllocState) -> Tuple[List[int], List[int]]:
@@ -114,27 +125,26 @@ def run_solo_phase(
     """Every provider serves its own applications; shared starting point of both algorithms.
 
     Each provider is solved once per scenario (`Scenario.solo_outcomes`); every
-    call commits the result into fresh state, payoffs and events.
+    call commits the result into a fresh state and payoffs. The state's
+    allocation and event log come back beside it.
     """
     state = AllocState.initial(s)
-    alloc = AllocationTensor()
     payoffs: Dict[int, Payoff] = {}
-    events: List[AllocEvent] = []
     memo = s.solo_outcomes
     for n in s.provider_ids():
         if n not in memo:
             memo[n] = solve_single_provider(s, n)
         payoffs[n] = Payoff(v_solo=memo[n].objective_value)
-        events.append(state.commit(s, alloc, n, memo[n].allocation, "solo"))
-    return state, alloc, payoffs, events
+        state.commit(s, n, memo[n].allocation, "solo")
+    return state, state.allocation, payoffs, state.events
 
 
 def run_gpoa(
     s: Scenario, scheme: OrderingScheme, share_memo: ShareMemo | None = None
-) -> GpoaResult:
+) -> RunResult:
     if scheme.kind in ("cao", "cdo") and not 0 <= scheme.k < s.K:
         raise ValueError(f"{scheme.kind}:k={scheme.k} names no resource type of K={s.K}")
-    state, alloc, payoffs, events = run_solo_phase(s)
+    state, _, payoffs, _ = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
     order = order_surplus(g2, scheme, state)
 
@@ -145,10 +155,8 @@ def run_gpoa(
             break
         res = solve_surplus_share(s, n, state, deficit_apps, share_memo)
         payoffs[n].sharing += res.objective_value
-        ev = state.commit(s, alloc, n, res.allocation, "share")
-        for j, k, x in ev.chunks:
+        for j, k, x in state.commit(s, n, res.allocation, "share").chunks:
             shared[(j, k)] = shared.get((j, k), 0.0) + x
-        events.append(ev)
 
     for m in g1:
         bonus = 0.0
@@ -159,11 +167,11 @@ def run_gpoa(
                     bonus += x / a.request[k]
         payoffs[m].bonus = bonus
 
-    return GpoaResult(
-        allocation=alloc,
+    return RunResult(
+        allocation=state.allocation,
         payoffs=payoffs,
         g1=g1,
         g2=g2,
         order_used=order,
-        events=events,
+        events=state.events,
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
@@ -122,7 +123,7 @@ def _check_vector(name: str, v: ResourceVector, k: int, out: List[str]) -> None:
     if len(v) != k:
         out.append(f"{name}: length {len(v)} != K={k}")
     for entry in v:
-        if not isinstance(entry, (int, float)) or not math.isfinite(entry) or entry < 0:
+        if not _is_finite(entry) or entry < 0:
             out.append(f"{name}: entry {entry} must be finite and >= 0")
             break
 
@@ -131,14 +132,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A finite int or float within float range; a bool is not a number here."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def validate_scenario(s: Scenario) -> List[str]:
     """Return a list of invariant violations; empty means the scenario is well formed."""
     out: List[str] = []
     if not _is_int(s.K) or s.K <= 0:
         out.append("K must be an integer > 0")
-    if not math.isfinite(s.delta) or s.delta <= 0:
+    if not _is_finite(s.delta) or s.delta <= 0:
         out.append("delta must be finite and > 0")
-    if not math.isfinite(s.epsilon_gain) or s.epsilon_gain < 0:
+    if not _is_finite(s.epsilon_gain) or s.epsilon_gain < 0:
         out.append("epsilon_gain must be finite and >= 0")
 
     provider_ids = [p.id for p in s.providers]
@@ -169,7 +175,7 @@ def validate_scenario(s: Scenario) -> List[str]:
     min_positive_request = math.inf
     for a in s.applications:
         _check_vector(f"app {a.id} request", a.request, s.K, out)
-        if not math.isfinite(a.weight_w1) or a.weight_w1 <= 0:
+        if not _is_finite(a.weight_w1) or a.weight_w1 <= 0:
             out.append(f"app {a.id}: weight_w1 must be finite and > 0")
         if a.owner not in provider_set:
             out.append(f"app {a.id}: owner {a.owner} does not exist")
@@ -177,12 +183,12 @@ def validate_scenario(s: Scenario) -> List[str]:
             out.append(f"app {a.id}: not listed among native apps of owner {a.owner}")
         u = a.utility
         if u.kind == "linear":
-            if not math.isfinite(u.a) or u.a < 0:
+            if not _is_finite(u.a) or u.a < 0:
                 out.append(f"app {a.id}: linear utility slope must be finite and >= 0")
-            if not math.isfinite(u.c) or u.c < 0:
+            if not _is_finite(u.c) or u.c < 0:
                 out.append(f"app {a.id}: linear utility offset must be finite and >= 0")
         elif u.kind == "sigmoid":
-            if not math.isfinite(u.mu) or u.mu <= 0:
+            if not _is_finite(u.mu) or u.mu <= 0:
                 out.append(f"app {a.id}: sigmoid mu must be finite and > 0")
         else:
             out.append(f"app {a.id}: unknown utility kind {u.kind!r}")
@@ -195,7 +201,7 @@ def validate_scenario(s: Scenario) -> List[str]:
             out.append(f"comm cost ({n!r},{j!r}): provider and app must be ids in the scenario")
         elif owners.get(j) == n:
             out.append(f"comm cost ({n},{j}): app {j} is native to provider {n}")
-        if not math.isfinite(d) or d < 0:
+        if not _is_finite(d) or d < 0:
             out.append(f"comm cost ({n},{j}): d must be finite and >= 0")
 
     if s.delta > 0 and min_positive_request < s.delta:
@@ -205,8 +211,11 @@ def validate_scenario(s: Scenario) -> List[str]:
     if not out:
         demanded = [(a, r) for a in s.applications for r in a.request if r > 0]
         # Utilities are non-decreasing, so this total bounds every objective.
-        full = sum(a.weight_w1 * eval_utility(a.utility, r, r) for a, r in demanded)
-        if not math.isfinite(full):
+        try:
+            full = sum(a.weight_w1 * eval_utility(a.utility, r, r) for a, r in demanded)
+        except OverflowError:  # a float times an int product beyond float range
+            full = math.inf
+        if not _is_finite(full):
             out.append("total utility at full satisfaction is not finite")
         steps = sum(r / s.delta for _, r in demanded)
         if steps > MAX_DELTA_STEPS:
@@ -277,11 +286,13 @@ class AllocationTensor:
 
 @dataclass
 class AllocState:
-    """Mutable remaining-capacity / remaining-request bookkeeping shared by the algorithms."""
+    """One run's record: remaining capacity and requests, the allocation and the event log."""
 
     remaining_capacity: Dict[int, List[float]]
     remaining_request: Dict[int, List[float]]
     allocated: Dict[int, List[float]]  # z: total granted to each app so far
+    allocation: AllocationTensor = field(default_factory=AllocationTensor)
+    events: List[AllocEvent] = field(default_factory=list)
 
     @staticmethod
     def initial(s: Scenario) -> "AllocState":
@@ -313,17 +324,22 @@ class AllocState:
         return any(c > TOL for c in self.remaining_capacity[n])
 
     def commit(
-        self, s: Scenario, alloc: AllocationTensor, n: int,
-        allocation: Mapping[Tuple[int, int], float], phase: str,
-    ) -> "AllocEvent":
-        """Grant provider n's positive amounts in (app, resource) order and record the event."""
+        self, s: Scenario, n: int, allocation: Mapping[Tuple[int, int], float], phase: str
+    ) -> AllocEvent:
+        """Grant provider n's positive amounts in (app, resource) order.
+
+        Each grant lands in the remaining capacity and request, the allocation
+        tensor and the returned event, which is appended to the log.
+        """
         chunks = []
         for (j, k), x in sorted(allocation.items()):
             if x > 0:
-                alloc.add(n, j, k, x, s.K)
+                self.allocation.add(n, j, k, x, s.K)
                 self.apply(n, j, k, x)
                 chunks.append((j, k, x))
-        return AllocEvent(phase=phase, allocator=n, chunks=chunks)
+        event = AllocEvent(phase=phase, allocator=n, chunks=chunks)
+        self.events.append(event)
+        return event
 
 
 @dataclass

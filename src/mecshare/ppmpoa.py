@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from .model import AllocEvent, AllocState, AllocationTensor, Scenario, TOL
-from .gpoa import Payoff, partition_players, run_solo_phase
+from .model import AllocEvent, AllocState, Scenario, TOL
+from .gpoa import RunResult, partition_players, run_solo_phase
 from .subsolver import ShareMemo, solve_surplus_share
 
 
@@ -32,26 +32,6 @@ class BlockingPair:
     n: int
     value: float
     committed_value: float
-
-
-@dataclass
-class PpmpoaResult:
-    allocation: AllocationTensor
-    payoffs: Dict[int, Payoff]
-    g1: List[int]
-    g2: List[int]
-    matches: List[MatchRecord]
-    events: List[AllocEvent] = field(default_factory=list)
-
-    @property
-    def rounds(self) -> int:
-        """Number of committed matches."""
-        return len(self.matches)
-
-    @property
-    def order_used(self) -> List[int]:
-        """Surplus providers in the order their matches were committed."""
-        return [rec.n for rec in self.matches]
 
 
 def build_matching_matrix(
@@ -81,11 +61,11 @@ def select_match(matrix: MatchingMatrix) -> Tuple[int, int]:
 
 
 def _commit_match(
-    s: Scenario, state: AllocState, alloc: AllocationTensor, matrix: MatchingMatrix,
+    s: Scenario, state: AllocState, matrix: MatchingMatrix,
     m: int, n: int, g1_active: List[int], g2_active: List[int],
 ) -> AllocEvent:
     """Commit cell (m, n) and retire whichever side it left without surplus or deficit."""
-    ev = state.commit(s, alloc, n, matrix.allocs[(m, n)], "share")
+    ev = state.commit(s, n, matrix.allocs[(m, n)], "share")
     if not state.has_surplus(n):
         g2_active.remove(n)
     if not state.has_deficit(s, m):
@@ -93,9 +73,9 @@ def _commit_match(
     return ev
 
 
-def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> PpmpoaResult:
+def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
     memo = {} if share_memo is None else share_memo
-    state, alloc, payoffs, events = run_solo_phase(s)
+    state, _, payoffs, _ = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
     g1_active, g2_active = list(g1), list(g2)
 
@@ -108,26 +88,26 @@ def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> PpmpoaResult
             break
         matches.append(MatchRecord(round=len(matches) + 1, m=m, n=n, value=j_val, resources=r_val))
         payoffs[n].sharing += j_val
-        ev = _commit_match(s, state, alloc, matrix, m, n, g1_active, g2_active)
+        ev = _commit_match(s, state, matrix, m, n, g1_active, g2_active)
         bonus = 0.0
         for j, k, x in ev.chunks:
             r = s.app(j).request[k]
             if r > 0:
                 bonus += x / r
         payoffs[m].bonus += bonus
-        events.append(ev)
 
-    return PpmpoaResult(
-        allocation=alloc,
+    return RunResult(
+        allocation=state.allocation,
         payoffs=payoffs,
         g1=g1,
         g2=g2,
+        order_used=[rec.n for rec in matches],
+        events=state.events,
         matches=matches,
-        events=events,
     )
 
 
-def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[BlockingPair]:
+def check_matching_stability(result: RunResult, s: Scenario) -> List[BlockingPair]:
     """Replay the match history and report any pair that objects to it.
 
     At each round the committed surplus provider must have been offered no
@@ -136,7 +116,7 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
     provider's remaining capacity, which every committed round lowers, so no
     solve could repeat.
     """
-    state, alloc, _, _ = run_solo_phase(s)
+    state = run_solo_phase(s)[0]
     g1, g2 = partition_players(s, state)
     g1_active, g2_active = list(g1), list(g2)
     blocking: List[BlockingPair] = []
@@ -161,5 +141,5 @@ def check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[Blocking
                         committed_value=value,
                     )
                 )
-        _commit_match(s, state, alloc, matrix, rec.m, rec.n, g1_active, g2_active)
+        _commit_match(s, state, matrix, rec.m, rec.n, g1_active, g2_active)
     return blocking

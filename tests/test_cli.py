@@ -154,7 +154,11 @@ class TestVerify:
         assert main(
             ["verify", "--scenario", scenario_file, "--algorithm", "ppmpoa", "--out", str(out)]
         ) == 0
-        assert len(calls) == 2**3 - 1
+        # The enumeration runs each coalition once; the stability check then runs
+        # the full scenario once more.
+        assert len(calls) == 2**3
+        assert len({tuple(ids) for ids in calls[:-1]}) == 2**3 - 1
+        assert calls[-1] == max(calls, key=len)
 
 
 class TestMisreport:
@@ -336,6 +340,20 @@ BAD_INPUTS = {
     "too-many-delta-steps": (two_provider_json(fine_delta_grid), ["solo"]),
     "nan-delta": (two_provider_json(lambda d: d.update(delta=math.nan)), ["solo"]),
     "nan-w1": (two_provider_json(lambda d: d["applications"][0].update(w1=math.nan)), ["gpoa"]),
+    "huge-int-capacity": (
+        two_provider_json(lambda d: d["providers"][0].update(capacity=[10**400])), ["solo"]
+    ),
+    "huge-int-delta": (two_provider_json(lambda d: d.update(delta=10**400)), ["solo"]),
+    "bool-capacity": (
+        two_provider_json(lambda d: d["providers"][0].update(capacity=[True])), ["solo"]
+    ),
+    "bool-delta": (two_provider_json(lambda d: d.update(delta=True)), ["solo"]),
+    "int-total-utility-beyond-float-range": (
+        two_provider_json(lambda d: d["applications"][0].update(
+            request=[10**200], utility={"kind": "linear", "params": {"a": 10**200, "c": 0}}
+        )),
+        ["solo"],
+    ),
     "unknown-order": (two_provider_json(), ["gpoa", "--order", "bogus"]),
     "order-resource-out-of-range": (two_provider_json(), ["gpoa", "--order", "cao:k=7"]),
     "explicit-order-not-surplus": (two_provider_json(), ["gpoa", "--order", "explicit:9,8"]),
@@ -354,6 +372,8 @@ BAD_INPUTS = {
     "report-vector-too-long": report_case({"2:1": [1.0, 1.0]}),
     "report-string-entry": report_case({"2:1": ["1.0"]}),
     "report-nan-entry": report_case({"2:1": [math.nan]}),
+    "report-huge-int-entry": report_case({"2:1": [10**400]}),
+    "report-bool-entry": report_case({"2:1": [True]}),
     "report-negative-entry": report_case({"2:1": [-1.0]}),
     "report-unknown-app": report_case({"1:999": [1.0]}),
     "report-over-capacity-and-request": report_case({"2:1": [1000.0]}),

@@ -16,13 +16,18 @@ from mecshare.game import (
     misreport_experiment,
     restrict_scenario,
 )
-from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
+from mecshare.gpoa import (
+    OrderingScheme,
+    RunResult,
+    partition_players,
+    run_gpoa,
+    run_solo_phase,
+)
 from mecshare.model import AllocState, Scenario, TOL, scenario_from_dict, scenario_to_dict
 from mecshare.ppmpoa import (
     BlockingPair,
     MatchingMatrix,
     MatchRecord,
-    PpmpoaResult,
     _commit_match,
     check_matching_stability,
     run_ppmpoa,
@@ -66,7 +71,7 @@ def reference_build_matching_matrix(
     return matrix
 
 
-def reference_run_ppmpoa(s: Scenario) -> PpmpoaResult:
+def reference_run_ppmpoa(s: Scenario) -> RunResult:
     state, alloc, payoffs, events = run_solo_phase(s)
     g1, g2 = partition_players(s, state)
     g1_active, g2_active = list(g1), list(g2)
@@ -82,26 +87,26 @@ def reference_run_ppmpoa(s: Scenario) -> PpmpoaResult:
         round_no += 1
         matches.append(MatchRecord(round=round_no, m=m, n=n, value=j_val, resources=r_val))
         payoffs[n].sharing += j_val
-        ev = _commit_match(s, state, alloc, matrix, m, n, g1_active, g2_active)
+        ev = _commit_match(s, state, matrix, m, n, g1_active, g2_active)
         bonus = 0.0
         for j, k, x in ev.chunks:
             r = s.app(j).request[k]
             if r > 0:
                 bonus += x / r
         payoffs[m].bonus += bonus
-        events.append(ev)
 
-    return PpmpoaResult(
+    return RunResult(
         allocation=alloc,
         payoffs=payoffs,
         g1=g1,
         g2=g2,
-        matches=matches,
+        order_used=[rec.n for rec in matches],
         events=events,
+        matches=matches,
     )
 
 
-def reference_check_matching_stability(result: PpmpoaResult, s: Scenario) -> List[BlockingPair]:
+def reference_check_matching_stability(result: RunResult, s: Scenario) -> List[BlockingPair]:
     """Replay the match history and report any pair that objects to it.
 
     At each round the committed surplus provider must have been offered no
@@ -132,14 +137,14 @@ def reference_check_matching_stability(result: PpmpoaResult, s: Scenario) -> Lis
                         committed_value=committed,
                     )
                 )
-        _commit_match(s, state, alloc, matrix, rec.m, rec.n, g1_active, g2_active)
+        _commit_match(s, state, matrix, rec.m, rec.n, g1_active, g2_active)
     return blocking
 
 
 # --- memoised matrix against the reference ----------------------------------
 
 
-def run_fields(result: PpmpoaResult):
+def run_fields(result: RunResult):
     return (
         [(r.round, r.m, r.n, r.value, r.resources) for r in result.matches],
         result.rounds,

@@ -10,9 +10,10 @@ from mecshare.gpoa import (
     run_gpoa,
     run_solo_phase,
 )
+from mecshare.ppmpoa import run_ppmpoa
 from mecshare.scengen import DEFICIT_SETS, GenSpec, Stream, generate_scenario
 
-from conftest import linear_app, make_scenario
+from conftest import linear_app, make_scenario, with_comm_costs
 
 
 def two_provider_scenario():
@@ -148,18 +149,23 @@ class TestRunGpoa:
         cdo = run_gpoa(setting3_seed7, OrderingScheme.cdo(0))
         assert cao.order_used == list(reversed(cdo.order_used))
 
-    def test_events_replay_to_the_same_allocation(self, setting1_seed42):
-        res = run_gpoa(setting1_seed42, OrderingScheme.cdo(0))
-        totals = {}
-        for ev in res.events:
-            for j, k, x in ev.chunks:
-                key = (ev.allocator, j)
-                vec = list(totals.get(key, (0.0,) * setting1_seed42.K))
-                vec[k] += x
-                totals[key] = tuple(vec)
-        assert set(totals) == set(res.allocation.entries)
-        for key, vec in totals.items():
-            assert vec == pytest.approx(res.allocation.entries[key], abs=1e-12)
+    def test_events_replay_to_the_same_allocation(self):
+        # Summing each run's event chunks in log order rebuilds its allocation bit for bit.
+        for setting in (1, 2, 3, 4):
+            for utility in ("linear", "sigmoid"):
+                plain = generate_scenario(GenSpec(setting=setting, seed=42, utility_kind=utility))
+                for s in (plain, with_comm_costs(plain, 42)):
+                    runs = [run_gpoa(s, OrderingScheme.cao(0)), run_gpoa(s, OrderingScheme.cdo(0)),
+                            run_gpoa(s, OrderingScheme.random(42)), run_ppmpoa(s)]
+                    for res in runs:
+                        totals = {}
+                        for ev in res.events:
+                            for j, k, x in ev.chunks:
+                                key = (ev.allocator, j)
+                                vec = list(totals.get(key, (0.0,) * s.K))
+                                vec[k] += x
+                                totals[key] = tuple(vec)
+                        assert totals == res.allocation.entries
 
     def test_deterministic_across_runs(self, setting3_seed7):
         a = run_gpoa(setting3_seed7, OrderingScheme.cdo(0))

@@ -24,6 +24,33 @@ from mecshare.model import (
 from conftest import linear_app, make_scenario
 
 
+def with_number(name: str, value) -> Scenario:
+    """A valid two-provider scenario with its numeric field `name` set to `value`."""
+    utility = UtilitySpec.sigmoid(mu=1.0) if name == "mu" else UtilitySpec.linear(a=1.0, c=0.0)
+    app = Application(id=1, owner=1, request=(1.0,), utility=utility)
+    provider = Provider(id=1, capacity=(1.0,), native_apps=(1,))
+    s = make_scenario(
+        [provider, Provider(id=2, capacity=(1.0,), native_apps=())],
+        [app],
+        comm_costs={(2, 1): 0.1},
+    )
+    assert validate_scenario(s) == []
+    if name in ("delta", "epsilon_gain"):
+        return dataclasses.replace(s, **{name: value})
+    if name == "d":
+        return dataclasses.replace(s, comm_costs={(2, 1): value})
+    if name == "capacity":
+        bad_provider = dataclasses.replace(provider, capacity=(value,))
+        return dataclasses.replace(s, providers=(bad_provider,) + s.providers[1:])
+    if name == "w1":
+        bad = dataclasses.replace(app, weight_w1=value)
+    elif name == "request":
+        bad = dataclasses.replace(app, request=(value,))
+    else:
+        bad = dataclasses.replace(app, utility=dataclasses.replace(utility, **{name: value}))
+    return dataclasses.replace(s, applications=(bad,))
+
+
 def test_linear_utility_values():
     u = UtilitySpec.linear(a=2.0, c=0.5)
     assert eval_utility(u, 0.0, 10.0) == 0.5
@@ -107,27 +134,23 @@ class TestValidateScenario:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["delta", "epsilon_gain", "w1", "a", "c", "mu", "d"])
     def test_non_finite_scalars_rejected(self, name, value):
-        utility = UtilitySpec.sigmoid(mu=1.0) if name == "mu" else UtilitySpec.linear(a=1.0, c=0.0)
-        app = Application(id=1, owner=1, request=(1.0,), utility=utility)
-        s = make_scenario(
-            [
-                Provider(id=1, capacity=(1.0,), native_apps=(1,)),
-                Provider(id=2, capacity=(1.0,), native_apps=()),
-            ],
-            [app],
-            comm_costs={(2, 1): 0.1},
-        )
-        assert validate_scenario(s) == []
-        if name in ("delta", "epsilon_gain"):
-            s = dataclasses.replace(s, **{name: value})
-        elif name == "d":
-            s = dataclasses.replace(s, comm_costs={(2, 1): value})
-        elif name == "w1":
-            s = dataclasses.replace(s, applications=(dataclasses.replace(app, weight_w1=value),))
-        else:
-            bad = dataclasses.replace(app, utility=dataclasses.replace(utility, **{name: value}))
-            s = dataclasses.replace(s, applications=(bad,))
-        assert any("finite" in msg for msg in validate_scenario(s))
+        assert any("finite" in msg for msg in validate_scenario(with_number(name, value)))
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), True], ids=["huge-int", "huge-negative-int", "bool"]
+    )
+    @pytest.mark.parametrize(
+        "name", ["delta", "epsilon_gain", "w1", "a", "c", "mu", "d", "capacity", "request"]
+    )
+    def test_ints_beyond_float_range_and_bools_rejected(self, name, value):
+        assert any("finite" in msg for msg in validate_scenario(with_number(name, value)))
+
+    @pytest.mark.parametrize("w1", [1, 1.0])
+    def test_int_total_utility_beyond_float_range_rejected(self, w1):
+        # a * r is 10**400, an int that no float holds.
+        app = linear_app(1, owner=1, request=(10**200,), a=10**200, c=0, w1=w1)
+        s = make_scenario([Provider(id=1, capacity=(1,), native_apps=(1,))], [app], delta=1)
+        assert "total utility at full satisfaction is not finite" in validate_scenario(s)
 
 
 class TestAllocationTensor:

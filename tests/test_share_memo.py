@@ -152,7 +152,7 @@ def test_memo_ends_with_the_enumeration(monkeypatch, algorithm, sweep):
     report = enumerate_coalitions(s, CDO, algorithm, sweep_orders=sweep)
     memo = memos[-1]
     assert memo and all(m is memo for m in memos)
-    assert id(memo) not in reachable(s, report, report.grand_result)
+    assert id(memo) not in reachable(s, report)
 
 
 def test_mutating_a_hit_leaves_the_next_hit_unchanged():
