@@ -12,9 +12,7 @@ from .gpoa import (
     OrderingScheme,
     RunResult,
     order_surplus,
-    partition_players,
     run_gpoa,
-    run_solo_phase,
 )
 from .ppmpoa import run_ppmpoa
 from .subsolver import ShareMemo
@@ -74,8 +72,8 @@ def restrict_scenario(s: Scenario, members: FrozenSet[int]) -> Scenario:
         s, providers=keep_providers, applications=keep_apps, comm_costs=comm
     )
     # Each member keeps its capacity, apps, K, delta and epsilon_gain, so its
-    # solo outcome is the parent's: all coalitions share one memo.
-    sub.__dict__["solo_outcomes"] = s.solo_outcomes
+    # solo phase is the parent's: every coalition restricts one record.
+    sub.__dict__["post_solo"] = s.post_solo.restrict(members, keep_app_ids)
     return sub
 
 
@@ -154,11 +152,10 @@ def enumerate_coalitions(
         # A provider's surplus status comes from its own solo solve, so each
         # coalition's surplus set is the grand one restricted to its members,
         # and so is the explicit order it gets.
-        state, _, _, _ = run_solo_phase(s)
-        surplus = partition_players(s, state)[1]
+        surplus = list(s.post_solo.g2)
         if explicit:
             # Raises InvalidExplicitOrder unless the order permutes `surplus`.
-            order_surplus(surplus, scheme, state)
+            order_surplus(surplus, scheme, s.post_solo)
     share_memo: ShareMemo = {}
 
     def evaluate(members: FrozenSet[int]) -> CoalitionEntry:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .model import AllocEvent, AllocState, AllocationTensor, Scenario
+from .model import AllocEvent, AllocState, AllocationTensor, PostSoloRecord, Scenario
 from .scengen import Stream
 from .subsolver import ShareMemo, solve_single_provider, solve_surplus_share
 
@@ -103,7 +103,9 @@ def partition_players(s: Scenario, state: AllocState) -> Tuple[List[int], List[i
     return g1, g2
 
 
-def order_surplus(g2: List[int], scheme: OrderingScheme, state: AllocState) -> List[int]:
+def order_surplus(
+    g2: List[int], scheme: OrderingScheme, state: AllocState | PostSoloRecord
+) -> List[int]:
     if scheme.kind == "cao":
         return sorted(g2, key=lambda n: (state.remaining_capacity[n][scheme.k], n))
     if scheme.kind == "cdo":
@@ -119,23 +121,33 @@ def order_surplus(g2: List[int], scheme: OrderingScheme, state: AllocState) -> L
     raise ValueError(f"unknown ordering scheme kind {scheme.kind!r}")
 
 
+def build_post_solo(s: Scenario) -> PostSoloRecord:
+    """Solve and commit every provider's solo allocation, then split the providers.
+
+    Runs once per scenario, as `Scenario.post_solo`; the runs start from copies.
+    """
+    state = AllocState.initial(s)
+    v_solo: Dict[int, float] = {}
+    for n in s.provider_ids():
+        res = solve_single_provider(s, n)
+        v_solo[n] = res.objective_value
+        state.commit(s, n, res.allocation, "solo")
+    g1, g2 = partition_players(s, state)
+    return PostSoloRecord.freeze(state, v_solo, g1, g2)
+
+
 def run_solo_phase(
     s: Scenario,
 ) -> Tuple[AllocState, AllocationTensor, Dict[int, Payoff], List[AllocEvent]]:
     """Every provider serves its own applications; shared starting point of both algorithms.
 
-    Each provider is solved once per scenario (`Scenario.solo_outcomes`); every
-    call commits the result into a fresh state and payoffs. The state's
-    allocation and event log come back beside it.
+    The solves, their commits and the deficit/surplus split are done once per
+    scenario (`Scenario.post_solo`); every call returns a fresh state, with
+    its allocation and event log, and fresh payoffs copied from that record.
     """
-    state = AllocState.initial(s)
-    payoffs: Dict[int, Payoff] = {}
-    memo = s.solo_outcomes
-    for n in s.provider_ids():
-        if n not in memo:
-            memo[n] = solve_single_provider(s, n)
-        payoffs[n] = Payoff(v_solo=memo[n].objective_value)
-        state.commit(s, n, memo[n].allocation, "solo")
+    record = s.post_solo
+    state = record.start()
+    payoffs = {n: Payoff(v_solo=v) for n, v in record.v_solo.items()}
     return state, state.allocation, payoffs, state.events
 
 
@@ -145,7 +157,7 @@ def run_gpoa(
     if scheme.kind in ("cao", "cdo") and not 0 <= scheme.k < s.K:
         raise ValueError(f"{scheme.kind}:k={scheme.k} names no resource type of K={s.K}")
     state, _, payoffs, _ = run_solo_phase(s)
-    g1, g2 = partition_players(s, state)
+    g1, g2 = list(s.post_solo.g1), list(s.post_solo.g2)
     order = order_surplus(g2, scheme, state)
 
     shared: Dict[Tuple[int, int], float] = {}  # (app, k) -> amount granted in sharing rounds

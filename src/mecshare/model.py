@@ -6,10 +6,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
-
-if TYPE_CHECKING:
-    from .subsolver import SubproblemResult
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Tuple
 
 #: Absolute tolerance for partition thresholds and state bookkeeping.
 TOL = 1e-9
@@ -109,14 +106,17 @@ class Scenario:
         return {a.id: a for a in self.applications}
 
     @cached_property
-    def solo_outcomes(self) -> Dict[int, SubproblemResult]:
-        """Provider id -> its solo solve's result, filled by `gpoa.run_solo_phase`.
+    def post_solo(self) -> PostSoloRecord:
+        """The state after every provider's solo commit, built once by `gpoa.build_post_solo`.
 
         A solo solve reads only the provider's capacity, its own apps, K,
         delta and epsilon_gain. `dataclasses.replace` builds a new scenario
-        with an empty memo; `game.restrict_scenario` hands the parent's on.
+        that builds its own record; `game.restrict_scenario` hands each
+        coalition the parent's record restricted to its members.
         """
-        return {}
+        from .gpoa import build_post_solo  # gpoa imports this module
+
+        return build_post_solo(self)
 
 
 def _check_vector(name: str, v: ResourceVector, k: int, out: List[str]) -> None:
@@ -349,6 +349,69 @@ class AllocEvent:
     phase: str  # "solo" or "share"
     allocator: int
     chunks: List[Tuple[int, int, float]]  # (app, resource index, amount)
+
+
+@dataclass(frozen=True)
+class PostSoloRecord:
+    """A scenario's solo phase, done once: every field is shared and never mutated.
+
+    Tensor entries share the `allocated` tuples, since a solo grant reaches
+    an app only from its owner, and chunk amounts are the solves' own floats.
+    `start` copies the record into a run's own lists, tensor and events.
+    """
+
+    v_solo: Dict[int, float]  # in provider id order
+    remaining_capacity: Dict[int, ResourceVector]
+    remaining_request: Dict[int, ResourceVector]
+    allocated: Dict[int, ResourceVector]
+    entries: Dict[Tuple[int, int], ResourceVector]  # the solo allocation tensor
+    chunks: Dict[int, Tuple[Tuple[int, int, float], ...]]  # each provider's solo event
+    g1: Tuple[int, ...]  # deficit providers
+    g2: Tuple[int, ...]  # surplus providers
+
+    @staticmethod
+    def freeze(
+        state: AllocState, v_solo: Dict[int, float], g1: List[int], g2: List[int]
+    ) -> "PostSoloRecord":
+        """The record of `state` right after every provider's solo commit."""
+        allocated = {j: tuple(z) for j, z in state.allocated.items()}
+        return PostSoloRecord(
+            v_solo=v_solo,
+            remaining_capacity={n: tuple(c) for n, c in state.remaining_capacity.items()},
+            remaining_request={j: tuple(r) for j, r in state.remaining_request.items()},
+            allocated=allocated,
+            entries={key: allocated[key[1]] for key in state.allocation.entries},
+            chunks={ev.allocator: tuple(ev.chunks) for ev in state.events},
+            g1=tuple(g1),
+            g2=tuple(g2),
+        )
+
+    def start(self) -> AllocState:
+        """A fresh run state at the end of the solo phase, sharing no mutable object."""
+        return AllocState(
+            remaining_capacity={n: list(c) for n, c in self.remaining_capacity.items()},
+            remaining_request={j: list(r) for j, r in self.remaining_request.items()},
+            allocated={j: list(z) for j, z in self.allocated.items()},
+            allocation=AllocationTensor(dict(self.entries)),
+            events=[AllocEvent("solo", n, list(c)) for n, c in self.chunks.items()],
+        )
+
+    def restrict(self, members: AbstractSet[int], apps: AbstractSet[int]) -> "PostSoloRecord":
+        """The record of the coalition `members`, whose native apps are `apps`.
+
+        Exact: each provider's solo solve, grants and deficit/surplus side
+        read only its own capacity and apps, and filtering keeps every order.
+        """
+        return PostSoloRecord(
+            v_solo={n: v for n, v in self.v_solo.items() if n in members},
+            remaining_capacity={n: c for n, c in self.remaining_capacity.items() if n in members},
+            remaining_request={j: r for j, r in self.remaining_request.items() if j in apps},
+            allocated={j: z for j, z in self.allocated.items() if j in apps},
+            entries={key: x for key, x in self.entries.items() if key[0] in members},
+            chunks={n: c for n, c in self.chunks.items() if n in members},
+            g1=tuple(n for n in self.g1 if n in members),
+            g2=tuple(n for n in self.g2 if n in members),
+        )
 
 
 # --- scenario file format -------------------------------------------------

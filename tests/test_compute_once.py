@@ -1,4 +1,4 @@
-"""Work done once: the solo memo per scenario and the memoised PPMPOA matrix.
+"""Work done once: the post-solo record per scenario and the memoised PPMPOA matrix.
 
 The reference functions below are the PPMPOA loop and stability replay as they
 were when every round rebuilt every matrix cell on a private copy of the
@@ -6,12 +6,17 @@ state, kept verbatim apart from the cell solve, which is written out in full.
 The memoised build must give the same bits.
 """
 import copy
+import dataclasses
+import itertools
 from typing import List
 
 import pytest
 
 from mecshare import game, gpoa, ppmpoa, subsolver
 from mecshare.game import (
+    check_no_blocking_coalition,
+    check_rationality,
+    check_superadditivity,
     enumerate_coalitions,
     misreport_experiment,
     restrict_scenario,
@@ -23,7 +28,15 @@ from mecshare.gpoa import (
     run_gpoa,
     run_solo_phase,
 )
-from mecshare.model import AllocState, Scenario, TOL, scenario_from_dict, scenario_to_dict
+from mecshare.model import (
+    AllocState,
+    Provider,
+    Scenario,
+    TOL,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
+)
 from mecshare.ppmpoa import (
     BlockingPair,
     MatchingMatrix,
@@ -40,7 +53,7 @@ from conftest import with_comm_costs
 
 
 def fresh(s: Scenario) -> Scenario:
-    """An equal scenario that shares no memo with `s`."""
+    """An equal scenario that shares no post-solo record with `s`."""
     return scenario_from_dict(scenario_to_dict(s))
 
 
@@ -271,7 +284,7 @@ def test_stability_replay_builds_only_the_committed_column(monkeypatch):
     assert columns == [[rec.n] for rec in result.matches]
 
 
-# --- the solo memo ----------------------------------------------------------
+# --- the post-solo record ---------------------------------------------------
 
 
 def count_solo_solves(monkeypatch):
@@ -294,24 +307,39 @@ def test_each_provider_is_solved_once_per_scenario(monkeypatch):
     assert sorted(solves) == s.provider_ids()
 
 
-def test_memo_holds_the_solo_solve():
+def test_memo_holds_the_solo_solve(monkeypatch):
     s = generate_scenario(GenSpec(setting=2, seed=9, utility_kind="sigmoid"))
+    solves = count_solo_solves(monkeypatch)
     _, _, payoffs, events = run_solo_phase(s)
+    run_solo_phase(s)
+    assert solves == s.provider_ids()
+    record = s.post_solo
     for n, ev in zip(s.provider_ids(), events):
         res = solve_single_provider(s, n)
-        assert s.solo_outcomes[n] == res
-        assert payoffs[n].v_solo == res.objective_value
-        assert ev.chunks == [(j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0]
+        want = [(j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0]
+        assert record.v_solo[n] == payoffs[n].v_solo == res.objective_value
+        assert list(record.chunks[n]) == ev.chunks == want
 
 
-def test_restriction_shares_the_memo_and_replace_does_not():
+def test_restriction_shares_the_memo_and_replace_does_not(monkeypatch):
     s = generate_scenario(GenSpec(setting=2, seed=3))
-    sub = restrict_scenario(s, frozenset(s.provider_ids()[:2]))
-    assert sub.solo_outcomes is s.solo_outcomes
-    assert with_comm_costs(s, 5).solo_outcomes is not s.solo_outcomes
-    assert game._scaled_scenario(s, s.provider_ids()[0], 1.0, 1.0).solo_outcomes is not (
-        s.solo_outcomes
-    )
+    ids = s.provider_ids()
+    solves = count_solo_solves(monkeypatch)
+    sub = restrict_scenario(s, frozenset(ids[:2]))
+    run_gpoa(sub, OrderingScheme.cdo(0))
+    assert solves == ids  # the parent's solves only: the restriction solves nothing
+    for name in ("v_solo", "remaining_capacity", "allocated", "entries", "chunks"):
+        parent = getattr(s.post_solo, name)
+        for key, value in getattr(sub.post_solo, name).items():
+            assert value is parent[key]
+    others = [
+        dataclasses.replace(s),
+        with_comm_costs(s, 5),
+        game._scaled_scenario(s, ids[0], 1.0, 1.0),
+    ]
+    for other in others:
+        assert other.post_solo is not s.post_solo
+    assert solves == ids * (1 + len(others))
 
 
 def coalition_table(report):
@@ -325,7 +353,7 @@ def coalition_table(report):
 def test_swept_enumeration_equals_fresh_scenario_per_coalition(monkeypatch, setting, seed):
     s = generate_scenario(GenSpec(setting=setting, seed=seed))
     scheme = OrderingScheme.cdo(0)
-    run_gpoa(s, scheme)  # every provider's solo outcome is now in the memo
+    run_gpoa(s, scheme)  # the scenario's post-solo record is now built
 
     solves = count_solo_solves(monkeypatch)
     cached = enumerate_coalitions(s, scheme, sweep_orders=True)
@@ -336,6 +364,104 @@ def test_swept_enumeration_equals_fresh_scenario_per_coalition(monkeypatch, sett
     rebuilt = enumerate_coalitions(fresh(s), scheme, sweep_orders=True)
     assert len(solves) > len(s.provider_ids())
     assert coalition_table(cached) == coalition_table(rebuilt)
+
+
+def eight_providers() -> Scenario:
+    """Linear setting-3 seed 1 plus the first two providers of seed 2, renumbered 7 and 8."""
+    base = generate_scenario(GenSpec(setting=3, seed=1))
+    extra = generate_scenario(GenSpec(setting=3, seed=2))
+    providers, apps = list(base.providers), list(base.applications)
+    next_app = max(a.id for a in apps) + 1
+    for new_id, p in enumerate(extra.providers[:2], start=len(providers) + 1):
+        native = []
+        for a in extra.apps_of(p.id):
+            apps.append(dataclasses.replace(a, id=next_app, owner=new_id))
+            native.append(next_app)
+            next_app += 1
+        providers.append(Provider(id=new_id, capacity=p.capacity, native_apps=tuple(native)))
+    return dataclasses.replace(base, providers=tuple(providers), applications=tuple(apps))
+
+
+def verdicts(report):
+    return [
+        (v.name, v.passed, v.witnesses)
+        for v in (
+            check_superadditivity(report),
+            check_rationality(report),
+            check_no_blocking_coalition(report),
+        )
+    ]
+
+
+def test_eight_provider_enumeration_equals_fresh_scenario_per_coalition(monkeypatch):
+    s = eight_providers()
+    assert validate_scenario(s) == []
+    assert len(s.provider_ids()) == 8
+    scheme = OrderingScheme.cdo(0)
+    cached = enumerate_coalitions(s, scheme, sweep_orders=True)
+
+    restrict = game.restrict_scenario
+    monkeypatch.setattr(game, "restrict_scenario", lambda s_, m: fresh(restrict(s_, m)))
+    rebuilt = enumerate_coalitions(fresh(s), scheme, sweep_orders=True)
+    assert len(cached.entries) == 255
+    assert coalition_table(cached) == coalition_table(rebuilt)
+    assert verdicts(cached) == verdicts(rebuilt)
+
+
+def bits(value):
+    """`value` with every float as its hex string and every dict as its item list, in order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(bits(k), bits(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return [(f.name, bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    return value
+
+
+RECORD_SCENARIOS = [
+    (setting, seed, utility, costs)
+    for setting in (1, 2, 3, 4)
+    for seed in (1, 2)
+    for utility in ("linear", "sigmoid")
+    for costs in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "setting,seed,utility,costs", RECORD_SCENARIOS,
+    ids=[f"s{st}-seed{sd}-{u}-{'costs' if c else 'free'}" for st, sd, u, c in RECORD_SCENARIOS],
+)
+def test_restricted_record_equals_a_fresh_one_bit_for_bit(setting, seed, utility, costs):
+    s = generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility))
+    if costs:
+        s = with_comm_costs(s, 1000 * setting + 10 * seed + len(utility))
+    ids = s.provider_ids()
+    for size in range(1, len(ids) + 1):
+        for members in itertools.combinations(ids, size):
+            sub = restrict_scenario(s, frozenset(members))
+            rebuilt = fresh(sub)
+            assert bits(sub.post_solo) == bits(rebuilt.post_solo)
+            assert bits(run_solo_phase(sub)) == bits(run_solo_phase(rebuilt))
+
+
+def test_swept_enumeration_solves_and_commits_each_solo_once(monkeypatch):
+    s = generate_scenario(GenSpec(setting=3, seed=4))
+    solves = count_solo_solves(monkeypatch)
+    solo_commits = []
+    commit = AllocState.commit
+
+    def counting_commit(self, s_, n, allocation, phase):
+        if phase == "solo":
+            solo_commits.append(n)
+        return commit(self, s_, n, allocation, phase)
+
+    monkeypatch.setattr(AllocState, "commit", counting_commit)
+    report = enumerate_coalitions(s, OrderingScheme.cdo(0), sweep_orders=True)
+    assert sum(len(e.candidates) for e in report.entries.values()) > len(report.entries) > 6
+    assert solves == solo_commits == s.provider_ids()
 
 
 def test_misreport_solves_the_scaled_provider_again(monkeypatch):
@@ -357,7 +483,7 @@ def test_misreport_solves_the_scaled_provider_again(monkeypatch):
     want = [(j, k, x) for (j, k), x in sorted(scaled_solve.allocation.items()) if x > 0]
     solo_n = next(ev for ev in reported_events if ev.phase == "solo" and ev.allocator == n)
     assert solo_n.chunks == want
-    assert scaled_solve.allocation != s.solo_outcomes[n].allocation
+    assert want != list(s.post_solo.chunks[n])
     monkeypatch.undo()
     assert misreport_experiment(fresh(s), n, 1.5, 1.0) == outcome
 
