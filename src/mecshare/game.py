@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from .model import AllocEvent, Scenario, eval_utility
+from .model import AllocEvent, Scenario, eval_utility, validate_scenario
 from .gpoa import (
     OrderingScheme,
     RunResult,
@@ -47,7 +47,6 @@ class CoalitionEntry:
 @dataclass
 class CoalitionReport:
     entries: Dict[FrozenSet[int], CoalitionEntry]
-    algorithm: str
     provider_ids: List[int]
 
     def grand(self) -> CoalitionEntry:
@@ -130,11 +129,16 @@ def enumerate_coalitions(
     """Evaluate every nonempty coalition.
 
     With sweep_orders the surplus-order permutations of each coalition are all
-    evaluated (up to SWEEP_LIMIT surplus members): a coalition's value is the
-    best realizable one, and the grand coalition's representative vector is the
-    highest-value candidate no sub-coalition can strictly improve upon. The
-    realized value of a single fixed scheme is order-sensitive and would make
-    an unlucky order look like a property violation.
+    evaluated (up to SWEEP_LIMIT surplus members). The realized value of a
+    single fixed scheme is order-sensitive and would make an unlucky order
+    look like a property violation.
+
+    Each entry is picked once, when it is built. Its candidates are ranked by
+    value, highest first, ties broken by the smaller surplus order, and the
+    entry takes the first ranked one. Under a sweep the grand coalition
+    instead takes the first ranked candidate that no proper coalition blocks,
+    or the first one if every candidate is blocked. It comes last in bitset
+    order, so every proper coalition is built before it.
 
     Every run shares one share-solve memo for the length of this call, so each
     distinct share subproblem across coalitions and orders is solved once.
@@ -144,67 +148,41 @@ def enumerate_coalitions(
         raise EmptyCoalition("scenario has no providers")
     if len(ids) > MAX_PROVIDERS:
         raise TooManyProviders(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
-    coalitions = _coalitions_by_bitset(ids)
     sweep = sweep_orders and algorithm == "gpoa"
     explicit = algorithm == "gpoa" and scheme.kind == "explicit"
-    surplus: List[int] = []
-    if sweep or explicit:
+    if explicit:
+        # Raises InvalidExplicitOrder unless the order permutes the surplus set.
         # A provider's surplus status comes from its own solo solve, so each
-        # coalition's surplus set is the grand one restricted to its members,
-        # and so is the explicit order it gets.
-        surplus = list(s.post_solo.g2)
-        if explicit:
-            # Raises InvalidExplicitOrder unless the order permutes `surplus`.
-            order_surplus(surplus, scheme, s.post_solo)
+        # coalition's surplus set, and its explicit order, is this one restricted.
+        order_surplus(list(s.post_solo.g2), scheme, s.post_solo)
+    full = frozenset(ids)
     share_memo: ShareMemo = {}
-
-    def evaluate(members: FrozenSet[int]) -> CoalitionEntry:
+    entries: Dict[FrozenSet[int], CoalitionEntry] = {}
+    for members in _coalitions_by_bitset(ids):
         sub = restrict_scenario(s, members)
         schemes = [scheme]
         if explicit:
             schemes = [OrderingScheme.explicit(n for n in scheme.order if n in members)]
-        if sweep:
-            g2 = [n for n in surplus if n in members]
-            if len(g2) <= SWEEP_LIMIT:
-                schemes = [OrderingScheme.explicit(p) for p in itertools.permutations(sorted(g2))]
+        if sweep and len(sub.post_solo.g2) <= SWEEP_LIMIT:
+            orders = itertools.permutations(sorted(sub.post_solo.g2))
+            schemes = [OrderingScheme.explicit(p) for p in orders]
         candidates = []
         for member_scheme in schemes:
             result = run_algorithm(sub, algorithm, member_scheme, share_memo)
             candidates.append(
                 (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
             )
-        order, payoffs = max(candidates, key=lambda c: sum(c[1].values()))
-        return CoalitionEntry(
+        ranked = sorted(candidates, key=lambda c: (-sum(c[1].values()), c[0]))
+        order, payoffs = ranked[0]
+        if sweep and members == full:
+            order, payoffs = next((c for c in ranked if all(
+                _dominating_candidate(e, m, c[1]) is None for m, e in entries.items()
+            )), ranked[0])
+        entries[members] = CoalitionEntry(
             value=sum(payoffs.values()), payoffs=payoffs, order_used=list(order),
             candidates=candidates,
         )
-
-    entries = {members: evaluate(members) for members in coalitions}
-    report = CoalitionReport(entries=entries, algorithm=algorithm, provider_ids=ids)
-
-    if sweep:
-        _select_core_grand(report)
-    return report
-
-
-def _select_core_grand(report: CoalitionReport) -> None:
-    """Re-point the grand entry at its best candidate that no coalition blocks."""
-    full = frozenset(report.provider_ids)
-    grand = report.entries[full]
-    ranked = sorted(grand.candidates, key=lambda c: (-sum(c[1].values()), c[0]))
-    for order, payoffs in ranked:
-        blocked = any(
-            _dominating_candidate(entry, members, payoffs) is not None
-            for members, entry in report.entries.items()
-            if members != full
-        )
-        if not blocked:
-            grand.payoffs = payoffs
-            grand.order_used = list(order)
-            grand.value = sum(payoffs.values())
-            return
-    # All candidates blocked: leave the best-value one in place and let
-    # check_no_blocking_coalition report the witnesses.
+    return CoalitionReport(entries=entries, provider_ids=ids)
 
 
 def check_superadditivity(report: CoalitionReport) -> PropertyVerdict:
@@ -360,11 +338,14 @@ def misreport_experiment(
         raise ValueError("scaling factors must be finite and > 0")
     if n not in s.provider_ids():
         raise ValueError(f"unknown provider {n}")
+    reported = _scaled_scenario(s, n, factor_capacity, factor_requests)
+    problems = validate_scenario(reported)
+    if problems:
+        raise ValueError("invalid misreported scenario: " + "; ".join(problems))
     if scheme is None:
         scheme = OrderingScheme.random(0)
     truth_events = run_algorithm(s, algorithm, scheme).events
     truthful = realized_payoffs(s, truth_events)[n]
-    reported = _scaled_scenario(s, n, factor_capacity, factor_requests)
     solo_truth = {
         ev.allocator: ev for ev in truth_events if ev.phase == "solo"
     }

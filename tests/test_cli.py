@@ -367,6 +367,10 @@ BAD_INPUTS = {
     ),
     "misreport-non-int-provider": (two_provider_json(), ["misreport", "--provider", "two"]),
     "misreport-missing-provider": (two_provider_json(), ["misreport"]),
+    "misreport-beyond-delta-step-cap": (
+        two_provider_json(),
+        ["misreport", "--provider", "1", "--cap-factor", "1e9", "--req-factor", "1e9"],
+    ),
     "verify-no-providers": (NO_PROVIDERS, ["verify"]),
     "table3-no-providers": (NO_PROVIDERS, ["table3"]),
     "report-vector-too-long": report_case({"2:1": [1.0, 1.0]}),

@@ -7,6 +7,7 @@ from mecshare.model import Provider
 from mecshare.gpoa import OrderingScheme, run_gpoa
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.game import (
+    PROPERTY_TOL,
     SWEEP_LIMIT,
     EmptyCoalition,
     TooManyProviders,
@@ -147,6 +148,44 @@ class TestPropertyChecks:
         assert check_superadditivity(swept).passed
         assert check_rationality(swept).passed
 
+    @pytest.mark.parametrize(
+        "setting,seed,utility,cost_seed,grand_rank,core",
+        [
+            (3, 6, "sigmoid", None, 4, True),  # the best four candidates are blocked
+            (3, 4, "linear", 304, 1, True),
+            (3, 9, "linear", None, 0, False),  # every candidate is blocked
+        ],
+    )
+    def test_each_entry_takes_the_reference_pick(
+        self, setting, seed, utility, cost_seed, grand_rank, core
+    ):
+        s = generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility))
+        if cost_seed is not None:
+            s = with_comm_costs(s, cost_seed)
+        report = enumerate_coalitions(s, CDO, sweep_orders=True)
+        full = frozenset(s.provider_ids())
+
+        def blocked(vec):
+            return any(
+                all(other[n] > vec.get(n, 0.0) + PROPERTY_TOL for n in members)
+                for members, entry in report.entries.items() if members != full
+                for _, other in entry.candidates
+            )
+
+        for members, entry in report.entries.items():
+            # Value highest first, ties to the smaller surplus order.
+            ranked = sorted(entry.candidates, key=lambda c: (-sum(c[1].values()), c[0]))
+            rank = 0
+            if members == full:
+                rank = next((i for i, c in enumerate(ranked) if not blocked(c[1])), 0)
+                assert (rank, len(ranked)) == (grand_rank, 6)
+                unblocked = any(not blocked(vec) for _, vec in ranked)
+                assert unblocked is core
+                assert check_no_blocking_coalition(report).passed is unblocked
+            order, payoffs = ranked[rank]
+            assert (entry.order_used, entry.payoffs) == (list(order), payoffs)
+            assert entry.value == sum(payoffs.values())
+
     def test_superadditivity_failure_is_witnessed(self, report):
         # Corrupt the grand value downward; the check must produce witnesses.
         import copy
@@ -225,6 +264,15 @@ class TestMisreport:
     def test_nonpositive_factors_rejected(self, setting1_seed42):
         with pytest.raises(ValueError):
             misreport_experiment(setting1_seed42, 1, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "fc,fr,problem",
+        [(1e9, 1e9, "delta-steps"), (1e300, 1e300, "delta-steps"), (1.0, 1e-9, "exceeds smallest")],
+    )
+    def test_invalid_report_rejected(self, setting1_seed42, fc, fr, problem):
+        # Unchecked, a report of 1e9 times the requests would need ~1e12 delta-steps.
+        with pytest.raises(ValueError, match=problem):
+            misreport_experiment(setting1_seed42, 1, fc, fr)
 
     def test_capacity_keyed_ordering_is_manipulable(self, setting1_seed42):
         # Documented limitation: under a capacity-descending order a surplus

@@ -53,7 +53,7 @@ def report_from(ids, values) -> CoalitionReport:
         c: CoalitionEntry(value=values[c], payoffs={}, order_used=[], candidates=[])
         for c in _coalitions_by_bitset(ids)
     }
-    return CoalitionReport(entries=entries, algorithm="gpoa", provider_ids=list(ids))
+    return CoalitionReport(entries=entries, provider_ids=list(ids))
 
 
 def synthetic_report(n: int, seed: int, bonus_lo: float) -> CoalitionReport:
