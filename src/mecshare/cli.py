@@ -179,7 +179,7 @@ def cmd_verify(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     }
     ok = all(v.passed for v in verdicts) and stability_ok
     for v in verdicts:
-        print(f"{v.name}: {'pass' if v.passed else 'FAIL'}")
+        print(f"{v.name}: pass" if v.passed else f"{v.name}: FAIL (witnesses: {len(v.witnesses)})")
     return payload, 0 if ok else 1
 
 
@@ -216,8 +216,19 @@ def cmd_table3(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     return (header, rows), 0 if "fail" not in verdicts else 1
 
 
+def _split_orderings(text: str) -> List[str]:
+    """Comma-separated ordering specs; a bare integer continues the explicit order before it."""
+    specs: List[str] = []
+    for token in text.split(","):
+        if specs and specs[-1].lower().startswith("explicit:") and token.lstrip("-").isdigit():
+            specs[-1] += "," + token
+        elif token:
+            specs.append(token)
+    return specs or ["cdo:k=0"]
+
+
 def cmd_compare(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
-    orderings = [o for o in (args.orderings or "").split(",") if o] or ["cdo:k=0"]
+    orderings = _split_orderings(args.orderings)
 
     rows = []
 

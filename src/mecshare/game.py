@@ -12,6 +12,7 @@ from .gpoa import (
     OrderingScheme,
     RunResult,
     order_surplus,
+    partition_players,
     run_gpoa,
 )
 from .ppmpoa import run_ppmpoa
@@ -70,9 +71,8 @@ def restrict_scenario(s: Scenario, members: FrozenSet[int]) -> Scenario:
     sub = dataclasses.replace(
         s, providers=keep_providers, applications=keep_apps, comm_costs=comm
     )
-    # Each member keeps its capacity, apps, K, delta and epsilon_gain, so its
-    # solo phase is the parent's: every coalition restricts one record.
-    sub.__dict__["post_solo"] = s.post_solo.restrict(members, keep_app_ids)
+    # A solo record depends on its provider alone: a coalition's are its members'.
+    sub.__dict__["post_solo"] = {n: r for n, r in s.post_solo.items() if n in members}
     return sub
 
 
@@ -151,20 +151,21 @@ def enumerate_coalitions(
     sweep = sweep_orders and algorithm == "gpoa"
     explicit = algorithm == "gpoa" and scheme.kind == "explicit"
     if explicit:
-        # Raises InvalidExplicitOrder unless the order permutes the surplus set.
-        # A provider's surplus status comes from its own solo solve, so each
+        # Raises InvalidExplicitOrder unless the order permutes the surplus set,
+        # reading no state. A provider's surplus flag is its own, so each
         # coalition's surplus set, and its explicit order, is this one restricted.
-        order_surplus(list(s.post_solo.g2), scheme, s.post_solo)
+        order_surplus(partition_players(s)[1], scheme, None)
     full = frozenset(ids)
     share_memo: ShareMemo = {}
     entries: Dict[FrozenSet[int], CoalitionEntry] = {}
     for members in _coalitions_by_bitset(ids):
         sub = restrict_scenario(s, members)
+        surplus = partition_players(sub)[1]
         schemes = [scheme]
         if explicit:
             schemes = [OrderingScheme.explicit(n for n in scheme.order if n in members)]
-        if sweep and len(sub.post_solo.g2) <= SWEEP_LIMIT:
-            orders = itertools.permutations(sorted(sub.post_solo.g2))
+        if sweep and len(surplus) <= SWEEP_LIMIT:
+            orders = itertools.permutations(sorted(surplus))
             schemes = [OrderingScheme.explicit(p) for p in orders]
         candidates = []
         for member_scheme in schemes:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .model import AllocEvent, AllocState, AllocationTensor, PostSoloRecord, Scenario
+from .model import AllocEvent, AllocState, AllocationTensor, Scenario, SoloRecord
 from .scengen import Stream
 from .subsolver import ShareMemo, solve_single_provider, solve_surplus_share
 
@@ -91,21 +91,15 @@ class RunResult:
         return len(self.matches)
 
 
-def partition_players(s: Scenario, state: AllocState) -> Tuple[List[int], List[int]]:
-    """Split providers into deficit (any unmet native request) and surplus sets."""
-    g1: List[int] = []
-    g2: List[int] = []
-    for n in s.provider_ids():
-        if state.has_deficit(s, n):
-            g1.append(n)
-        elif state.has_surplus(n):
-            g2.append(n)
+def partition_players(s: Scenario) -> Tuple[List[int], List[int]]:
+    """Deficit providers (any unmet native request) and surplus providers, after the solo phase."""
+    records = s.post_solo
+    g1 = [n for n, rec in records.items() if rec.deficit]
+    g2 = [n for n, rec in records.items() if rec.surplus and not rec.deficit]
     return g1, g2
 
 
-def order_surplus(
-    g2: List[int], scheme: OrderingScheme, state: AllocState | PostSoloRecord
-) -> List[int]:
+def order_surplus(g2: List[int], scheme: OrderingScheme, state: AllocState) -> List[int]:
     if scheme.kind == "cao":
         return sorted(g2, key=lambda n: (state.remaining_capacity[n][scheme.k], n))
     if scheme.kind == "cdo":
@@ -121,19 +115,31 @@ def order_surplus(
     raise ValueError(f"unknown ordering scheme kind {scheme.kind!r}")
 
 
-def build_post_solo(s: Scenario) -> PostSoloRecord:
-    """Solve and commit every provider's solo allocation, then split the providers.
+def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
+    """Solve and commit each provider's solo allocation on a state holding only it and its apps.
 
     Runs once per scenario, as `Scenario.post_solo`; the runs start from copies.
     """
-    state = AllocState.initial(s)
-    v_solo: Dict[int, float] = {}
+    records: Dict[int, SoloRecord] = {}
     for n in s.provider_ids():
+        apps = s.apps_of(n)
+        state = AllocState(
+            remaining_capacity={n: list(s.provider(n).capacity)},
+            remaining_request={a.id: list(a.request) for a in apps},
+            allocated={a.id: [0.0] * s.K for a in apps},
+        )
         res = solve_single_provider(s, n)
-        v_solo[n] = res.objective_value
-        state.commit(s, n, res.allocation, "solo")
-    g1, g2 = partition_players(s, state)
-    return PostSoloRecord.freeze(state, v_solo, g1, g2)
+        event = state.commit(s, n, res.allocation, "solo")
+        records[n] = SoloRecord(
+            v_solo=res.objective_value,
+            remaining_capacity=tuple(state.remaining_capacity[n]),
+            remaining_request={j: tuple(r) for j, r in state.remaining_request.items()},
+            allocated={j: tuple(z) for j, z in state.allocated.items()},
+            chunks=tuple(event.chunks),
+            deficit=state.has_deficit(s, n),
+            surplus=state.has_surplus(n),
+        )
+    return records
 
 
 def run_solo_phase(
@@ -141,13 +147,24 @@ def run_solo_phase(
 ) -> Tuple[AllocState, AllocationTensor, Dict[int, Payoff], List[AllocEvent]]:
     """Every provider serves its own applications; shared starting point of both algorithms.
 
-    The solves, their commits and the deficit/surplus split are done once per
-    scenario (`Scenario.post_solo`); every call returns a fresh state, with
-    its allocation and event log, and fresh payoffs copied from that record.
+    The solves and their commits are done once per scenario (`Scenario.post_solo`);
+    every call assembles a fresh state, with its allocation and event log, and
+    fresh payoffs from those records. A solo grant reaches an app only from its
+    owner, so each tensor entry is the owner's `allocated` tuple.
     """
-    record = s.post_solo
-    state = record.start()
-    payoffs = {n: Payoff(v_solo=v) for n, v in record.v_solo.items()}
+    records = s.post_solo
+    state = AllocState(
+        remaining_capacity={p.id: list(records[p.id].remaining_capacity) for p in s.providers},
+        remaining_request={
+            a.id: list(records[a.owner].remaining_request[a.id]) for a in s.applications
+        },
+        allocated={a.id: list(records[a.owner].allocated[a.id]) for a in s.applications},
+        allocation=AllocationTensor(
+            {(n, j): rec.allocated[j] for n, rec in records.items() for j, _, _ in rec.chunks}
+        ),
+        events=[AllocEvent("solo", n, list(rec.chunks)) for n, rec in records.items()],
+    )
+    payoffs = {n: Payoff(v_solo=rec.v_solo) for n, rec in records.items()}
     return state, state.allocation, payoffs, state.events
 
 
@@ -157,7 +174,7 @@ def run_gpoa(
     if scheme.kind in ("cao", "cdo") and not 0 <= scheme.k < s.K:
         raise ValueError(f"{scheme.kind}:k={scheme.k} names no resource type of K={s.K}")
     state, _, payoffs, _ = run_solo_phase(s)
-    g1, g2 = list(s.post_solo.g1), list(s.post_solo.g2)
+    g1, g2 = partition_players(s)
     order = order_surplus(g2, scheme, state)
 
     shared: Dict[Tuple[int, int], float] = {}  # (app, k) -> amount granted in sharing rounds

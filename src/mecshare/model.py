@@ -6,7 +6,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 #: Absolute tolerance for partition thresholds and state bookkeeping.
 TOL = 1e-9
@@ -106,13 +106,12 @@ class Scenario:
         return {a.id: a for a in self.applications}
 
     @cached_property
-    def post_solo(self) -> PostSoloRecord:
-        """The state after every provider's solo commit, built once by `gpoa.build_post_solo`.
+    def post_solo(self) -> Dict[int, SoloRecord]:
+        """Each provider's solo record, in provider id order, built once by `gpoa.build_post_solo`.
 
-        A solo solve reads only the provider's capacity, its own apps, K,
-        delta and epsilon_gain. `dataclasses.replace` builds a new scenario
-        that builds its own record; `game.restrict_scenario` hands each
-        coalition the parent's record restricted to its members.
+        A record depends on its provider alone, so `game.restrict_scenario`
+        hands each coalition its members' records; a scenario built by
+        `dataclasses.replace` builds its own.
         """
         from .gpoa import build_post_solo  # gpoa imports this module
 
@@ -352,66 +351,20 @@ class AllocEvent:
 
 
 @dataclass(frozen=True)
-class PostSoloRecord:
-    """A scenario's solo phase, done once: every field is shared and never mutated.
+class SoloRecord:
+    """One provider's solo phase: its solve committed to its own capacity and apps.
 
-    Tensor entries share the `allocated` tuples, since a solo grant reaches
-    an app only from its owner, and chunk amounts are the solves' own floats.
-    `start` copies the record into a run's own lists, tensor and events.
+    A solo solve reads only the provider's capacity, its own apps, K, delta
+    and epsilon_gain, so the record depends on that provider alone.
     """
 
-    v_solo: Dict[int, float]  # in provider id order
-    remaining_capacity: Dict[int, ResourceVector]
-    remaining_request: Dict[int, ResourceVector]
-    allocated: Dict[int, ResourceVector]
-    entries: Dict[Tuple[int, int], ResourceVector]  # the solo allocation tensor
-    chunks: Dict[int, Tuple[Tuple[int, int, float], ...]]  # each provider's solo event
-    g1: Tuple[int, ...]  # deficit providers
-    g2: Tuple[int, ...]  # surplus providers
-
-    @staticmethod
-    def freeze(
-        state: AllocState, v_solo: Dict[int, float], g1: List[int], g2: List[int]
-    ) -> "PostSoloRecord":
-        """The record of `state` right after every provider's solo commit."""
-        allocated = {j: tuple(z) for j, z in state.allocated.items()}
-        return PostSoloRecord(
-            v_solo=v_solo,
-            remaining_capacity={n: tuple(c) for n, c in state.remaining_capacity.items()},
-            remaining_request={j: tuple(r) for j, r in state.remaining_request.items()},
-            allocated=allocated,
-            entries={key: allocated[key[1]] for key in state.allocation.entries},
-            chunks={ev.allocator: tuple(ev.chunks) for ev in state.events},
-            g1=tuple(g1),
-            g2=tuple(g2),
-        )
-
-    def start(self) -> AllocState:
-        """A fresh run state at the end of the solo phase, sharing no mutable object."""
-        return AllocState(
-            remaining_capacity={n: list(c) for n, c in self.remaining_capacity.items()},
-            remaining_request={j: list(r) for j, r in self.remaining_request.items()},
-            allocated={j: list(z) for j, z in self.allocated.items()},
-            allocation=AllocationTensor(dict(self.entries)),
-            events=[AllocEvent("solo", n, list(c)) for n, c in self.chunks.items()],
-        )
-
-    def restrict(self, members: AbstractSet[int], apps: AbstractSet[int]) -> "PostSoloRecord":
-        """The record of the coalition `members`, whose native apps are `apps`.
-
-        Exact: each provider's solo solve, grants and deficit/surplus side
-        read only its own capacity and apps, and filtering keeps every order.
-        """
-        return PostSoloRecord(
-            v_solo={n: v for n, v in self.v_solo.items() if n in members},
-            remaining_capacity={n: c for n, c in self.remaining_capacity.items() if n in members},
-            remaining_request={j: r for j, r in self.remaining_request.items() if j in apps},
-            allocated={j: z for j, z in self.allocated.items() if j in apps},
-            entries={key: x for key, x in self.entries.items() if key[0] in members},
-            chunks={n: c for n, c in self.chunks.items() if n in members},
-            g1=tuple(n for n in self.g1 if n in members),
-            g2=tuple(n for n in self.g2 if n in members),
-        )
+    v_solo: float
+    remaining_capacity: ResourceVector
+    remaining_request: Dict[int, ResourceVector]  # by native app
+    allocated: Dict[int, ResourceVector]  # by native app
+    chunks: Tuple[Tuple[int, int, float], ...]  # the solo event
+    deficit: bool  # some native app still misses a resource
+    surplus: bool  # some capacity is left
 
 
 # --- scenario file format -------------------------------------------------

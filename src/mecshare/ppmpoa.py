@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from .model import AllocEvent, AllocState, Scenario, TOL
-from .gpoa import RunResult, run_solo_phase
+from .gpoa import RunResult, partition_players, run_solo_phase
 from .subsolver import ShareMemo, solve_surplus_share
 
 
@@ -76,7 +76,7 @@ def _commit_match(
 def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
     memo = {} if share_memo is None else share_memo
     state, _, payoffs, _ = run_solo_phase(s)
-    g1, g2 = list(s.post_solo.g1), list(s.post_solo.g2)
+    g1, g2 = partition_players(s)
     g1_active, g2_active = list(g1), list(g2)
 
     matches: List[MatchRecord] = []
@@ -117,7 +117,7 @@ def check_matching_stability(result: RunResult, s: Scenario) -> List[BlockingPai
     solve could repeat.
     """
     state = run_solo_phase(s)[0]
-    g1_active, g2_active = list(s.post_solo.g1), list(s.post_solo.g2)
+    g1_active, g2_active = partition_players(s)
     blocking: List[BlockingPair] = []
 
     for rec in result.matches:

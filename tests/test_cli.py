@@ -118,6 +118,19 @@ class TestVerify:
         assert len(payload["coalitions"]) == 7
         assert all(v["passed"] for v in payload["verdicts"].values())
 
+    def test_failing_verdict_prints_its_witness_count(self, tmp_path, capsys):
+        scenario, out = str(tmp_path / "s.json"), str(tmp_path / "verify.json")
+        main(["gen", "--setting", "3", "--seed", "9", "--utility", "linear", "--out", scenario])
+        capsys.readouterr()
+        assert main(["verify", "--scenario", scenario, "--out", out]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        verdicts = read_json(out)["verdicts"]
+        assert not verdicts["no_blocking_coalition"]["passed"]
+        assert printed == [
+            f"{name}: pass" if v["passed"] else f"{name}: FAIL (witnesses: {len(v['witnesses'])})"
+            for name, v in verdicts.items()
+        ]
+
     def test_ppmpoa_verify_includes_matching_stability(self, scenario_file, tmp_path):
         out = tmp_path / "verify.json"
         assert main(
@@ -214,6 +227,34 @@ class TestTables:
         with open(out) as fh:
             modes = {row["mode"] for row in csv.DictReader(fh)}
         assert {"alone", "gpoa[cao:k=0]", "gpoa[cdo:k=0]", "ppmpoa"} <= modes
+
+    def test_compare_orderings_split_on_commas(self):
+        assert cli._split_orderings("cdo:k=0,cao:k=0") == ["cdo:k=0", "cao:k=0"]
+        assert cli._split_orderings("") == ["cdo:k=0"]
+        assert cli._split_orderings("explicit:3,2,cao:k=1,explicit:1,2,3") == [
+            "explicit:3,2", "cao:k=1", "explicit:1,2,3"
+        ]
+
+    def test_compare_takes_an_explicit_order(self, tmp_path, capsys):
+        scenario = str(tmp_path / "s.json")
+        main(["gen", "--setting", "1", "--seed", "1", "--out", scenario])
+        gpoa_out, cmp_out = str(tmp_path / "gpoa.json"), str(tmp_path / "cmp.csv")
+        assert main(["gpoa", "--scenario", scenario, "--order", "explicit:3,2",
+                     "--out", gpoa_out]) == 0
+        assert main(["compare", "--scenario", scenario, "--orderings", "cdo:k=0,explicit:3,2",
+                     "--out", cmp_out]) == 0
+        with open(cmp_out) as fh:
+            rows = [row for row in csv.DictReader(fh) if row["mode"] == "gpoa[explicit:3,2]"]
+        payoffs = read_json(gpoa_out)["payoffs"]
+        assert {row["provider"]: float(row["utility"]) for row in rows} == {
+            n: p["total"] for n, p in payoffs.items()
+        }
+        capsys.readouterr()
+        argv = ["compare", "--scenario", scenario, "--orderings", "cdo:k=0,explicit:3,x",
+                "--out", cmp_out]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_report_metrics_csv(self, scenario_file, tmp_path):
         alloc_out = tmp_path / "gpoa.json"

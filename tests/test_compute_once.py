@@ -86,7 +86,7 @@ def reference_build_matching_matrix(
 
 def reference_run_ppmpoa(s: Scenario) -> RunResult:
     state, alloc, payoffs, events = run_solo_phase(s)
-    g1, g2 = partition_players(s, state)
+    g1, g2 = partition_players(s)
     g1_active, g2_active = list(g1), list(g2)
 
     matches: List[MatchRecord] = []
@@ -126,7 +126,7 @@ def reference_check_matching_stability(result: RunResult, s: Scenario) -> List[B
     larger value by any other available deficit provider.
     """
     state, alloc, _, _ = run_solo_phase(s)
-    g1, g2 = partition_players(s, state)
+    g1, g2 = partition_players(s)
     g1_active, g2_active = list(g1), list(g2)
     blocking: List[BlockingPair] = []
 
@@ -313,12 +313,11 @@ def test_memo_holds_the_solo_solve(monkeypatch):
     _, _, payoffs, events = run_solo_phase(s)
     run_solo_phase(s)
     assert solves == s.provider_ids()
-    record = s.post_solo
     for n, ev in zip(s.provider_ids(), events):
         res = solve_single_provider(s, n)
         want = [(j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0]
-        assert record.v_solo[n] == payoffs[n].v_solo == res.objective_value
-        assert list(record.chunks[n]) == ev.chunks == want
+        assert s.post_solo[n].v_solo == payoffs[n].v_solo == res.objective_value
+        assert list(s.post_solo[n].chunks) == ev.chunks == want
 
 
 def test_restriction_shares_the_memo_and_replace_does_not(monkeypatch):
@@ -328,10 +327,9 @@ def test_restriction_shares_the_memo_and_replace_does_not(monkeypatch):
     sub = restrict_scenario(s, frozenset(ids[:2]))
     run_gpoa(sub, OrderingScheme.cdo(0))
     assert solves == ids  # the parent's solves only: the restriction solves nothing
-    for name in ("v_solo", "remaining_capacity", "allocated", "entries", "chunks"):
-        parent = getattr(s.post_solo, name)
-        for key, value in getattr(sub.post_solo, name).items():
-            assert value is parent[key]
+    assert list(sub.post_solo) == ids[:2]
+    for n in sub.post_solo:
+        assert sub.post_solo[n] is s.post_solo[n]
     others = [
         dataclasses.replace(s),
         with_comm_costs(s, 5),
@@ -466,8 +464,7 @@ def test_swept_enumeration_solves_and_commits_each_solo_once(monkeypatch):
 
 def test_misreport_solves_the_scaled_provider_again(monkeypatch):
     s = generate_scenario(GenSpec(setting=3, seed=7))
-    state, _, _, _ = run_solo_phase(s)
-    n = partition_players(s, state)[0][0]  # a deficit provider: capacity binds
+    n = partition_players(s)[0][0]  # a deficit provider: capacity binds
     runs = []
 
     def recording(s_, algorithm, scheme, share_memo=None):
@@ -483,7 +480,7 @@ def test_misreport_solves_the_scaled_provider_again(monkeypatch):
     want = [(j, k, x) for (j, k), x in sorted(scaled_solve.allocation.items()) if x > 0]
     solo_n = next(ev for ev in reported_events if ev.phase == "solo" and ev.allocator == n)
     assert solo_n.chunks == want
-    assert want != list(s.post_solo.chunks[n])
+    assert want != list(s.post_solo[n].chunks)
     monkeypatch.undo()
     assert misreport_experiment(fresh(s), n, 1.5, 1.0) == outcome
 

@@ -59,7 +59,7 @@ def test_ppmpoa_is_feasible_replays_and_is_stable(s):
 def test_pair_match_leaves_the_state_unchanged(s):
     state = run_solo_phase(s)[0]
     before = copy.deepcopy(state)
-    g1, g2 = partition_players(s, state)
+    g1, g2 = partition_players(s)
     for m in g1:
         for n in g2:
             solve_surplus_share(s, n, state, state.deficit_apps(s, [m]))

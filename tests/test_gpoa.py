@@ -31,6 +31,36 @@ def two_provider_scenario():
     )
 
 
+def fully_served_scenario():
+    """One provider whose capacity exactly covers its one app."""
+    apps = [linear_app(1, owner=1, request=(2.0,), a=1.0)]
+    return make_scenario([Provider(id=1, capacity=(2.0,), native_apps=(1,))], apps)
+
+
+def deficit_with_leftover_scenario():
+    """Provider 1 misses resource 0 and keeps resource 1; provider 2 keeps both."""
+    apps = [
+        linear_app(1, owner=1, request=(4.0, 1.0), a=1.0),
+        linear_app(2, owner=2, request=(1.0, 1.0), a=1.0),
+    ]
+    return make_scenario(
+        [
+            Provider(id=1, capacity=(2.0, 5.0), native_apps=(1,)),
+            Provider(id=2, capacity=(3.0, 3.0), native_apps=(2,)),
+        ],
+        apps,
+        K=2,
+    )
+
+
+def partition_of_solo_state(s):
+    """The deficit/surplus rule applied to the state `run_solo_phase` hands out."""
+    state = run_solo_phase(s)[0]
+    g1 = [n for n in s.provider_ids() if state.has_deficit(s, n)]
+    g2 = [n for n in s.provider_ids() if state.has_surplus(n) and n not in g1]
+    return g1, g2
+
+
 class TestParseOrdering:
     def test_round_trip_forms(self):
         assert parse_ordering("cao") == OrderingScheme.cao(0)
@@ -91,16 +121,35 @@ class TestSoloPhase:
 
     def test_partition_after_solo(self):
         s = two_provider_scenario()
-        state, _, _, _ = run_solo_phase(s)
-        g1, g2 = partition_players(s, state)
+        g1, g2 = partition_players(s)
         assert g1 == [1]
         assert g2 == [2]
 
     def test_fully_served_provider_with_no_leftover_is_in_neither_group(self):
-        apps = [linear_app(1, owner=1, request=(2.0,), a=1.0)]
-        s = make_scenario([Provider(id=1, capacity=(2.0,), native_apps=(1,))], apps)
-        state, _, _, _ = run_solo_phase(s)
-        assert partition_players(s, state) == ([], [])
+        s = fully_served_scenario()
+        assert partition_players(s) == ([], [])
+
+    @pytest.mark.parametrize(
+        "build", [two_provider_scenario, fully_served_scenario, deficit_with_leftover_scenario]
+    )
+    def test_partition_reads_the_solo_records_of_hand_built_scenarios(self, build):
+        s = build()
+        assert partition_players(s) == partition_of_solo_state(s)
+
+    def test_a_deficit_provider_with_leftover_capacity_is_not_surplus(self):
+        s = deficit_with_leftover_scenario()
+        assert s.post_solo[1].deficit and s.post_solo[1].surplus
+        assert partition_players(s) == ([1], [2])
+
+    @pytest.mark.parametrize("costs", [False, True], ids=["free", "costs"])
+    @pytest.mark.parametrize("utility", ["linear", "sigmoid"])
+    @pytest.mark.parametrize("setting", [1, 2, 3, 4])
+    def test_partition_reads_the_solo_records(self, setting, utility, costs):
+        for seed in range(1, 9):
+            s = generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility))
+            if costs:
+                s = with_comm_costs(s, 100 * setting + seed)
+            assert partition_players(s) == partition_of_solo_state(s)
 
 
 class TestRunGpoa:

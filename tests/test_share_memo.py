@@ -159,7 +159,7 @@ def test_mutating_a_hit_leaves_the_next_hit_unchanged():
     s = generate_scenario(GenSpec(setting=3, seed=7))
     memo = {}
     state = run_solo_phase(s)[0]
-    g1, g2 = partition_players(s, state)
+    g1, g2 = partition_players(s)
     apps = state.deficit_apps(s, g1)
 
     def solve():
