@@ -18,7 +18,7 @@ from .model import (
     validate_allocation,
     validate_scenario,
 )
-from .gpoa import parse_ordering, run_gpoa, run_solo_phase
+from .gpoa import parse_ordering, partition_players, run_gpoa, run_solo_phase
 from .ppmpoa import check_matching_stability, run_ppmpoa
 from .game import (
     SWEEP_LIMIT,
@@ -76,7 +76,7 @@ def _load_scenario(path: str) -> Scenario:
     try:
         s = load_scenario(path)
         problems = validate_scenario(s)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot read scenario {path}: {_describe(exc)}") from exc
     if problems:
         raise ValueError(f"invalid scenario {path}: " + "; ".join(problems))
@@ -126,11 +126,12 @@ def cmd_solo(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
 
 def cmd_gpoa(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     result = run_gpoa(s, parse_ordering(args.order))
+    g1, g2 = partition_players(s)
     return {
         "algorithm": "gpoa",
         "ordering": args.order,
-        "g1": result.g1,
-        "g2": result.g2,
+        "g1": g1,
+        "g2": g2,
         "order_used": result.order_used,
         **_outcome(result.payoffs, result.allocation),
     }, 0
@@ -141,10 +142,11 @@ def cmd_ppmpoa(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     if args.trace:
         rows = [[r.round, r.m, r.n, r.value, r.resources] for r in result.matches]
         _write_csv(args.trace, ["round", "m", "n", "J", "R"], rows)
+    g1, g2 = partition_players(s)
     return {
         "algorithm": "ppmpoa",
-        "g1": result.g1,
-        "g2": result.g2,
+        "g1": g1,
+        "g2": g2,
         "rounds": result.rounds,
         "matches": [
             {"round": r.round, "m": r.m, "n": r.n, "value": r.value, "resources": r.resources}
@@ -263,7 +265,7 @@ def cmd_report(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     try:
         with open(args.allocation) as fh:
             alloc = alloc_from_dict(json.load(fh)["allocation"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot read allocation {args.allocation}: {_describe(exc)}") from exc
     problems = validate_allocation(s, alloc)
     if problems:
@@ -322,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order",
         default="cdo:k=0",
-        help="GPOA surplus order; with --sweep-orders it is read only for coalitions "
-        f"with more than {SWEEP_LIMIT} surplus providers, and --algorithm ppmpoa never reads it",
+        help="GPOA surplus order, always validated; with --sweep-orders it runs only for "
+        f"coalitions with more than {SWEEP_LIMIT} surplus providers; ppmpoa never reads it",
     )
     p.add_argument(
         "--sweep-orders",

@@ -150,11 +150,11 @@ def enumerate_coalitions(
         raise TooManyProviders(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
     sweep = sweep_orders and algorithm == "gpoa"
     explicit = algorithm == "gpoa" and scheme.kind == "explicit"
-    if explicit:
-        # Raises InvalidExplicitOrder unless the order permutes the surplus set,
-        # reading no state. A provider's surplus flag is its own, so each
-        # coalition's surplus set, and its explicit order, is this one restricted.
-        order_surplus(partition_players(s)[1], scheme, None)
+    if algorithm == "gpoa":
+        # Raises unless the scheme can order the surplus set, even where a sweep
+        # never runs it. A provider's surplus flag is its own, so each coalition's
+        # surplus set, and an explicit order, is this one restricted.
+        order_surplus(s, scheme)
     full = frozenset(ids)
     share_memo: ShareMemo = {}
     entries: Dict[FrozenSet[int], CoalitionEntry] = {}
@@ -330,8 +330,8 @@ def misreport_experiment(
     Capacity-keyed orderings (cao/cdo) are manipulable: a provider can starve
     its own applications to inflate its remaining capacity and share first.
 
-    The misreporting provider's own solo allocation is replayed from the
-    truthful run: its internal allocation uses its real capacity and requests
+    The misreporting provider's own solo allocation is replayed from its true
+    solo record: its internal allocation uses its real capacity and requests
     no matter what it told the other providers. Only the sharing phase sees
     the misreported values, and those grants are clipped against the truth.
     """
@@ -345,13 +345,9 @@ def misreport_experiment(
         raise ValueError("invalid misreported scenario: " + "; ".join(problems))
     if scheme is None:
         scheme = OrderingScheme.random(0)
-    truth_events = run_algorithm(s, algorithm, scheme).events
-    truthful = realized_payoffs(s, truth_events)[n]
-    solo_truth = {
-        ev.allocator: ev for ev in truth_events if ev.phase == "solo"
-    }
+    truthful = realized_payoffs(s, run_algorithm(s, algorithm, scheme).events)[n]
     mis_events = [
-        solo_truth[ev.allocator] if ev.phase == "solo" and ev.allocator == n else ev
+        s.post_solo[n].event if ev.phase == "solo" and ev.allocator == n else ev
         for ev in run_algorithm(reported, algorithm, scheme).events
     ]
     misreport = realized_payoffs(s, mis_events)[n]

@@ -79,8 +79,6 @@ class RunResult:
 
     allocation: AllocationTensor
     payoffs: Dict[int, Payoff]
-    g1: List[int]
-    g2: List[int]
     order_used: List[int]  # surplus providers in the order they shared
     events: List[AllocEvent]
     matches: List[MatchRecord] = field(default_factory=list)
@@ -99,11 +97,15 @@ def partition_players(s: Scenario) -> Tuple[List[int], List[int]]:
     return g1, g2
 
 
-def order_surplus(g2: List[int], scheme: OrderingScheme, state: AllocState) -> List[int]:
+def order_surplus(s: Scenario, scheme: OrderingScheme) -> List[int]:
+    """The surplus providers in sharing order; cao/cdo key on their post-solo capacity."""
+    g2 = partition_players(s)[1]
+    if scheme.kind in ("cao", "cdo") and not 0 <= scheme.k < s.K:
+        raise ValueError(f"{scheme.kind}:k={scheme.k} names no resource type of K={s.K}")
     if scheme.kind == "cao":
-        return sorted(g2, key=lambda n: (state.remaining_capacity[n][scheme.k], n))
+        return sorted(g2, key=lambda n: (s.post_solo[n].remaining_capacity[scheme.k], n))
     if scheme.kind == "cdo":
-        return sorted(g2, key=lambda n: (-state.remaining_capacity[n][scheme.k], n))
+        return sorted(g2, key=lambda n: (-s.post_solo[n].remaining_capacity[scheme.k], n))
     if scheme.kind == "random":
         return Stream(scheme.seed).shuffle(sorted(g2))
     if scheme.kind == "explicit":
@@ -118,7 +120,7 @@ def order_surplus(g2: List[int], scheme: OrderingScheme, state: AllocState) -> L
 def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
     """Solve and commit each provider's solo allocation on a state holding only it and its apps.
 
-    Runs once per scenario, as `Scenario.post_solo`; the runs start from copies.
+    Runs once per scenario, as `Scenario.post_solo`; runs copy its state and share its events.
     """
     records: Dict[int, SoloRecord] = {}
     for n in s.provider_ids():
@@ -135,7 +137,7 @@ def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
             remaining_capacity=tuple(state.remaining_capacity[n]),
             remaining_request={j: tuple(r) for j, r in state.remaining_request.items()},
             allocated={j: tuple(z) for j, z in state.allocated.items()},
-            chunks=tuple(event.chunks),
+            event=event,
             deficit=state.has_deficit(s, n),
             surplus=state.has_surplus(n),
         )
@@ -148,9 +150,9 @@ def run_solo_phase(
     """Every provider serves its own applications; shared starting point of both algorithms.
 
     The solves and their commits are done once per scenario (`Scenario.post_solo`);
-    every call assembles a fresh state, with its allocation and event log, and
-    fresh payoffs from those records. A solo grant reaches an app only from its
-    owner, so each tensor entry is the owner's `allocated` tuple.
+    every call assembles a fresh state and payoffs from those records. The event
+    log starts with the records' own solo events, and each tensor entry is the
+    owner's `allocated` tuple, since a solo grant reaches an app only from its owner.
     """
     records = s.post_solo
     state = AllocState(
@@ -160,9 +162,9 @@ def run_solo_phase(
         },
         allocated={a.id: list(records[a.owner].allocated[a.id]) for a in s.applications},
         allocation=AllocationTensor(
-            {(n, j): rec.allocated[j] for n, rec in records.items() for j, _, _ in rec.chunks}
+            {(n, j): rec.allocated[j] for n, rec in records.items() for j, _, _ in rec.event.chunks}
         ),
-        events=[AllocEvent("solo", n, list(rec.chunks)) for n, rec in records.items()],
+        events=[rec.event for rec in records.values()],
     )
     payoffs = {n: Payoff(v_solo=rec.v_solo) for n, rec in records.items()}
     return state, state.allocation, payoffs, state.events
@@ -171,11 +173,9 @@ def run_solo_phase(
 def run_gpoa(
     s: Scenario, scheme: OrderingScheme, share_memo: ShareMemo | None = None
 ) -> RunResult:
-    if scheme.kind in ("cao", "cdo") and not 0 <= scheme.k < s.K:
-        raise ValueError(f"{scheme.kind}:k={scheme.k} names no resource type of K={s.K}")
+    order = order_surplus(s, scheme)
     state, _, payoffs, _ = run_solo_phase(s)
-    g1, g2 = partition_players(s)
-    order = order_surplus(g2, scheme, state)
+    g1 = partition_players(s)[0]
 
     shared: Dict[Tuple[int, int], float] = {}  # (app, k) -> amount granted in sharing rounds
     for n in order:
@@ -199,8 +199,6 @@ def run_gpoa(
     return RunResult(
         allocation=state.allocation,
         payoffs=payoffs,
-        g1=g1,
-        g2=g2,
         order_used=order,
         events=state.events,
     )

@@ -118,8 +118,9 @@ class Scenario:
         return build_post_solo(self)
 
 
-def _check_vector(name: str, v: ResourceVector, k: int, out: List[str]) -> None:
-    if len(v) != k:
+def _check_vector(name: str, v: ResourceVector, k: int | None, out: List[str]) -> None:
+    """Entries finite and >= 0, and the length k unless k is None (an invalid K)."""
+    if k is not None and len(v) != k:
         out.append(f"{name}: length {len(v)} != K={k}")
     for entry in v:
         if not _is_finite(entry) or entry < 0:
@@ -139,7 +140,8 @@ def _is_finite(value) -> bool:
 def validate_scenario(s: Scenario) -> List[str]:
     """Return a list of invariant violations; empty means the scenario is well formed."""
     out: List[str] = []
-    if not _is_int(s.K) or s.K <= 0:
+    k = s.K if _is_int(s.K) and s.K > 0 else None
+    if k is None:
         out.append("K must be an integer > 0")
     if not _is_finite(s.delta) or s.delta <= 0:
         out.append("delta must be finite and > 0")
@@ -147,6 +149,8 @@ def validate_scenario(s: Scenario) -> List[str]:
         out.append("epsilon_gain must be finite and >= 0")
 
     provider_ids = [p.id for p in s.providers]
+    if not provider_ids:
+        out.append("scenario has no providers")
     provider_set = set(provider_ids)
     if len(provider_set) != len(provider_ids):
         out.append("provider ids must be unique")
@@ -163,7 +167,7 @@ def validate_scenario(s: Scenario) -> List[str]:
 
     owners: Dict[int, int] = {}
     for p in s.providers:
-        _check_vector(f"provider {p.id} capacity", p.capacity, s.K, out)
+        _check_vector(f"provider {p.id} capacity", p.capacity, k, out)
         for j in p.native_apps:
             if j in owners:
                 out.append(f"app {j}: multiple owners ({owners[j]} and {p.id})")
@@ -173,7 +177,7 @@ def validate_scenario(s: Scenario) -> List[str]:
 
     min_positive_request = math.inf
     for a in s.applications:
-        _check_vector(f"app {a.id} request", a.request, s.K, out)
+        _check_vector(f"app {a.id} request", a.request, k, out)
         if not _is_finite(a.weight_w1) or a.weight_w1 <= 0:
             out.append(f"app {a.id}: weight_w1 must be finite and > 0")
         if a.owner not in provider_set:
@@ -336,18 +340,18 @@ class AllocState:
                 self.allocation.add(n, j, k, x, s.K)
                 self.apply(n, j, k, x)
                 chunks.append((j, k, x))
-        event = AllocEvent(phase=phase, allocator=n, chunks=chunks)
+        event = AllocEvent(phase=phase, allocator=n, chunks=tuple(chunks))
         self.events.append(event)
         return event
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocEvent:
     """One committed allocation step, in commit order: a solo solve or a sharing grant."""
 
     phase: str  # "solo" or "share"
     allocator: int
-    chunks: List[Tuple[int, int, float]]  # (app, resource index, amount)
+    chunks: Tuple[Tuple[int, int, float], ...]  # (app, resource index, amount)
 
 
 @dataclass(frozen=True)
@@ -362,7 +366,7 @@ class SoloRecord:
     remaining_capacity: ResourceVector
     remaining_request: Dict[int, ResourceVector]  # by native app
     allocated: Dict[int, ResourceVector]  # by native app
-    chunks: Tuple[Tuple[int, int, float], ...]  # the solo event
+    event: AllocEvent  # the solo commit, shared by every run of the scenario
     deficit: bool  # some native app still misses a resource
     surplus: bool  # some capacity is left
 

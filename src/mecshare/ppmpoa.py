@@ -76,8 +76,7 @@ def _commit_match(
 def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
     memo = {} if share_memo is None else share_memo
     state, _, payoffs, _ = run_solo_phase(s)
-    g1, g2 = partition_players(s)
-    g1_active, g2_active = list(g1), list(g2)
+    g1_active, g2_active = partition_players(s)
 
     matches: List[MatchRecord] = []
     while g1_active and g2_active:
@@ -99,8 +98,6 @@ def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
     return RunResult(
         allocation=state.allocation,
         payoffs=payoffs,
-        g1=g1,
-        g2=g2,
         order_used=[rec.n for rec in matches],
         events=state.events,
         matches=matches,

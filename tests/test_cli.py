@@ -289,6 +289,19 @@ class TestErrorHandling:
         assert cli.run(argv) == 2
         assert "invalid scenario" in capsys.readouterr().err
 
+    def test_non_integer_k_is_the_only_problem_named(self, tmp_path, capsys):
+        # A string K used to add "length 3 != K=3" for all 126 vectors of this file.
+        s4 = tmp_path / "s4.json"
+        assert main(["gen", "--setting", "4", "--seed", "1", "--out", str(s4)]) == 0
+        d = read_json(s4)
+        d["K"] = "3"
+        s4.write_text(json.dumps(d))
+        argv = ["solo", "--scenario", str(s4), "--out", str(tmp_path / "x.json")]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid scenario {s4}: K must be an integer > 0\n"
+        assert err.replace(str(s4), "").count("K") == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -356,6 +369,7 @@ def comm_cost(provider, app):
 
 
 NO_PROVIDERS = json.dumps({"K": 1, "providers": [], "applications": []})
+DEEP_JSON = "[" * 100000 + "]" * 100000
 HUGE_SLOPE = {"kind": "linear", "params": {"a": 1e308, "c": 0.0}}
 
 # name -> (scenario text, argv[, allocation text written next to the scenario])
@@ -414,6 +428,21 @@ BAD_INPUTS = {
     ),
     "verify-no-providers": (NO_PROVIDERS, ["verify"]),
     "table3-no-providers": (NO_PROVIDERS, ["table3"]),
+    # [0.0] * K in metrics raised MemoryError at K = 10**12 and OverflowError at 10**20.
+    "compare-no-providers-huge-K": (
+        json.dumps({"K": 10**12, "providers": [], "applications": []}), ["compare"]
+    ),
+    "report-no-providers-huge-K": (
+        json.dumps({"K": 10**20, "providers": [], "applications": []}),
+        ["report", "--allocation", "alloc.json"],
+        json.dumps({"allocation": {}}),
+    ),
+    "deep-json": (DEEP_JSON, ["solo"]),
+    "report-deep-allocation": (
+        two_provider_json(), ["report", "--allocation", "alloc.json"],
+        '{"allocation": ' + DEEP_JSON + "}",
+    ),
+    "verify-order-resource-out-of-range": (two_provider_json(), ["verify", "--order", "cao:k=7"]),
     "report-vector-too-long": report_case({"2:1": [1.0, 1.0]}),
     "report-string-entry": report_case({"2:1": ["1.0"]}),
     "report-nan-entry": report_case({"2:1": [math.nan]}),

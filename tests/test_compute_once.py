@@ -111,8 +111,6 @@ def reference_run_ppmpoa(s: Scenario) -> RunResult:
     return RunResult(
         allocation=alloc,
         payoffs=payoffs,
-        g1=g1,
-        g2=g2,
         order_used=[rec.n for rec in matches],
         events=events,
         matches=matches,
@@ -280,7 +278,7 @@ def test_stability_replay_builds_only_the_committed_column(monkeypatch):
     build = ppmpoa.build_matching_matrix
     monkeypatch.setattr(ppmpoa, "build_matching_matrix", recording_build)
     assert check_matching_stability(result, s) == []
-    assert len(result.g2) >= 2 and result.rounds >= 2
+    assert len(partition_players(s)[1]) >= 2 and result.rounds >= 2
     assert columns == [[rec.n] for rec in result.matches]
 
 
@@ -317,7 +315,7 @@ def test_memo_holds_the_solo_solve(monkeypatch):
         res = solve_single_provider(s, n)
         want = [(j, k, x) for (j, k), x in sorted(res.allocation.items()) if x > 0]
         assert s.post_solo[n].v_solo == payoffs[n].v_solo == res.objective_value
-        assert list(s.post_solo[n].chunks) == ev.chunks == want
+        assert s.post_solo[n].event is ev and list(ev.chunks) == want
 
 
 def test_restriction_shares_the_memo_and_replace_does_not(monkeypatch):
@@ -479,8 +477,8 @@ def test_misreport_solves_the_scaled_provider_again(monkeypatch):
     scaled_solve = solve_single_provider(game._scaled_scenario(fresh(s), n, 1.5, 1.0), n)
     want = [(j, k, x) for (j, k), x in sorted(scaled_solve.allocation.items()) if x > 0]
     solo_n = next(ev for ev in reported_events if ev.phase == "solo" and ev.allocator == n)
-    assert solo_n.chunks == want
-    assert want != list(s.post_solo[n].chunks)
+    assert list(solo_n.chunks) == want
+    assert want != list(s.post_solo[n].event.chunks)
     monkeypatch.undo()
     assert misreport_experiment(fresh(s), n, 1.5, 1.0) == outcome
 
@@ -489,16 +487,12 @@ def test_mutating_a_result_does_not_reach_a_later_run():
     s = generate_scenario(GenSpec(setting=2, seed=6))
     scheme = OrderingScheme.cdo(0)
     first = run_gpoa(s, scheme)
-    for ev in first.events:
-        ev.chunks.clear()
     for p in first.payoffs.values():
         p.v_solo += 100.0
     ppm = run_ppmpoa(s)
-    ppm.events[0].chunks.append((0, 0, 1.0))
     ppm.payoffs[s.provider_ids()[0]].v_solo = -1.0
-    state, _, payoffs, events = run_solo_phase(s)
+    state, _, payoffs, _ = run_solo_phase(s)
     state.remaining_capacity[s.provider_ids()[0]][0] = 0.0
-    events[0].chunks[:] = []
     payoffs[s.provider_ids()[0]].bonus = 9.0
 
     def dump(res):

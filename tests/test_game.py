@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -216,8 +217,10 @@ class TestRealizedPayoffs:
         replay_true = realized_payoffs(s, events)
         # Doubling every granted amount must not double the realized payoff:
         # grants beyond true capacity/requests are clipped on replay.
-        for ev in events:
-            ev.chunks = [(j, k, 2 * x) for j, k, x in ev.chunks]
+        events = [
+            dataclasses.replace(ev, chunks=tuple((j, k, 2 * x) for j, k, x in ev.chunks))
+            for ev in events
+        ]
         replay_doubled = realized_payoffs(s, events)
         for n in replay_true:
             assert replay_doubled[n] <= 2 * replay_true[n] + 1e-6

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from mecshare.model import AllocState, Provider
+from mecshare.model import Provider
 from mecshare.gpoa import (
     InvalidExplicitOrder,
     OrderingScheme,
@@ -76,36 +78,54 @@ class TestParseOrdering:
 
 
 class TestOrderSurplus:
-    def _state(self, caps):
-        return AllocState(
-            remaining_capacity={n: [c] for n, c in caps.items()},
-            remaining_request={},
-            allocated={},
-        )
+    def _scenario(self, caps):
+        """Providers without apps: each keeps its whole capacity and has surplus."""
+        providers = [Provider(id=n, capacity=(c,), native_apps=()) for n, c in caps.items()]
+        return make_scenario(providers, [])
 
     def test_cao_sorts_ascending_by_remaining_capacity(self):
-        state = self._state({4: 5.0, 5: 1.0, 6: 3.0})
-        assert order_surplus([4, 5, 6], OrderingScheme.cao(0), state) == [5, 6, 4]
+        s = self._scenario({4: 5.0, 5: 1.0, 6: 3.0})
+        assert order_surplus(s, OrderingScheme.cao(0)) == [5, 6, 4]
 
     def test_cdo_sorts_descending(self):
-        state = self._state({4: 5.0, 5: 1.0, 6: 3.0})
-        assert order_surplus([4, 5, 6], OrderingScheme.cdo(0), state) == [4, 6, 5]
+        s = self._scenario({4: 5.0, 5: 1.0, 6: 3.0})
+        assert order_surplus(s, OrderingScheme.cdo(0)) == [4, 6, 5]
 
     def test_capacity_ties_break_on_provider_id(self):
-        state = self._state({4: 2.0, 5: 2.0})
-        assert order_surplus([5, 4], OrderingScheme.cao(0), state) == [4, 5]
-        assert order_surplus([5, 4], OrderingScheme.cdo(0), state) == [4, 5]
+        s = self._scenario({5: 2.0, 4: 2.0})
+        assert order_surplus(s, OrderingScheme.cao(0)) == [4, 5]
+        assert order_surplus(s, OrderingScheme.cdo(0)) == [4, 5]
 
     def test_random_matches_stream_shuffle(self):
-        state = self._state({4: 1.0, 5: 2.0, 6: 3.0})
+        s = self._scenario({6: 3.0, 5: 2.0, 4: 1.0})
         expected = Stream(99).shuffle([4, 5, 6])
-        assert order_surplus([6, 5, 4], OrderingScheme.random(99), state) == expected
+        assert order_surplus(s, OrderingScheme.random(99)) == expected
 
     def test_explicit_must_be_a_permutation(self):
-        state = self._state({4: 1.0, 5: 2.0})
-        assert order_surplus([4, 5], OrderingScheme.explicit((5, 4)), state) == [5, 4]
+        s = self._scenario({4: 1.0, 5: 2.0})
+        assert order_surplus(s, OrderingScheme.explicit((5, 4))) == [5, 4]
         with pytest.raises(InvalidExplicitOrder):
-            order_surplus([4, 5], OrderingScheme.explicit((4, 6)), state)
+            order_surplus(s, OrderingScheme.explicit((4, 6)))
+
+    def test_cao_and_cdo_sort_by_post_solo_capacity(self):
+        # Provider 4 has the larger raw capacity (10 > 3) and, once its app
+        # takes 9, the smaller remaining one (1 < 3).
+        s = make_scenario(
+            [
+                Provider(id=4, capacity=(10.0,), native_apps=(1,)),
+                Provider(id=5, capacity=(3.0,), native_apps=()),
+            ],
+            [linear_app(1, owner=4, request=(9.0,), a=1.0)],
+        )
+        assert s.post_solo[4].remaining_capacity[0] == pytest.approx(1.0, abs=1e-9)
+        assert order_surplus(s, OrderingScheme.cao(0)) == [4, 5]
+        assert order_surplus(s, OrderingScheme.cdo(0)) == [5, 4]
+        assert run_gpoa(s, OrderingScheme.cao(0)).order_used == [4, 5]
+
+    @pytest.mark.parametrize("scheme", [OrderingScheme.cao(1), OrderingScheme.cdo(-1)])
+    def test_cao_and_cdo_resource_must_exist(self, scheme):
+        with pytest.raises(ValueError, match="names no resource type of K=1"):
+            order_surplus(self._scenario({4: 1.0}), scheme)
 
 
 class TestSoloPhase:
@@ -151,6 +171,22 @@ class TestSoloPhase:
                 s = with_comm_costs(s, 100 * setting + seed)
             assert partition_players(s) == partition_of_solo_state(s)
 
+    @pytest.mark.parametrize("costs", [False, True], ids=["free", "costs"])
+    def test_runs_share_the_solo_records_events(self, costs):
+        s = generate_scenario(GenSpec(setting=3, seed=2))
+        if costs:
+            s = with_comm_costs(s, 302)
+        for res in (run_gpoa(s, OrderingScheme.cdo(0)), run_gpoa(s, OrderingScheme.cao(0)),
+                    run_ppmpoa(s)):
+            solo = [ev for ev in res.events if ev.phase == "solo"]
+            assert [ev.allocator for ev in solo] == s.provider_ids()
+            assert all(ev is s.post_solo[ev.allocator].event for ev in solo)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            solo[0].chunks = ()
+        shared = next(ev for ev in res.events if ev.phase == "share")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.chunks = ()
+
 
 class TestRunGpoa:
     def test_hand_example_payoffs(self):
@@ -162,7 +198,7 @@ class TestRunGpoa:
         assert res.payoffs[2].total == pytest.approx(6.0, abs=1e-8)
         assert res.payoffs[1].bonus == pytest.approx(0.5, abs=1e-9)
         assert res.payoffs[2].sharing == pytest.approx(3.0, abs=1e-8)
-        assert res.g1 == [1] and res.g2 == [2]
+        assert partition_players(s) == ([1], [2])
         assert res.allocation.entries[(2, 1)] == pytest.approx((2.0,), abs=1e-9)
         assert res.allocation.check_feasibility(s) == []
 
@@ -184,9 +220,9 @@ class TestRunGpoa:
             assert res.allocation.check_feasibility(s) == []
 
     def test_deficit_and_surplus_sets_match_generator_design(self, setting3_seed7):
-        res = run_gpoa(setting3_seed7, OrderingScheme.cdo(0))
-        assert set(res.g1) == DEFICIT_SETS[3]
-        assert set(res.g2) == {4, 5, 6}
+        g1, g2 = partition_players(setting3_seed7)
+        assert set(g1) == DEFICIT_SETS[3]
+        assert set(g2) == {4, 5, 6}
 
     def test_total_value_never_below_solo_total(self, setting1_seed42):
         res = run_gpoa(setting1_seed42, OrderingScheme.cdo(0))

@@ -13,7 +13,7 @@ import itertools
 
 import pytest
 
-from mecshare.gpoa import OrderingScheme, run_gpoa
+from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
 from mecshare.model import TOL, AllocState
 from mecshare.ppmpoa import run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
@@ -42,7 +42,7 @@ def pareto_witnesses(s, result, cover_cost=True):
         for j, k, x in ev.chunks:
             state.apply(ev.allocator, j, k, x)
     witnesses = []
-    for n in result.g2:
+    for n in partition_players(s)[1]:
         remote = [a.id for a in s.applications if a.owner != n and state.app_has_deficit(a.id)]
         spec = build_share_spec(s, n, state, remote)
         for it in spec.items:

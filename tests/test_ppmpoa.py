@@ -4,7 +4,7 @@ import pytest
 
 from mecshare import ppmpoa
 from mecshare.model import Provider
-from mecshare.gpoa import OrderingScheme, run_gpoa
+from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
 from mecshare.ppmpoa import (
     MatchingMatrix,
     check_matching_stability,
@@ -73,11 +73,12 @@ class TestRunPpmpoa:
 
     def test_match_values_are_positive_and_rounds_bounded(self, setting3_seed7):
         res = run_ppmpoa(setting3_seed7)
+        g1, g2 = partition_players(setting3_seed7)
         assert res.rounds == len(res.matches)
         for rec in res.matches:
             assert rec.value > setting3_seed7.epsilon_gain
             assert rec.resources > 0
-            assert rec.m in res.g1 and rec.n in res.g2
+            assert rec.m in g1 and rec.n in g2
 
     def test_payoffs_never_below_solo(self, setting3_seed7):
         res = run_ppmpoa(setting3_seed7)
