@@ -3,13 +3,21 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from .model import AllocState, Scenario, eval_utility
 
 ORACLE_STATE_CAP = 10**7
+#: Most steps of the delta-ladder one `allocate_greedy` call builds (8193
+#: floats, about 0.26 MB); a run that climbs past its top goes on by quanta.
+_LADDER_CAP = 1 << 13
+#: The x side's step limit when a run sets none; no run comes near it.
+_NO_LIMIT = sys.maxsize
 
 
 class GridTooLarge(ValueError):
@@ -47,6 +55,99 @@ class SubproblemResult:
 ShareMemo = Dict[tuple, SubproblemResult]
 
 
+def _steps_loop(xi: float, ck: float, ub: float, delta: float) -> Tuple[float, float]:
+    """A run of full delta steps taken one at a time."""
+    while ub - xi >= delta and ck >= delta:
+        xi += delta
+        ck -= delta
+    return xi, ck
+
+
+def _quantum(v: float, step: float, n: int) -> Tuple[float, int]:
+    """(q, m): each of the next m updates `v += step` (m <= n) adds exactly q.
+
+    Let [b, 2b) be v's binade and u its ulp. While the exact sum stays in
+    [b, 2b], v + step rounds to the grid of u, so it adds step rounded to a
+    multiple of u: the same q every time, unless step is an odd multiple of
+    u/2 (a tie, rounded by v's parity). `room`, the distance to the binade edge
+    ahead, is exact, and so are the products and sums below, which stay in
+    the binade; dividing by q only estimates m, which is then checked exactly.
+    m == 0 where a step leaves the binade or ties. Nothing divides by u, so a
+    subnormal v or step needs no special case.
+    """
+    b = math.ldexp(0.5, math.frexp(v)[1])  # largest power of two <= v
+    room = v - b if step < 0 else (b - v) + b
+    d = abs(step)
+    if room < d:
+        return 0.0, 0
+    q = (v + step) - v
+    if abs(d - abs(q)) * 2 == math.ulp(v):
+        return 0.0, 0
+    if q == 0:
+        return 0.0, n
+    m = min(n, int((room - d) / abs(q)) + 1)
+    while room - (m - 1) * abs(q) < d:
+        m -= 1
+    return q, m
+
+
+def _run_of_steps(delta: float, top: float) -> Callable[[float, float, float], Tuple[float, float]]:
+    """`run(xi, ck, ub)`: the `(xi, ck)` of `_steps_loop(xi, ck, ub, delta)`, bit for bit.
+
+    `top`, the largest ub of the call's items, sizes the delta-ladder. It is
+    built on the first run with a full step and kept for the call's later runs.
+    """
+    ladder: List[float] = []
+
+    def climb(p: int, ub: float, n: int) -> Tuple[int, float]:
+        """(steps, x) of the x side from ladder[p]: at most n steps, ending once ub - x < delta."""
+        hi = min(len(ladder) - 1, p + n)
+        t = bisect_left(ladder, True, p, hi, key=lambda v: ub - v < delta)
+        steps, x = t - p, ladder[t]
+        while steps < n and ub - x >= delta:
+            q, m = _quantum(x, delta, n - steps)
+            if m:
+                m = bisect_left(range(m), True, 1, key=lambda j: ub - (x + j * q) < delta)
+                x += m * q
+                steps += m
+            if steps < n and ub - x >= delta:  # out of the binade or on a tie: as the loop does
+                x += delta
+                steps += 1
+        return steps, x
+
+    def drain(c: float, n: int) -> Tuple[int, float]:
+        """(steps, c) of the ck side: at most n steps, ending once c < delta.
+
+        Unlike x, c needs no search inside a jump: a jump keeps c at least
+        delta above its binade's floor, so c >= delta at every step it covers.
+        """
+        steps = 0
+        while steps < n and c >= delta:
+            q, m = _quantum(c, -delta, n - steps)
+            c += m * q
+            steps += m
+            if steps < n and c >= delta:
+                c -= delta
+                steps += 1
+        return steps, c
+
+    def run(xi: float, ck: float, ub: float) -> Tuple[float, float]:
+        if not (ub - xi >= delta and ck >= delta):
+            return xi, ck
+        if not ladder:
+            ladder.extend(accumulate(repeat(delta, int(min(_LADDER_CAP, top / delta + 2))), initial=0.0))
+        p = bisect_left(ladder, xi)
+        if p == len(ladder) or ladder[p] != xi:
+            return _steps_loop(xi, ck, ub, delta)
+        nx, x = climb(p, ub, _NO_LIMIT)
+        n, ck = drain(ck, nx)
+        if n < nx:
+            x = climb(p, ub, n)[1]
+        return x, ck
+
+    return run
+
+
 def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> SubproblemResult:
     """Grant delta-sized units to the item with the largest positive marginal gain.
 
@@ -60,9 +161,23 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     and (x/gap)**2 together with -d*x. Hence, once an item wins a unit, it
     keeps winning while a full delta step still fits: its own gain does not
     shrink and no other item's gain moves while cap[k] >= delta. That run is
-    granted in one tight loop doing the same float additions in the same
-    order as one unit at a time, so the result is bit-identical except where
-    two items' gains lie within rounding noise of each other.
+    what `_steps_loop` computes one step at a time; `_run_of_steps` gives the
+    same `(x, cap[k])` in a few jumps:
+
+    - x: a run with a full step starts at x == delta, on the delta-ladder
+      0, delta, fl(delta + delta), ..., which depends on delta alone. It is
+      built once per call, at most `_LADDER_CAP` steps long, and a bisection
+      finds the step where ub - x < delta, a test that is monotone along it.
+    - cap[k]: inside one binade, fl(c - delta) subtracts the same multiple q
+      of the binade's ulp every time except on a rounding tie, so m steps
+      give c - m*q exactly (`_quantum`); a step across a binade edge or on
+      a tie is taken as the loop takes it. Past the ladder's top, x climbs
+      by the same quanta.
+    - A start off the ladder falls back to `_steps_loop`.
+
+    Every jump lands on the float the loop's own additions reach, so the
+    result keeps its bits: it is bit-identical to one unit at a time except
+    where two items' gains lie within rounding noise of each other.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -93,6 +208,7 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
         f = items[i].f
         return f(x[i] + s) - f(x[i])
 
+    run = _run_of_steps(delta, max((it.ub for it in items), default=0.0))
     heap: List[Tuple[float, int, int, int]] = []
     for i, it in enumerate(items):
         g = gain_for(i)
@@ -110,15 +226,8 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
             heapq.heappush(heap, (-g, app, k, i))
             continue
         s = step_for(i)
-        xi = x[i] + s
-        ck = cap.get(k, 0.0) - s
         # Run of full steps: the delta loop would pick this item again each time.
-        ub = items[i].ub
-        while ub - xi >= delta and ck >= delta:
-            xi += delta
-            ck -= delta
-        x[i] = xi
-        cap[k] = ck
+        x[i], cap[k] = run(x[i] + s, cap.get(k, 0.0) - s, items[i].ub)
         g2 = gain_for(i)
         if g2 > epsilon_gain:
             heapq.heappush(heap, (-g2, app, k, i))

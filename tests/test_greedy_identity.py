@@ -1,17 +1,23 @@
 """allocate_greedy against a frozen copy of the one-unit-at-a-time delta-greedy.
 
-`allocate_greedy` grants each run of full delta steps in one tight loop. The
-reference below is the allocator as it was before that, kept verbatim except
-that it records no grant order: every spec the protocols hand the allocator
-must give the same bits from both.
+`allocate_greedy` grants each run of full delta steps at once. The reference
+below is the allocator as it was before that, kept verbatim except that it
+records no grant order: every spec the protocols hand the allocator must give
+the same bits from both. The runs themselves are taken in a few exact jumps
+(`subsolver._run_of_steps`), checked further down against the plain run loop.
 """
 import heapq
+import json
 import math
+import tracemalloc
+from itertools import accumulate, repeat
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mecshare import subsolver
+from mecshare import cli, subsolver
+from mecshare.model import Provider
 from mecshare.gpoa import OrderingScheme, run_gpoa, run_solo_phase
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
@@ -24,7 +30,7 @@ from mecshare.subsolver import (
     build_solo_spec,
 )
 
-from conftest import with_comm_costs
+from conftest import linear_app, make_scenario, with_comm_costs
 
 
 def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> SubproblemResult:
@@ -243,3 +249,215 @@ def test_builder_objectives_have_non_decreasing_delta_gains():
             assert nxt >= prev - 1e-12 * max(abs(prev), abs(nxt)), (it.app, it.k)
         checked += 1
     assert checked > 0
+
+
+# --- a run of full steps in jumps, against the plain run loop ----------------
+
+
+def reference_run(xi, ck, ub, delta):
+    """The run loop `allocate_greedy` took before its jumps, verbatim."""
+    while ub - xi >= delta and ck >= delta:
+        xi += delta
+        ck -= delta
+    return xi, ck
+
+
+def assert_run_matches(xi, ck, ub, delta, top=None):
+    run = subsolver._run_of_steps(delta, ub if top is None else top)
+    got = run(xi, ck, ub)
+    want = reference_run(xi, ck, ub, delta)
+    assert [v.hex() for v in got] == [v.hex() for v in want], (xi, ck, ub, delta)
+
+
+def ladder(delta, p):
+    """x after p steps of delta from 0: the p-th rung of the delta-ladder."""
+    return list(accumulate(repeat(delta, p), initial=0.0))[-1]
+
+
+def power_of_two_and_neighbours(v):
+    p = math.ldexp(1.0, math.frexp(v)[1])
+    return [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+
+
+DELTAS = [5e-324, 64 * 5e-324, 2.0**-1022, 1e-300, 1e-9, 2.0**-7, 0.01, 0.1, 0.3, 1 / 3, 1.0, 7.0, 1e3]
+
+
+@pytest.mark.parametrize("delta", DELTAS, ids=repr)
+def test_run_matches_the_loop_on_fixed_cases(delta):
+    for steps in (0, 1, 2, 3, 17, 500, 999, 1500):
+        ub = steps * delta + delta / 3
+        for ck in [steps * delta, 0.5 * steps * delta, 2 * steps * delta + delta / 7, 1e6 * delta]:
+            for start in (delta, ladder(delta, 2), ladder(delta, 7), delta / 2, 1.5 * delta):
+                assert_run_matches(start, ck, ub, delta)
+        # ck at each power of two the run passes, and one ulp to either side
+        for e in range(max(-1074, math.frexp(delta)[1] - 2), math.frexp(ub + delta)[1] + 1):
+            for ck in power_of_two_and_neighbours(math.ldexp(1.0, e)):
+                assert_run_matches(delta, ck, ub, delta)
+    # Nothing to do: ub - xi < delta or ck < delta.
+    assert_run_matches(delta, 5 * delta, delta * 1.5, delta)
+    assert_run_matches(delta, delta * 0.75, 10 * delta, delta)
+    assert_run_matches(0.0, 10 * delta, delta * 0.5, delta)
+
+
+def test_delta_0_01_ties_in_the_binade_below_2_to_the_minus_5():
+    # 0.01 is an odd multiple of half the ulp of [2**-6, 2**-5), so there
+    # fl(c - 0.01) rounds by the parity of c and no quantum is exact.
+    assert subsolver._quantum(0.03, -0.01, 10) == (0.0, 0)
+    lo, hi = 2.0**-6, 2.0**-5
+    for i in range(400):
+        c = lo + (hi - lo) * i / 400
+        for ck in (c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)):
+            assert_run_matches(0.01, ck, 5.0, 0.01)
+    for ck in power_of_two_and_neighbours(2.0**-5) + [0.5, 1.0, 3.0]:
+        assert_run_matches(0.01, ck, 5.0, 0.01)
+
+
+def test_run_past_the_top_of_the_ladder_matches_the_loop():
+    delta = 0.01
+    n = subsolver._LADDER_CAP
+    for steps in (n - 1, n, n + 1, 3 * n + 5):
+        ub = steps * delta + delta / 2
+        for ck in (steps * delta / 2, 2 * steps * delta, math.ldexp(1.0, math.frexp(ub)[1] - 1)):
+            assert_run_matches(delta, ck, ub, delta)
+            # a ladder built for a smaller bound: the run climbs past its top sooner
+            assert_run_matches(delta, ck, ub, delta, top=ub / 8)
+
+
+@st.composite
+def runs(draw):
+    delta = draw(st.one_of(
+        st.sampled_from(DELTAS),
+        st.floats(min_value=5e-324, max_value=1e3),
+        # few significant bits: ties in many binades
+        st.builds(math.ldexp, st.integers(1, 99).map(float), st.integers(-1074, 3)),
+    ))
+    steps = draw(st.integers(0, 3000))
+    ub = draw(st.sampled_from([steps * delta, steps * delta + delta / 2, (steps + 1) * delta]))
+    ck = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=max(2 * ub, delta), allow_subnormal=True),
+        st.integers(-1074, 20).map(lambda e: math.ldexp(1.0, e)).flatmap(
+            lambda p: st.sampled_from(power_of_two_and_neighbours(p))),
+        st.floats(min_value=0.0, max_value=1e300),
+    ))
+    xi = draw(st.one_of(
+        st.integers(0, 40).map(lambda p: ladder(delta, p)),
+        st.floats(min_value=0.0, max_value=max(ub, delta)),
+    ))
+    return xi, ck, ub, delta
+
+
+@settings(max_examples=400, deadline=None)
+@given(runs())
+@example((0.01, 0.03, 5.0, 0.01))
+@example((64 * 5e-324, 2.0**-1022, 9000 * 64 * 5e-324, 64 * 5e-324))
+def test_run_matches_the_loop(case):
+    assert_run_matches(*case)
+
+
+def plain_loop_runs(monkeypatch):
+    """Make `allocate_greedy` take every run one step at a time."""
+    monkeypatch.setattr(
+        subsolver, "_run_of_steps",
+        lambda delta, top: lambda xi, ck, ub: reference_run(xi, ck, ub, delta),
+    )
+
+
+def test_subnormal_delta_commands_match_the_plain_loop(tmp_path, monkeypatch):
+    # delta = 64 * 5e-324 is subnormal; provider 1's run passes the ladder's top.
+    d = 64 * 5e-324
+    linear = {"kind": "linear", "params": {"a": 1.0, "c": 0.0}}
+    scenario = tmp_path / "subnormal.json"
+    scenario.write_text(json.dumps({
+        "K": 1,
+        "delta": d,
+        "providers": [
+            {"id": 1, "capacity": [15000 * d], "native_apps": [1, 3]},
+            {"id": 2, "capacity": [900 * d], "native_apps": [2]},
+        ],
+        "applications": [
+            {"id": 1, "owner": 1, "request": [20000 * d], "utility": linear},
+            {"id": 2, "owner": 2, "request": [200 * d], "utility": linear},
+            {"id": 3, "owner": 1, "request": [700 * d], "utility": linear},
+        ],
+    }))
+
+    def outputs(tag):
+        got = {}
+        for command in ("gpoa", "ppmpoa", "verify"):
+            out = tmp_path / f"{command}-{tag}.json"
+            assert cli.run([command, "--scenario", str(scenario), "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            del payload["manifest"]
+            got[command] = payload
+        return got
+
+    jumps = outputs("jumps")
+    plain_loop_runs(monkeypatch)
+    assert jumps == outputs("loop")
+    # App 3's smaller request fills first; app 1's run takes the rest, past the ladder's top.
+    assert jumps["gpoa"]["allocation"]["1:1"] == [14300 * d]
+    assert 14300 > subsolver._LADDER_CAP
+
+
+def test_long_run_memory_is_bounded_by_the_ladder_cap(monkeypatch):
+    # One request of 5e6 delta-steps; the capacity stops the run 1% short.
+    s = make_scenario([Provider(id=1, capacity=(4.95e4,), native_apps=(1,))],
+                      [linear_app(1, 1, [5e4])])
+
+    def traced_solve():
+        tracemalloc.start()
+        try:
+            result = subsolver.solve_single_provider(s, 1)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    got, peak = traced_solve()
+    plain_loop_runs(monkeypatch)
+    want, loop_peak = traced_solve()
+    assert got.allocation == want.allocation
+    assert got.objective_value == want.objective_value
+    assert got.resources_used == want.resources_used
+    assert peak - loop_peak < 2**20
+
+
+FAST_PATH = [
+    (setting, seed, utility, costs)
+    for setting in (1, 2, 3, 4)
+    for seed in (1, 2)
+    for utility in ("linear", "sigmoid")
+    for costs in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "setting,seed,utility,costs", FAST_PATH,
+    ids=[f"s{st}-seed{sd}-{u}-{'costs' if c else 'free'}" for st, sd, u, c in FAST_PATH],
+)
+def test_every_protocol_run_takes_the_jump(monkeypatch, setting, seed, utility, costs):
+    s = generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility))
+    if costs:
+        s = with_comm_costs(s, 1000 * setting + 10 * seed + len(utility))
+    runs_with_a_step = []
+    jumps = subsolver._run_of_steps
+
+    def counting(delta, top):
+        run = jumps(delta, top)
+
+        def counted(xi, ck, ub):
+            if ub - xi >= delta and ck >= delta:
+                runs_with_a_step.append(xi)
+            return run(xi, ck, ub)
+
+        return counted
+
+    def no_fallback(xi, ck, ub, delta):
+        raise AssertionError(f"run from x={xi!r} fell back to the plain loop")
+
+    monkeypatch.setattr(subsolver, "_run_of_steps", counting)
+    monkeypatch.setattr(subsolver, "_steps_loop", no_fallback)
+    run_solo_phase(s)
+    for scheme in (OrderingScheme.cao(0), OrderingScheme.cdo(0), OrderingScheme.random(seed)):
+        run_gpoa(s, scheme)
+    check_matching_stability(run_ppmpoa(s), s)
+    assert runs_with_a_step
