@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -14,10 +13,8 @@ from .model import AllocState, Scenario, eval_utility
 
 ORACLE_STATE_CAP = 10**7
 #: Most steps of the delta-ladder one `allocate_greedy` call builds (8193
-#: floats, about 0.26 MB); a run that climbs past its top goes on by quanta.
+#: floats, about 0.26 MB); a run that climbs past its top takes the plain loop.
 _LADDER_CAP = 1 << 13
-#: The x side's step limit when a run sets none; no run comes near it.
-_NO_LIMIT = sys.maxsize
 
 
 class GridTooLarge(ValueError):
@@ -99,22 +96,6 @@ def _run_of_steps(delta: float, top: float) -> Callable[[float, float, float], T
     """
     ladder: List[float] = []
 
-    def climb(p: int, ub: float, n: int) -> Tuple[int, float]:
-        """(steps, x) of the x side from ladder[p]: at most n steps, ending once ub - x < delta."""
-        hi = min(len(ladder) - 1, p + n)
-        t = bisect_left(ladder, True, p, hi, key=lambda v: ub - v < delta)
-        steps, x = t - p, ladder[t]
-        while steps < n and ub - x >= delta:
-            q, m = _quantum(x, delta, n - steps)
-            if m:
-                m = bisect_left(range(m), True, 1, key=lambda j: ub - (x + j * q) < delta)
-                x += m * q
-                steps += m
-            if steps < n and ub - x >= delta:  # out of the binade or on a tie: as the loop does
-                x += delta
-                steps += 1
-        return steps, x
-
     def drain(c: float, n: int) -> Tuple[int, float]:
         """(steps, c) of the ck side: at most n steps, ending once c < delta.
 
@@ -139,11 +120,12 @@ def _run_of_steps(delta: float, top: float) -> Callable[[float, float, float], T
         p = bisect_left(ladder, xi)
         if p == len(ladder) or ladder[p] != xi:
             return _steps_loop(xi, ck, ub, delta)
-        nx, x = climb(p, ub, _NO_LIMIT)
-        n, ck = drain(ck, nx)
-        if n < nx:
-            x = climb(p, ub, n)[1]
-        return x, ck
+        top_rung = len(ladder) - 1
+        t = bisect_left(ladder, True, p, top_rung, key=lambda v: ub - v < delta)
+        if t == top_rung and ub - ladder[t] >= delta:  # the run climbs past the ladder's top
+            return _steps_loop(xi, ck, ub, delta)
+        n, ck = drain(ck, t - p)
+        return ladder[p + n], ck
 
     return run
 
@@ -171,9 +153,10 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     - cap[k]: inside one binade, fl(c - delta) subtracts the same multiple q
       of the binade's ulp every time except on a rounding tie, so m steps
       give c - m*q exactly (`_quantum`); a step across a binade edge or on
-      a tie is taken as the loop takes it. Past the ladder's top, x climbs
-      by the same quanta.
-    - A start off the ladder falls back to `_steps_loop`.
+      a tie is taken as the loop takes it.
+    - A start off the ladder, or a run past its top, falls back to
+      `_steps_loop`. With requests below 10 and delta = 0.01 the ladder
+      holds about 1000 steps, so no generated or bench scenario gets there.
 
     Every jump lands on the float the loop's own additions reach, so the
     result keeps its bits: it is bit-identical to one unit at a time except
