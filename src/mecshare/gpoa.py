@@ -82,6 +82,8 @@ class RunResult:
     order_used: List[int]  # surplus providers in the order they shared
     events: List[AllocEvent]
     matches: List[MatchRecord] = field(default_factory=list)
+    # PPMPOA's scenario and the share memo its run solved through, for the stability replay.
+    share_memo: Tuple[Scenario, ShareMemo] | None = field(default=None, compare=False, repr=False)
 
     @property
     def rounds(self) -> int:

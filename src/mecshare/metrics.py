@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from .model import AllocationTensor, Scenario, TOL
 
@@ -18,7 +18,10 @@ class MetricsReport:
 
 def request_satisfaction(s: Scenario, x: AllocationTensor):
     """Per app: mean of allocated/requested over demanded resource types; per provider: mean over native apps."""
-    by_app, _ = x.totals(s.K)
+    return _satisfaction(s, x.totals(s.K)[0])
+
+
+def _satisfaction(s: Scenario, by_app: Dict[int, List[float]]):
     zeros = [0.0] * s.K
     per_app: Dict[int, float] = {}
     for a in s.applications:
@@ -35,7 +38,10 @@ def request_satisfaction(s: Scenario, x: AllocationTensor):
 
 
 def resource_utilization(s: Scenario, x: AllocationTensor) -> Dict[int, float]:
-    _, by_provider = x.totals(s.K)
+    return _utilization(s, x.totals(s.K)[1])
+
+
+def _utilization(s: Scenario, by_provider: Dict[int, List[float]]) -> Dict[int, float]:
     out: Dict[int, float] = {}
     for p in s.providers:
         total_cap = sum(p.capacity)
@@ -61,8 +67,9 @@ def fragmentation_index(s: Scenario, x: AllocationTensor):
 
 
 def compute_metrics(s: Scenario, x: AllocationTensor) -> MetricsReport:
-    app_sat, prov_sat = request_satisfaction(s, x)
-    util = resource_utilization(s, x)
+    by_app, by_provider = x.totals(s.K)
+    app_sat, prov_sat = _satisfaction(s, by_app)
+    util = _utilization(s, by_provider)
     frag, mean_frag = fragmentation_index(s, x)
     return MetricsReport(
         app_satisfaction=app_sat,

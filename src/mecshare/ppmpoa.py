@@ -101,6 +101,7 @@ def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
         order_used=[rec.n for rec in matches],
         events=state.events,
         matches=matches,
+        share_memo=(s, memo),
     )
 
 
@@ -108,11 +109,15 @@ def check_matching_stability(result: RunResult, s: Scenario) -> List[BlockingPai
     """Replay the match history and report any pair that objects to it.
 
     At each round the committed surplus provider must have been offered no
-    larger value by any other available deficit provider. The replay solves
-    only that provider's column, without a memo: each column is keyed by the
-    provider's remaining capacity, which every committed round lowers, so no
-    solve could repeat.
+    larger value by any other available deficit provider. The replay builds
+    only that provider's column. Replayed on the scenario object its run was
+    made on, it builds the column through the run's share memo: a memo key
+    holds all the state a solve reads, so the cells of an untampered history
+    are all hits, and a tampered one solves its misses. Any other scenario
+    solves every cell.
     """
+    run_s, memo = result.share_memo or (None, None)
+    memo = memo if run_s is s else None
     state = run_solo_phase(s)[0]
     g1_active, g2_active = partition_players(s)
     blocking: List[BlockingPair] = []
@@ -124,7 +129,7 @@ def check_matching_stability(result: RunResult, s: Scenario) -> List[BlockingPai
                              committed_value=rec.value)
             )
             continue
-        matrix = build_matching_matrix(s, state, g1_active, [rec.n], None)
+        matrix = build_matching_matrix(s, state, g1_active, [rec.n], memo)
         value = matrix.J[(rec.m, rec.n)]
         for m_other in g1_active:
             if m_other != rec.m and matrix.J[(m_other, rec.n)] > value:

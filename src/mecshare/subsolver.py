@@ -5,6 +5,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Tuple
@@ -12,8 +13,8 @@ from typing import Callable, Dict, List, Mapping, Tuple
 from .model import AllocState, Scenario, eval_utility
 
 ORACLE_STATE_CAP = 10**7
-#: Most steps of the delta-ladder one `allocate_greedy` call builds (8193
-#: floats, about 0.26 MB); a run that climbs past its top takes the plain loop.
+#: Most steps of a delta-ladder (8193 floats, about 0.26 MB); a run that
+#: climbs past the rungs a call uses takes the plain loop.
 _LADDER_CAP = 1 << 13
 
 
@@ -88,13 +89,27 @@ def _quantum(v: float, step: float, n: int) -> Tuple[float, int]:
     return q, m
 
 
+@lru_cache(maxsize=8)
+def _ladder(delta: float, steps: int) -> Tuple[float, ...]:
+    """The first `steps` steps of the delta-ladder 0, delta, fl(delta + delta), ...
+
+    Each rung is the float the loop's own additions reach after that many
+    steps, so a rung depends on delta alone and a longer ladder begins with a
+    shorter one.
+    """
+    return tuple(accumulate(repeat(delta, steps), initial=0.0))
+
+
 def _run_of_steps(delta: float, top: float) -> Callable[[float, float, float], Tuple[float, float]]:
     """`run(xi, ck, ub)`: the `(xi, ck)` of `_steps_loop(xi, ck, ub, delta)`, bit for bit.
 
-    `top`, the largest ub of the call's items, sizes the delta-ladder. It is
-    built on the first run with a full step and kept for the call's later runs.
+    `top`, the largest ub of the call's items, sets how many rungs of the
+    delta-ladder the call's runs use. The ladder is fetched at the power of
+    two at or above that (`_LADDER_CAP` is one), so calls with nearby tops
+    share one cached ladder.
     """
-    ladder: List[float] = []
+    top_rung = int(min(_LADDER_CAP, top / delta + 2))
+    ladder_steps = 1 << (top_rung - 1).bit_length()
 
     def drain(c: float, n: int) -> Tuple[int, float]:
         """(steps, c) of the ck side: at most n steps, ending once c < delta.
@@ -115,12 +130,10 @@ def _run_of_steps(delta: float, top: float) -> Callable[[float, float, float], T
     def run(xi: float, ck: float, ub: float) -> Tuple[float, float]:
         if not (ub - xi >= delta and ck >= delta):
             return xi, ck
-        if not ladder:
-            ladder.extend(accumulate(repeat(delta, int(min(_LADDER_CAP, top / delta + 2))), initial=0.0))
-        p = bisect_left(ladder, xi)
-        if p == len(ladder) or ladder[p] != xi:
+        ladder = _ladder(delta, ladder_steps)
+        p = bisect_left(ladder, xi, 0, top_rung + 1)
+        if p > top_rung or ladder[p] != xi:
             return _steps_loop(xi, ck, ub, delta)
-        top_rung = len(ladder) - 1
         t = bisect_left(ladder, True, p, top_rung, key=lambda v: ub - v < delta)
         if t == top_rung and ub - ladder[t] >= delta:  # the run climbs past the ladder's top
             return _steps_loop(xi, ck, ub, delta)
@@ -148,8 +161,9 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
 
     - x: a run with a full step starts at x == delta, on the delta-ladder
       0, delta, fl(delta + delta), ..., which depends on delta alone. It is
-      built once per call, at most `_LADDER_CAP` steps long, and a bisection
-      finds the step where ub - x < delta, a test that is monotone along it.
+      cached by delta and length (`_ladder`), and a bisection over the rungs
+      up to the call's largest ub finds the step where ub - x < delta, a test
+      that is monotone along it.
     - cap[k]: inside one binade, fl(c - delta) subtracts the same multiple q
       of the binade's ulp every time except on a rounding tie, so m steps
       give c - m*q exactly (`_quantum`); a step across a binade edge or on
@@ -184,36 +198,41 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
         it = items[i]
         return min(delta, it.ub - x[i], cap.get(it.k, 0.0))
 
-    def gain_for(i: int) -> float:
-        s = step_for(i)
+    def gain_for(i: int, s: float) -> float:
         if s <= 0:
             return -math.inf
         f = items[i].f
         return f(x[i] + s) - f(x[i])
 
     run = _run_of_steps(delta, max((it.ub for it in items), default=0.0))
-    heap: List[Tuple[float, int, int, int]] = []
+    # Each entry keeps the step its gain was taken at. x[i] cannot change while
+    # i's entry is queued, so a pop whose step is unchanged reuses the gain.
+    heap: List[Tuple[float, int, int, int, float]] = []
     for i, it in enumerate(items):
-        g = gain_for(i)
+        s = step_for(i)
+        g = gain_for(i, s)
         if g > epsilon_gain:
-            heap.append((-g, it.app, it.k, i))
+            heap.append((-g, it.app, it.k, i, s))
     heapq.heapify(heap)
 
     while heap:
-        neg_g, app, k, i = heapq.heappop(heap)
-        g = gain_for(i)
-        if g <= epsilon_gain:
-            continue
+        neg_g, app, k, i, s = heapq.heappop(heap)
+        g = -neg_g
+        if step_for(i) != s:
+            s = step_for(i)
+            g = gain_for(i, s)
+            if g <= epsilon_gain:
+                continue
         # Stale entry: another item now has a larger gain, reinsert and retry.
         if heap and g < -heap[0][0] - 1e-15:
-            heapq.heappush(heap, (-g, app, k, i))
+            heapq.heappush(heap, (-g, app, k, i, s))
             continue
-        s = step_for(i)
         # Run of full steps: the delta loop would pick this item again each time.
         x[i], cap[k] = run(x[i] + s, cap.get(k, 0.0) - s, items[i].ub)
-        g2 = gain_for(i)
+        s = step_for(i)
+        g2 = gain_for(i, s)
         if g2 > epsilon_gain:
-            heapq.heappush(heap, (-g2, app, k, i))
+            heapq.heappush(heap, (-g2, app, k, i, s))
 
     allocation = {(it.app, it.k): x[i] for i, it in enumerate(items)}
     objective = sum(it.f(x[i]) for i, it in enumerate(items))
@@ -393,15 +412,15 @@ def solve_surplus_share(
         if hit is not None:
             return hit
     spec = build_share_spec(s, n, state, deficit_apps)
-    allocation = _rollback_uncovered_cost(
-        s, n, state, allocate_greedy(spec, s.delta, s.epsilon_gain)
-    )
-    # The objective and resources are taken after any rollback so they match the allocation.
-    result = SubproblemResult(
-        allocation=MappingProxyType(allocation),
-        objective_value=sum(it.f(allocation[(it.app, it.k)]) for it in spec.items),
-        resources_used=sum(allocation.values()),
-    )
+    result = allocate_greedy(spec, s.delta, s.epsilon_gain)
+    allocation = _rollback_uncovered_cost(s, n, state, result)
+    if allocation != result.allocation:
+        # The objective and resources are taken after the rollback so they match the allocation.
+        result = SubproblemResult(
+            allocation=MappingProxyType(allocation),
+            objective_value=sum(it.f(allocation[(it.app, it.k)]) for it in spec.items),
+            resources_used=sum(allocation.values()),
+        )
     if memo is not None:
         memo[memo_key] = result
     return result

@@ -6,6 +6,7 @@ records no grant order: every spec the protocols hand the allocator must give
 the same bits from both. The runs themselves are taken in a few exact jumps
 (`subsolver._run_of_steps`), checked further down against the plain run loop.
 """
+import dataclasses
 import heapq
 import json
 import math
@@ -210,6 +211,31 @@ class TestEdgeCases:
         )
         assert_identical(spec, 0.5, 1e-9)
 
+    def test_a_queued_step_that_shrinks_takes_its_gain_again(self):
+        # Item 1's run leaves 0.005 < delta of resource 0 while item 2 is queued
+        # at a full step. Item 2's gain is taken again at the shrunk step, and it
+        # loses the remainder to item 1; its stale full-step gain would have won.
+        spec = SubproblemSpec(
+            items=[linear_item(1, 0, 5.0, 2.0), linear_item(2, 0, 5.0, 1.0)],
+            capacity={0: 1.005},
+        )
+        calls = recording_calls(spec)
+        res = assert_identical(spec, 0.01, 1e-9)
+        assert res.allocation[(2, 0)] == 0.0 and res.allocation[(1, 0)] > 1.0
+        assert calls[2][:2] == [0.01, 0.0] and 0 < calls[2][2] < 0.01
+
+    def test_a_queued_step_that_stays_reuses_its_gain(self):
+        # Item 1's run leaves item 2's step at a full delta, so item 2's pop
+        # reuses the gain its entry was queued with.
+        spec = SubproblemSpec(
+            items=[linear_item(1, 0, 1.0, 2.0), linear_item(2, 0, 1.0, 1.0)],
+            capacity={0: 10.0},
+        )
+        calls = recording_calls(spec)
+        res = assert_identical(spec, 0.01, 1e-9)
+        assert res.allocation[(2, 0)] == 1.0
+        assert calls[2].count(0.01) == 1
+
     def test_zero_gain_item_left_untouched(self):
         spec = SubproblemSpec(
             items=[SubproblemItem(app=1, k=0, ub=5.0, f=lambda x: 0.0),
@@ -218,6 +244,21 @@ class TestEdgeCases:
         )
         res = assert_identical(spec, 0.01, 1e-9)
         assert res.allocation[(1, 0)] == 0.0
+
+
+def recording_calls(spec):
+    """The x at which each item's f is called, by app, in an `allocate_greedy` of `spec`."""
+    calls = {it.app: [] for it in spec.items}
+
+    def recorded(it):
+        def f(x):
+            calls[it.app].append(x)
+            return it.f(x)
+
+        return dataclasses.replace(it, f=f)
+
+    allocate_greedy(dataclasses.replace(spec, items=[recorded(it) for it in spec.items]), 0.01, 1e-9)
+    return calls
 
 
 # --- the precondition the tight loop relies on ------------------------------
@@ -321,6 +362,19 @@ def test_run_past_the_top_of_the_ladder_matches_the_loop():
             assert_run_matches(delta, ck, ub, delta)
             # a ladder built for a smaller bound: the run climbs past its top sooner
             assert_run_matches(delta, ck, ub, delta, top=ub / 8)
+
+
+def test_each_ladder_is_built_once_per_delta_and_length():
+    subsolver._ladder.cache_clear()
+    for setting in (1, 2, 3, 4):
+        for seed in (1, 2):
+            s = generate_scenario(GenSpec(setting=setting, seed=seed))
+            run_gpoa(s, OrderingScheme.cdo(0))
+            check_matching_stability(run_ppmpoa(s), s)
+    info = subsolver._ladder.cache_info()
+    # Every scenario has delta = 0.01 and requests below 10: ladders of 2**k <= 1024 steps.
+    assert 0 < info.misses <= 10 < info.hits
+    assert all(len(subsolver._ladder(0.01, 2**k)) == 2**k + 1 for k in range(1, 11))
 
 
 @st.composite

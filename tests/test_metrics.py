@@ -86,6 +86,23 @@ def test_compute_metrics_bundles_everything(shared_scenario, shared_alloc):
     assert report.mean_fragmentation == pytest.approx(1.0)
 
 
+def test_compute_metrics_sums_the_tensor_once(monkeypatch, setting3_seed7):
+    x = run_gpoa(setting3_seed7, OrderingScheme.cdo(0)).allocation
+    want = request_satisfaction(setting3_seed7, x), resource_utilization(setting3_seed7, x)
+    calls = []
+    totals = AllocationTensor.totals
+
+    def counting(self, k_count):
+        calls.append(k_count)
+        return totals(self, k_count)
+
+    monkeypatch.setattr(AllocationTensor, "totals", counting)
+    report = compute_metrics(setting3_seed7, x)
+    assert len(calls) == 1
+    got = (report.app_satisfaction, report.provider_satisfaction), report.provider_utilization
+    assert got == want
+
+
 def test_sharing_never_lowers_satisfaction(setting3_seed7):
     _, solo_alloc, _, _ = run_solo_phase(setting3_seed7)
     res = run_gpoa(setting3_seed7, OrderingScheme.cdo(0))

@@ -1,11 +1,13 @@
 """The share-solve memo, passed explicitly by the call that owns its scope.
 
 One coalition enumeration passes one memo to every run it makes; each PPMPOA
-run otherwise solves through a fresh memo of its own; plain GPOA runs and the
-stability replay take none. A memoised enumeration must give the same bits as
-solving every share subproblem again, and no memo outlives its owner: nothing
-the caller keeps can reach it. A memo holds each solve's immutable result and
-hands out that very object on a hit.
+run otherwise solves through a fresh memo of its own, which its result keeps
+for the stability replay; plain GPOA runs take none. A memoised enumeration
+must give the same bits as solving every share subproblem again. A replay on
+the run's own scenario is all memo hits, and one on any other scenario solves
+without the memo. No memo is reachable from a scenario, and an enumeration's
+memo ends with the enumeration. A memo holds each solve's immutable result
+and hands out that very object on a hit.
 """
 import dataclasses
 import gc
@@ -39,6 +41,19 @@ def record_share_solves(monkeypatch):
     return memos
 
 
+def count_greedy_calls(monkeypatch):
+    """Patch allocate_greedy; return the spec kind of each call that reached it."""
+    calls = []
+    greedy = subsolver.allocate_greedy
+
+    def counting(spec, delta, epsilon_gain):
+        calls.append(spec.kind)
+        return greedy(spec, delta, epsilon_gain)
+
+    monkeypatch.setattr(subsolver, "allocate_greedy", counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "setting,utility,costs",
     list(itertools.product((1, 2, 3, 4), ("linear", "sigmoid"), (False, True))),
@@ -62,17 +77,9 @@ def test_swept_enumeration_solves_fewer_shares_than_it_asks_for(monkeypatch):
     s = generate_scenario(GenSpec(setting=3, seed=4))
     assert len(s.provider_ids()) == 6
     asked = record_share_solves(monkeypatch)
-    solved = []
-    greedy = subsolver.allocate_greedy
-
-    def counting(spec, delta, epsilon_gain):
-        if spec.kind == "share":
-            solved.append(spec)
-        return greedy(spec, delta, epsilon_gain)
-
-    monkeypatch.setattr(subsolver, "allocate_greedy", counting)
+    solved = count_greedy_calls(monkeypatch)
     enumerate_coalitions(s, CDO, sweep_orders=True)
-    assert 0 < len(solved) < len(asked)
+    assert 0 < solved.count("share") < len(asked)
 
 
 def test_only_the_enumeration_hands_out_a_memo(monkeypatch):
@@ -87,7 +94,7 @@ def test_only_the_enumeration_hands_out_a_memo(monkeypatch):
     assert len({id(memo) for memo in memos}) == 1 and memos[0]
 
 
-def test_each_ppmpoa_run_solves_through_a_fresh_memo_and_its_replay_through_none(monkeypatch):
+def test_each_ppmpoa_run_solves_through_a_fresh_memo_its_result_keeps(monkeypatch):
     s = with_comm_costs(generate_scenario(GenSpec(setting=3, seed=7)), 5)
     memos = record_share_solves(monkeypatch)
     owned = []
@@ -95,39 +102,52 @@ def test_each_ppmpoa_run_solves_through_a_fresh_memo_and_its_replay_through_none
         result = run_ppmpoa(s)
         run_memo = memos[0]
         assert run_memo and all(memo is run_memo for memo in memos)
-        assert id(run_memo) not in reachable(s, result)
+        assert result.share_memo == (s, run_memo) and result.share_memo[0] is s
+        assert id(run_memo) not in reachable(s)
         owned.append(run_memo)
-        memos.clear()
-        check_matching_stability(result, s)
-        assert memos and all(memo is None for memo in memos)
         memos.clear()
     assert owned[0] is not owned[1]
 
 
 @pytest.mark.parametrize("setting", [1, 2, 3, 4])
-def test_a_memo_would_never_hit_in_the_stability_replay(monkeypatch, setting):
-    """Each replay round keys column n by n's remaining capacity, which every
-    committed round lowers, so no replay solve repeats an earlier one."""
-    lookups, memo, replayed = [], {}, 0
-    solve = subsolver.solve_surplus_share
-
-    def memoised(s, n, state, deficit_apps, _memo=None):
-        lookups.append(n)
-        return solve(s, n, state, deficit_apps, memo)
-
-    monkeypatch.setattr(ppmpoa, "solve_surplus_share", memoised)
+def test_an_untampered_replay_is_all_hits_in_its_runs_memo(monkeypatch, setting):
+    memos = record_share_solves(monkeypatch)
+    greedy_calls = count_greedy_calls(monkeypatch)
+    replayed = 0
     for seed in range(1, 5):
         for utility in ("linear", "sigmoid"):
             s = with_comm_costs(
                 generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility)), seed
             )
             result = run_ppmpoa(s)
-            memo.clear()
-            lookups.clear()
-            check_matching_stability(result, s)
-            assert len(memo) == len(lookups)
-            replayed += len(lookups)
+            run_memo = result.share_memo[1]
+            solved = dict(run_memo)
+            memos.clear()
+            greedy_calls.clear()
+            assert check_matching_stability(result, s) == []
+            assert greedy_calls == []
+            assert all(memo is run_memo for memo in memos)
+            assert run_memo == solved
+            replayed += len(memos)
     assert replayed
+
+
+def test_a_replay_on_another_scenario_solves_without_the_runs_memo(monkeypatch):
+    s = generate_scenario(GenSpec(setting=3, seed=7))
+    result = run_ppmpoa(s)
+    assert result.rounds >= 2
+    memoless = dataclasses.replace(result, share_memo=None)
+    for other in (dataclasses.replace(s), with_comm_costs(s, 6)):
+        want = check_matching_stability(memoless, other)
+        memos = record_share_solves(monkeypatch)
+        greedy_calls = count_greedy_calls(monkeypatch)
+        assert check_matching_stability(result, other) == want
+        assert memos and all(memo is None for memo in memos)
+        assert "share" in greedy_calls
+        monkeypatch.undo()
+    # The costs make a pair object to the run's history, which the run's own
+    # cost-free solves would not show.
+    assert want and check_matching_stability(result, s) == []
 
 
 def reachable(*roots):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mecshare import subsolver
 from mecshare.model import AllocState, Provider, UtilitySpec
 from mecshare.subsolver import (
     GridTooLarge,
@@ -245,10 +246,51 @@ class TestSurplusShare:
         state = AllocState.initial(s)
         state.apply(1, 1, 0, 3.5)
         state.apply(2, 2, 0, 1.0)
-        raw = allocate_greedy(build_share_spec(s, 2, state, [1]), s.delta, s.epsilon_gain)
+        spec = build_share_spec(s, 2, state, [1])
+        raw = allocate_greedy(spec, s.delta, s.epsilon_gain)
         assert raw.allocation[(1, 0)] > 0  # greedy does grant before rollback
         res = solve_surplus_share(s, 2, state, [1])
         assert res.allocation[(1, 0)] == 0.0
+        # The objective is taken again, over the rolled-back allocation.
+        assert res.objective_value == sum(it.f(res.allocation[(it.app, it.k)]) for it in spec.items)
+        assert res.objective_value < raw.objective_value
+        assert res.resources_used == 0.0
+
+    @pytest.mark.parametrize("costs", [False, True])
+    def test_share_without_a_rollback_is_the_greedys_own_result(self, monkeypatch, costs):
+        # Two gaps on two resource types; with costs, each unit still covers its cost.
+        apps = [
+            linear_app(1, owner=1, request=(2.0, 3.0), a=1.3),
+            linear_app(2, owner=1, request=(4.0, 1.0), a=0.7),
+            linear_app(3, owner=2, request=(1.0, 1.0), a=1.0),
+        ]
+        s = make_scenario(
+            [
+                Provider(id=1, capacity=(0.5, 0.5), native_apps=(1, 2)),
+                Provider(id=2, capacity=(4.0, 2.5), native_apps=(3,)),
+            ],
+            apps, K=2,
+            comm_costs={(2, 1): 0.3, (2, 2): 0.1} if costs else None,
+        )
+        state = AllocState.initial(s)
+        state.apply(1, 1, 0, 0.5)
+        state.apply(1, 2, 1, 0.5)
+        state.apply(2, 3, 0, 1.0)
+        state.apply(2, 3, 1, 1.0)
+        spec = build_share_spec(s, 2, state, [1, 2])
+        assert len(spec.items) == 4 and spec.monotone is not costs
+        greedy_results = []
+
+        def recording(spec_, delta, epsilon_gain):
+            greedy_results.append(allocate_greedy(spec_, delta, epsilon_gain))
+            return greedy_results[-1]
+
+        monkeypatch.setattr(subsolver, "allocate_greedy", recording)
+        res = solve_surplus_share(s, 2, state, [1, 2])
+        assert res is greedy_results[0]
+        assert sum(x > 0 for x in res.allocation.values()) >= 2
+        assert res.objective_value == sum(it.f(res.allocation[(it.app, it.k)]) for it in spec.items)
+        assert res.resources_used == sum(res.allocation.values())
 
     @staticmethod
     def _pair_match(s, m, n, state):
