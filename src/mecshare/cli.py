@@ -14,7 +14,7 @@ from .model import (
     AllocationTensor,
     Scenario,
     load_scenario,
-    save_scenario,
+    scenario_to_dict,
     validate_allocation,
     validate_scenario,
 )
@@ -34,9 +34,9 @@ from .metrics import compute_metrics
 from .scengen import GenSpec, generate_scenario
 
 
-#: What a command returns for `main` to write: a scenario (`gen`), a JSON
-#: payload without its manifest, or a CSV (header, rows).
-Artifact = Union[Scenario, dict, Tuple[List[str], List[list]]]
+#: What a command returns for `main` to write: a JSON payload without its
+#: manifest, or a CSV (header, rows).
+Artifact = Union[dict, Tuple[List[str], List[list]]]
 
 
 def _manifest(args: argparse.Namespace, started: float) -> dict:
@@ -116,7 +116,7 @@ def _verdicts(report: CoalitionReport) -> List[PropertyVerdict]:
 
 def cmd_gen(args: argparse.Namespace, _s: None) -> Tuple[Artifact, int]:
     spec = GenSpec(setting=args.setting, seed=args.seed, utility_kind=args.utility)
-    return generate_scenario(spec), 0
+    return scenario_to_dict(generate_scenario(spec)), 0
 
 
 def cmd_solo(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
@@ -363,8 +363,6 @@ def main(argv: List[str] | None = None) -> int:
     artifact, code = args.func(args, s)
     if isinstance(artifact, tuple):
         _write_csv(args.out, *artifact)
-    elif isinstance(artifact, Scenario):
-        save_scenario(artifact, args.out, manifest=_manifest(args, started))
     else:
         _write_json(args.out, {**artifact, "manifest": _manifest(args, started)})
     return code

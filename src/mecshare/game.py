@@ -289,28 +289,24 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
             x_eff = min(x, max(0.0, cap[n][k]), max(0.0, r - z[j][k]))
             if x_eff <= 0:
                 continue
+            # From here r > z[j][k] >= 0, so r and gap below are positive.
             cap[n][k] -= x_eff
             if ev.phase == "solo":
-                if r > 0:
-                    payoff[n] += a.weight_w1 * (
-                        eval_utility(a.utility, x_eff, r) - eval_utility(a.utility, 0.0, r)
-                    ) + x_eff / r
+                payoff[n] += a.weight_w1 * (
+                    eval_utility(a.utility, x_eff, r) - eval_utility(a.utility, 0.0, r)
+                ) + x_eff / r
             else:
                 z0 = z[j][k]
                 d = s.comm_d(n, j)
                 gap = r - z0
                 inc = eval_utility(a.utility, z0 + x_eff, r) - eval_utility(a.utility, z0, r)
-                contrib = a.weight_w1 * (inc - d * x_eff)
-                if gap > 0:
-                    # A gap closed to within bookkeeping tolerance counts as
-                    # fully closed; otherwise a ~1e-12 difference between the
-                    # run's and the replay's remaining-gap arithmetic gets
-                    # amplified by a microscopic denominator.
-                    ratio = 1.0 if gap - x_eff <= 1e-9 * max(1.0, r) else x_eff / gap
-                    contrib += ratio * ratio
-                payoff[n] += contrib
-                if r > 0:
-                    payoff[a.owner] += x_eff / r
+                # A gap closed to within bookkeeping tolerance counts as fully
+                # closed; otherwise a ~1e-12 difference between the run's and
+                # the replay's remaining-gap arithmetic gets amplified by a
+                # microscopic denominator.
+                ratio = 1.0 if gap - x_eff <= 1e-9 * max(1.0, r) else x_eff / gap
+                payoff[n] += a.weight_w1 * (inc - d * x_eff) + ratio * ratio
+                payoff[a.owner] += x_eff / r
             z[j][k] += x_eff
     return payoff
 

@@ -450,10 +450,7 @@ def load_scenario(path: str) -> Scenario:
         return scenario_from_dict(json.load(fh))
 
 
-def save_scenario(s: Scenario, path: str, manifest: dict | None = None) -> None:
-    d = scenario_to_dict(s)
-    if manifest is not None:
-        d["manifest"] = manifest
+def save_scenario(s: Scenario, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(d, fh, indent=2)
+        json.dump(scenario_to_dict(s), fh, indent=2)
         fh.write("\n")

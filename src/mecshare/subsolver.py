@@ -13,8 +13,8 @@ from typing import Callable, Dict, List, Mapping, Tuple
 from .model import AllocState, Scenario, eval_utility
 
 ORACLE_STATE_CAP = 10**7
-#: Most steps of a delta-ladder (8193 floats, about 0.26 MB); a run that
-#: climbs past the rungs a call uses takes the plain loop.
+#: Most steps of a delta-ladder (8193 floats, about 0.26 MB); a longer run
+#: takes the plain loop.
 _LADDER_CAP = 1 << 13
 
 
@@ -89,7 +89,7 @@ def _quantum(v: float, step: float, n: int) -> Tuple[float, int]:
     return q, m
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_LADDER_CAP.bit_length() - 1)  # each power-of-two length of one delta
 def _ladder(delta: float, steps: int) -> Tuple[float, ...]:
     """The first `steps` steps of the delta-ladder 0, delta, fl(delta + delta), ...
 
@@ -100,47 +100,37 @@ def _ladder(delta: float, steps: int) -> Tuple[float, ...]:
     return tuple(accumulate(repeat(delta, steps), initial=0.0))
 
 
-def _run_of_steps(delta: float, top: float) -> Callable[[float, float, float], Tuple[float, float]]:
-    """`run(xi, ck, ub)`: the `(xi, ck)` of `_steps_loop(xi, ck, ub, delta)`, bit for bit.
+def _drain(c: float, n: int, delta: float) -> Tuple[int, float]:
+    """(steps, c) of the ck side of a run: at most n steps, ending once c < delta.
 
-    `top`, the largest ub of the call's items, sets how many rungs of the
-    delta-ladder the call's runs use. The ladder is fetched at the power of
-    two at or above that (`_LADDER_CAP` is one), so calls with nearby tops
-    share one cached ladder.
+    Unlike x, c needs no search inside a jump: a jump keeps c at least delta
+    above its binade's floor, so c >= delta at every step it covers.
     """
-    top_rung = int(min(_LADDER_CAP, top / delta + 2))
-    ladder_steps = 1 << (top_rung - 1).bit_length()
+    steps = 0
+    while steps < n and c >= delta:
+        q, m = _quantum(c, -delta, n - steps)
+        c += m * q
+        steps += m
+        if steps < n and c >= delta:
+            c -= delta
+            steps += 1
+    return steps, c
 
-    def drain(c: float, n: int) -> Tuple[int, float]:
-        """(steps, c) of the ck side: at most n steps, ending once c < delta.
 
-        Unlike x, c needs no search inside a jump: a jump keeps c at least
-        delta above its binade's floor, so c >= delta at every step it covers.
-        """
-        steps = 0
-        while steps < n and c >= delta:
-            q, m = _quantum(c, -delta, n - steps)
-            c += m * q
-            steps += m
-            if steps < n and c >= delta:
-                c -= delta
-                steps += 1
-        return steps, c
+def _full_steps(ck: float, ub: float, delta: float) -> Tuple[float, float]:
+    """The `(x, ck)` of `_steps_loop(0.0, ck, ub, delta)`, bit for bit, in a few jumps.
 
-    def run(xi: float, ck: float, ub: float) -> Tuple[float, float]:
-        if not (ub - xi >= delta and ck >= delta):
-            return xi, ck
-        ladder = _ladder(delta, ladder_steps)
-        p = bisect_left(ladder, xi, 0, top_rung + 1)
-        if p > top_rung or ladder[p] != xi:
-            return _steps_loop(xi, ck, ub, delta)
-        t = bisect_left(ladder, True, p, top_rung, key=lambda v: ub - v < delta)
-        if t == top_rung and ub - ladder[t] >= delta:  # the run climbs past the ladder's top
-            return _steps_loop(xi, ck, ub, delta)
-        n, ck = drain(ck, t - p)
-        return ladder[p + n], ck
-
-    return run
+    The ladder is fetched at the power of two at or above the rungs ub needs
+    (`_LADDER_CAP` is one), so items with nearby bounds share one cached
+    ladder. A run that climbs past its top takes the plain loop.
+    """
+    top_rung = int(min(_LADDER_CAP, ub / delta + 2))
+    ladder = _ladder(delta, 1 << (top_rung - 1).bit_length())
+    t = bisect_left(ladder, True, 0, top_rung, key=lambda v: ub - v < delta)
+    if t == top_rung and ub - ladder[t] >= delta:
+        return _steps_loop(0.0, ck, ub, delta)
+    n, ck = _drain(ck, t, delta)
+    return ladder[n], ck
 
 
 def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> SubproblemResult:
@@ -156,21 +146,23 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     and (x/gap)**2 together with -d*x. Hence, once an item wins a unit, it
     keeps winning while a full delta step still fits: its own gain does not
     shrink and no other item's gain moves while cap[k] >= delta. That run is
-    what `_steps_loop` computes one step at a time; `_run_of_steps` gives the
-    same `(x, cap[k])` in a few jumps:
+    what `_steps_loop` computes one step at a time.
 
-    - x: a run with a full step starts at x == delta, on the delta-ladder
-      0, delta, fl(delta + delta), ..., which depends on delta alone. It is
-      cached by delta and length (`_ladder`), and a bisection over the rungs
-      up to the call's largest ub finds the step where ub - x < delta, a test
-      that is monotone along it.
+    Such a run is the item's first grant: it ends once ub - x < delta or
+    cap[k] < delta, and neither ever grows, so a full step fits only while
+    x == 0. `_full_steps(cap[k], ub, delta)` gives the run's `(x, cap[k])` in
+    a few jumps:
+
+    - x: the run climbs the delta-ladder 0, delta, fl(delta + delta), ...,
+      which depends on delta alone. It is cached by delta and length
+      (`_ladder`), and a bisection over the rungs up to the item's ub finds
+      the step where ub - x < delta, a test that is monotone along it.
     - cap[k]: inside one binade, fl(c - delta) subtracts the same multiple q
       of the binade's ulp every time except on a rounding tie, so m steps
       give c - m*q exactly (`_quantum`); a step across a binade edge or on
-      a tie is taken as the loop takes it.
-    - A start off the ladder, or a run past its top, falls back to
-      `_steps_loop`. With requests below 10 and delta = 0.01 the ladder
-      holds about 1000 steps, so no generated or bench scenario gets there.
+      a tie is taken as the loop takes it (`_drain`).
+    - A run past the ladder's top takes `_steps_loop`; with requests below 10
+      and delta = 0.01, no generated or bench scenario gets there.
 
     Every jump lands on the float the loop's own additions reach, so the
     result keeps its bits: it is bit-identical to one unit at a time except
@@ -204,19 +196,19 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
         f = items[i].f
         return f(x[i] + s) - f(x[i])
 
-    run = _run_of_steps(delta, max((it.ub for it in items), default=0.0))
     # Each entry keeps the step its gain was taken at. x[i] cannot change while
     # i's entry is queued, so a pop whose step is unchanged reuses the gain.
-    heap: List[Tuple[float, int, int, int, float]] = []
-    for i, it in enumerate(items):
+    # Items are sorted by (app, k), so i breaks ties in that order.
+    heap: List[Tuple[float, int, float]] = []
+    for i in range(len(items)):
         s = step_for(i)
         g = gain_for(i, s)
         if g > epsilon_gain:
-            heap.append((-g, it.app, it.k, i, s))
+            heap.append((-g, i, s))
     heapq.heapify(heap)
 
     while heap:
-        neg_g, app, k, i, s = heapq.heappop(heap)
+        neg_g, i, s = heapq.heappop(heap)
         g = -neg_g
         if step_for(i) != s:
             s = step_for(i)
@@ -225,14 +217,18 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
                 continue
         # Stale entry: another item now has a larger gain, reinsert and retry.
         if heap and g < -heap[0][0] - 1e-15:
-            heapq.heappush(heap, (-g, app, k, i, s))
+            heapq.heappush(heap, (-g, i, s))
             continue
-        # Run of full steps: the delta loop would pick this item again each time.
-        x[i], cap[k] = run(x[i] + s, cap.get(k, 0.0) - s, items[i].ub)
+        k = items[i].k
+        if s == delta:  # x[i] == 0: the delta loop would pick this item until its run ends
+            x[i], cap[k] = _full_steps(cap[k], items[i].ub, delta)
+        else:
+            x[i] += s
+            cap[k] -= s
         s = step_for(i)
         g2 = gain_for(i, s)
         if g2 > epsilon_gain:
-            heapq.heappush(heap, (-g2, app, k, i, s))
+            heapq.heappush(heap, (-g2, i, s))
 
     allocation = {(it.app, it.k): x[i] for i, it in enumerate(items)}
     objective = sum(it.f(x[i]) for i, it in enumerate(items))

@@ -3,19 +3,19 @@
 `allocate_greedy` grants each run of full delta steps at once. The reference
 below is the allocator as it was before that, kept verbatim except that it
 records no grant order: every spec the protocols hand the allocator must give
-the same bits from both. The runs themselves are taken in a few exact jumps
-(`subsolver._run_of_steps`), checked further down against the plain run loop.
+the same bits from both. A run is always an item's first grant, so it starts
+at x = 0 and is taken in a few exact jumps (`subsolver._full_steps`), checked
+further down against the plain run loop from 0.
 """
 import dataclasses
 import heapq
 import json
 import math
 import tracemalloc
-from itertools import accumulate, repeat
 from typing import Dict, List, Tuple
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mecshare import cli, subsolver
 from mecshare.model import Provider
@@ -236,6 +236,17 @@ class TestEdgeCases:
         assert res.allocation[(2, 0)] == 1.0
         assert calls[2].count(0.01) == 1
 
+    def test_equal_gains_go_to_the_smaller_app_first(self):
+        # f(x) = x gains exactly 2**-7 per step of 2**-7, so the two items tie
+        # at every step: app 1 takes its whole run, app 2 what is left.
+        spec = SubproblemSpec(
+            items=[SubproblemItem(app=2, k=0, ub=1.0, f=lambda x: x),
+                   SubproblemItem(app=1, k=0, ub=1.0, f=lambda x: x)],
+            capacity={0: 1.5},
+        )
+        res = assert_identical(spec, 2**-7, 1e-9)
+        assert res.allocation == {(1, 0): 1.0, (2, 0): 0.5}
+
     def test_zero_gain_item_left_untouched(self):
         spec = SubproblemSpec(
             items=[SubproblemItem(app=1, k=0, ub=5.0, f=lambda x: 0.0),
@@ -244,6 +255,58 @@ class TestEdgeCases:
         )
         res = assert_identical(spec, 0.01, 1e-9)
         assert res.allocation[(1, 0)] == 0.0
+
+
+# --- specs the protocols never build ----------------------------------------
+
+
+def contribution(kind, ub, a, d):
+    """A convex contribution on [0, ub]: linear, logistic centred at ub, or (x/gap)**2 - d*x."""
+    if kind == "linear":
+        return lambda x: a * x + x / ub
+    if kind == "logistic":
+        return lambda x: 1.0 / (1.0 + math.exp(-a * (x - ub))) + x / ub
+    return lambda x: (x / ub) ** 2 - d * x
+
+
+@st.composite
+def specs(draw):
+    delta = draw(st.sampled_from([2.0**-7, 0.01, 0.3]))
+    K = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, K - 1)),
+                         min_size=n, max_size=n, unique=True))
+    items, non_decreasing = [], True
+    for app, k in keys:
+        kind = draw(st.sampled_from(["linear", "logistic", "share"]))
+        ub = draw(st.one_of(st.floats(0.001, 2.0),
+                            st.integers(1, int(2.0 / delta) + 1).map(lambda m: m * delta)))
+        a = draw(st.floats(0.1, 20.0) if kind == "logistic" else st.floats(-1.0, 4.0))
+        d = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+        non_decreasing &= {"linear": a >= 0, "logistic": True, "share": d == 0}[kind]
+        items.append(SubproblemItem(app=app, k=k, ub=ub, f=contribution(kind, ub, a, d)))
+    # Near-equal gains may legitimately split a run (see `allocate_greedy`), and
+    # every run starts at x = 0, so no two items may start within rounding noise.
+    first = sorted(it.f(min(delta, it.ub)) - it.f(0.0) for it in items)
+    assume(all(hi - lo > 1e-9 * max(abs(lo), abs(hi)) for lo, hi in zip(first, first[1:])))
+    capacity = {}
+    for it in sorted(items, key=lambda it: (it.app, it.k)):  # the shortcut's own sum
+        capacity[it.k] = capacity.get(it.k, 0.0) + it.ub
+    for k, total in capacity.items():
+        capacity[k] = draw(st.sampled_from(["below", "at", "above"]).flatmap(lambda where: {
+            "below": st.floats(0.0, 1.0, exclude_max=True).map(lambda f: f * total),
+            "at": st.just(total),
+            "above": st.floats(1.0, 2.0, exclude_min=True).map(lambda f: f * total),
+        }[where]))
+    monotone = non_decreasing and draw(st.booleans())
+    return SubproblemSpec(items=items, capacity=capacity, monotone=monotone), delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs())
+def test_unbuilt_specs_match_reference(case):
+    spec, delta = case
+    assert_identical(spec, delta, 1e-9)
 
 
 def recording_calls(spec):
@@ -303,16 +366,10 @@ def reference_run(xi, ck, ub, delta):
     return xi, ck
 
 
-def assert_run_matches(xi, ck, ub, delta, top=None):
-    run = subsolver._run_of_steps(delta, ub if top is None else top)
-    got = run(xi, ck, ub)
-    want = reference_run(xi, ck, ub, delta)
-    assert [v.hex() for v in got] == [v.hex() for v in want], (xi, ck, ub, delta)
-
-
-def ladder(delta, p):
-    """x after p steps of delta from 0: the p-th rung of the delta-ladder."""
-    return list(accumulate(repeat(delta, p), initial=0.0))[-1]
+def assert_run_matches(ck, ub, delta):
+    got = subsolver._full_steps(ck, ub, delta)
+    want = reference_run(0.0, ck, ub, delta)
+    assert [v.hex() for v in got] == [v.hex() for v in want], (ck, ub, delta)
 
 
 def power_of_two_and_neighbours(v):
@@ -328,16 +385,14 @@ def test_run_matches_the_loop_on_fixed_cases(delta):
     for steps in (0, 1, 2, 3, 17, 500, 999, 1500):
         ub = steps * delta + delta / 3
         for ck in [steps * delta, 0.5 * steps * delta, 2 * steps * delta + delta / 7, 1e6 * delta]:
-            for start in (delta, ladder(delta, 2), ladder(delta, 7), delta / 2, 1.5 * delta):
-                assert_run_matches(start, ck, ub, delta)
+            assert_run_matches(ck, ub, delta)
         # ck at each power of two the run passes, and one ulp to either side
         for e in range(max(-1074, math.frexp(delta)[1] - 2), math.frexp(ub + delta)[1] + 1):
             for ck in power_of_two_and_neighbours(math.ldexp(1.0, e)):
-                assert_run_matches(delta, ck, ub, delta)
-    # Nothing to do: ub - xi < delta or ck < delta.
-    assert_run_matches(delta, 5 * delta, delta * 1.5, delta)
-    assert_run_matches(delta, delta * 0.75, 10 * delta, delta)
-    assert_run_matches(0.0, 10 * delta, delta * 0.5, delta)
+                assert_run_matches(ck, ub, delta)
+    # Nothing to do: ub < delta or ck < delta.
+    assert_run_matches(10 * delta, delta * 0.5, delta)
+    assert_run_matches(delta * 0.75, 10 * delta, delta)
 
 
 def test_delta_0_01_ties_in_the_binade_below_2_to_the_minus_5():
@@ -348,9 +403,9 @@ def test_delta_0_01_ties_in_the_binade_below_2_to_the_minus_5():
     for i in range(400):
         c = lo + (hi - lo) * i / 400
         for ck in (c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)):
-            assert_run_matches(0.01, ck, 5.0, 0.01)
+            assert_run_matches(ck, 5.0, 0.01)
     for ck in power_of_two_and_neighbours(2.0**-5) + [0.5, 1.0, 3.0]:
-        assert_run_matches(0.01, ck, 5.0, 0.01)
+        assert_run_matches(ck, 5.0, 0.01)
 
 
 def test_run_past_the_top_of_the_ladder_matches_the_loop():
@@ -359,9 +414,7 @@ def test_run_past_the_top_of_the_ladder_matches_the_loop():
     for steps in (n - 1, n, n + 1, 3 * n + 5):
         ub = steps * delta + delta / 2
         for ck in (steps * delta / 2, 2 * steps * delta, math.ldexp(1.0, math.frexp(ub)[1] - 1)):
-            assert_run_matches(delta, ck, ub, delta)
-            # a ladder built for a smaller bound: the run climbs past its top sooner
-            assert_run_matches(delta, ck, ub, delta, top=ub / 8)
+            assert_run_matches(ck, ub, delta)
 
 
 def test_each_ladder_is_built_once_per_delta_and_length():
@@ -375,6 +428,15 @@ def test_each_ladder_is_built_once_per_delta_and_length():
     # Every scenario has delta = 0.01 and requests below 10: ladders of 2**k <= 1024 steps.
     assert 0 < info.misses <= 10 < info.hits
     assert all(len(subsolver._ladder(0.01, 2**k)) == 2**k + 1 for k in range(1, 11))
+
+
+def test_every_ladder_length_of_one_delta_stays_cached():
+    subsolver._ladder.cache_clear()
+    lengths = [2**k for k in range(1, subsolver._LADDER_CAP.bit_length())]
+    for _ in range(2):
+        for steps in lengths:
+            subsolver._ladder(0.3, steps)
+    assert subsolver._ladder.cache_info().misses == len(lengths)
 
 
 @st.composite
@@ -393,17 +455,13 @@ def runs(draw):
             lambda p: st.sampled_from(power_of_two_and_neighbours(p))),
         st.floats(min_value=0.0, max_value=1e300),
     ))
-    xi = draw(st.one_of(
-        st.integers(0, 40).map(lambda p: ladder(delta, p)),
-        st.floats(min_value=0.0, max_value=max(ub, delta)),
-    ))
-    return xi, ck, ub, delta
+    return ck, ub, delta
 
 
 @settings(max_examples=400, deadline=None)
 @given(runs())
-@example((0.01, 0.03, 5.0, 0.01))
-@example((64 * 5e-324, 2.0**-1022, 9000 * 64 * 5e-324, 64 * 5e-324))
+@example((0.03, 5.0, 0.01))
+@example((2.0**-1022, 9000 * 64 * 5e-324, 64 * 5e-324))
 def test_run_matches_the_loop(case):
     assert_run_matches(*case)
 
@@ -411,8 +469,7 @@ def test_run_matches_the_loop(case):
 def plain_loop_runs(monkeypatch):
     """Make `allocate_greedy` take every run one step at a time."""
     monkeypatch.setattr(
-        subsolver, "_run_of_steps",
-        lambda delta, top: lambda xi, ck, ub: reference_run(xi, ck, ub, delta),
+        subsolver, "_full_steps", lambda ck, ub, delta: reference_run(0.0, ck, ub, delta)
     )
 
 
@@ -492,26 +549,22 @@ def test_every_protocol_run_takes_the_jump(monkeypatch, setting, seed, utility, 
     s = generate_scenario(GenSpec(setting=setting, seed=seed, utility_kind=utility))
     if costs:
         s = with_comm_costs(s, 1000 * setting + 10 * seed + len(utility))
-    runs_with_a_step = []
-    jumps = subsolver._run_of_steps
+    full_runs = []
+    jumps = subsolver._full_steps
 
-    def counting(delta, top):
-        run = jumps(delta, top)
-
-        def counted(xi, ck, ub):
-            if ub - xi >= delta and ck >= delta:
-                runs_with_a_step.append(xi)
-            return run(xi, ck, ub)
-
-        return counted
+    def counting(ck, ub, delta):
+        full_runs.append((ck, ub, delta))
+        return jumps(ck, ub, delta)
 
     def no_fallback(xi, ck, ub, delta):
         raise AssertionError(f"run from x={xi!r} fell back to the plain loop")
 
-    monkeypatch.setattr(subsolver, "_run_of_steps", counting)
+    monkeypatch.setattr(subsolver, "_full_steps", counting)
     monkeypatch.setattr(subsolver, "_steps_loop", no_fallback)
     run_solo_phase(s)
     for scheme in (OrderingScheme.cao(0), OrderingScheme.cdo(0), OrderingScheme.random(seed)):
         run_gpoa(s, scheme)
     check_matching_stability(run_ppmpoa(s), s)
-    assert runs_with_a_step
+    assert full_runs
+    # Reached only with a full step: at x = 0, ub >= delta and ck >= delta.
+    assert all(ub >= delta and ck >= delta for ck, ub, delta in full_runs)

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import pytest
@@ -217,13 +216,6 @@ def test_scenario_round_trip_preserves_comm_costs():
         comm_costs={(1, 1): 0.3},
     )
     assert scenario_from_dict(scenario_to_dict(s)) == s
-
-
-def test_save_scenario_embeds_manifest(tmp_path, setting1_seed42):
-    path = tmp_path / "with_manifest.json"
-    save_scenario(setting1_seed42, str(path), manifest={"command": "gen"})
-    payload = json.loads(path.read_text())
-    assert payload["manifest"] == {"command": "gen"}
 
 
 @given(
