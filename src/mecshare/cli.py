@@ -158,11 +158,12 @@ def cmd_ppmpoa(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
 
 def cmd_verify(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     scheme = parse_ordering(args.order)
-    report = enumerate_coalitions(s, scheme, args.algorithm, sweep_orders=args.sweep_orders)
+    memo = {}  # the stability run's grand coalition reuses the enumeration's share solves
+    report = enumerate_coalitions(s, scheme, args.algorithm, args.sweep_orders, memo)
     verdicts = _verdicts(report)
     stability_ok = True
     if args.algorithm == "ppmpoa":
-        stability_ok = not check_matching_stability(run_ppmpoa(s), s)
+        stability_ok = not check_matching_stability(run_ppmpoa(s, memo), s)
     payload = {
         "algorithm": args.algorithm,
         "coalitions": {

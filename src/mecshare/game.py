@@ -125,6 +125,7 @@ def enumerate_coalitions(
     scheme: OrderingScheme,
     algorithm: str = "gpoa",
     sweep_orders: bool = False,
+    share_memo: ShareMemo | None = None,
 ) -> CoalitionReport:
     """Evaluate every nonempty coalition.
 
@@ -140,8 +141,8 @@ def enumerate_coalitions(
     or the first one if every candidate is blocked. It comes last in bitset
     order, so every proper coalition is built before it.
 
-    Every run shares one share-solve memo for the length of this call, so each
-    distinct share subproblem across coalitions and orders is solved once.
+    Every run shares one share-solve memo, `share_memo` or else a fresh one, so
+    each distinct share subproblem across coalitions and orders is solved once.
     """
     ids = s.provider_ids()
     if not ids:
@@ -156,7 +157,7 @@ def enumerate_coalitions(
         # surplus set, and an explicit order, is this one restricted.
         order_surplus(s, scheme)
     full = frozenset(ids)
-    share_memo: ShareMemo = {}
+    share_memo = {} if share_memo is None else share_memo
     entries: Dict[FrozenSet[int], CoalitionEntry] = {}
     for members in _coalitions_by_bitset(ids):
         sub = restrict_scenario(s, members)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .model import AllocEvent, AllocState, AllocationTensor, Scenario, SoloRecord
@@ -77,13 +78,18 @@ class Payoff:
 class RunResult:
     """A GPOA or PPMPOA run; only PPMPOA records matches."""
 
-    allocation: AllocationTensor
     payoffs: Dict[int, Payoff]
     order_used: List[int]  # surplus providers in the order they shared
     events: List[AllocEvent]
+    K: int
     matches: List[MatchRecord] = field(default_factory=list)
     # PPMPOA's scenario and the share memo its run solved through, for the stability replay.
     share_memo: Tuple[Scenario, ShareMemo] | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def allocation(self) -> AllocationTensor:
+        """The run's allocation x_{n,k}^j, derived from its event log when first read."""
+        return AllocationTensor.from_events(self.events, self.K)
 
     @property
     def rounds(self) -> int:
@@ -133,7 +139,7 @@ def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
             allocated={a.id: [0.0] * s.K for a in apps},
         )
         res = solve_single_provider(s, n)
-        event = state.commit(s, n, res.allocation, "solo")
+        event = state.commit(n, res.allocation, "solo")
         records[n] = SoloRecord(
             v_solo=res.objective_value,
             remaining_capacity=tuple(state.remaining_capacity[n]),
@@ -146,15 +152,10 @@ def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
     return records
 
 
-def run_solo_phase(
-    s: Scenario,
-) -> Tuple[AllocState, AllocationTensor, Dict[int, Payoff], List[AllocEvent]]:
-    """Every provider serves its own applications; shared starting point of both algorithms.
+def start_run(s: Scenario) -> Tuple[AllocState, Dict[int, Payoff]]:
+    """Where every run starts: a fresh post-solo state and payoffs from `Scenario.post_solo`.
 
-    The solves and their commits are done once per scenario (`Scenario.post_solo`);
-    every call assembles a fresh state and payoffs from those records. The event
-    log starts with the records' own solo events, and each tensor entry is the
-    owner's `allocated` tuple, since a solo grant reaches an app only from its owner.
+    The event log starts with the records' own solo events, shared, not copied.
     """
     records = s.post_solo
     state = AllocState(
@@ -163,20 +164,24 @@ def run_solo_phase(
             a.id: list(records[a.owner].remaining_request[a.id]) for a in s.applications
         },
         allocated={a.id: list(records[a.owner].allocated[a.id]) for a in s.applications},
-        allocation=AllocationTensor(
-            {(n, j): rec.allocated[j] for n, rec in records.items() for j, _, _ in rec.event.chunks}
-        ),
         events=[rec.event for rec in records.values()],
     )
-    payoffs = {n: Payoff(v_solo=rec.v_solo) for n, rec in records.items()}
-    return state, state.allocation, payoffs, state.events
+    return state, {n: Payoff(v_solo=rec.v_solo) for n, rec in records.items()}
+
+
+def run_solo_phase(
+    s: Scenario,
+) -> Tuple[AllocState, AllocationTensor, Dict[int, Payoff], List[AllocEvent]]:
+    """Every provider serves its own applications: `start_run` plus the solo tensor."""
+    state, payoffs = start_run(s)
+    return state, AllocationTensor.from_events(state.events, s.K), payoffs, state.events
 
 
 def run_gpoa(
     s: Scenario, scheme: OrderingScheme, share_memo: ShareMemo | None = None
 ) -> RunResult:
     order = order_surplus(s, scheme)
-    state, _, payoffs, _ = run_solo_phase(s)
+    state, payoffs = start_run(s)
     g1 = partition_players(s)[0]
 
     shared: Dict[Tuple[int, int], float] = {}  # (app, k) -> amount granted in sharing rounds
@@ -186,7 +191,7 @@ def run_gpoa(
             break
         res = solve_surplus_share(s, n, state, deficit_apps, share_memo)
         payoffs[n].sharing += res.objective_value
-        for j, k, x in state.commit(s, n, res.allocation, "share").chunks:
+        for j, k, x in state.commit(n, res.allocation, "share").chunks:
             shared[(j, k)] = shared.get((j, k), 0.0) + x
 
     for m in g1:
@@ -198,9 +203,4 @@ def run_gpoa(
                     bonus += x / a.request[k]
         payoffs[m].bonus = bonus
 
-    return RunResult(
-        allocation=state.allocation,
-        payoffs=payoffs,
-        order_used=order,
-        events=state.events,
-    )
+    return RunResult(payoffs=payoffs, order_used=order, events=state.events, K=s.K)

@@ -249,6 +249,15 @@ class AllocationTensor:
         cur[k] += amount
         self.entries[(n, j)] = tuple(cur)
 
+    @classmethod
+    def from_events(cls, events: Iterable[AllocEvent], k_count: int) -> "AllocationTensor":
+        """Every chunk of the log added in order: the same sums, and entry order, as `add`."""
+        sums: Dict[Tuple[int, int], List[float]] = {}
+        for ev in events:
+            for j, k, x in ev.chunks:
+                sums.setdefault((ev.allocator, j), [0.0] * k_count)[k] += x
+        return cls({key: tuple(vec) for key, vec in sums.items()})
+
     def totals(self, k_count: int) -> Tuple[Dict[int, List[float]], Dict[int, List[float]]]:
         """Per-app and per-provider sums over all entries, built in one pass in insertion order."""
         by_app: Dict[int, List[float]] = {}
@@ -289,12 +298,11 @@ class AllocationTensor:
 
 @dataclass
 class AllocState:
-    """One run's record: remaining capacity and requests, the allocation and the event log."""
+    """One run's record: remaining capacity and requests, and the event log of every grant."""
 
     remaining_capacity: Dict[int, List[float]]
     remaining_request: Dict[int, List[float]]
     allocated: Dict[int, List[float]]  # z: total granted to each app so far
-    allocation: AllocationTensor = field(default_factory=AllocationTensor)
     events: List[AllocEvent] = field(default_factory=list)
 
     @staticmethod
@@ -313,7 +321,7 @@ class AllocState:
     def app_has_deficit(self, j: int, k: int | None = None) -> bool:
         """App j still misses more than TOL of resource k (of any resource when k is None)."""
         if k is None:
-            return any(r > TOL for r in self.remaining_request[j])
+            return max(self.remaining_request[j]) > TOL
         return self.remaining_request[j][k] > TOL
 
     def deficit_apps(self, s: Scenario, providers: Iterable[int]) -> List[int]:
@@ -324,20 +332,17 @@ class AllocState:
         return bool(self.deficit_apps(s, [n]))
 
     def has_surplus(self, n: int) -> bool:
-        return any(c > TOL for c in self.remaining_capacity[n])
+        return max(self.remaining_capacity[n]) > TOL
 
-    def commit(
-        self, s: Scenario, n: int, allocation: Mapping[Tuple[int, int], float], phase: str
-    ) -> AllocEvent:
+    def commit(self, n: int, allocation: Mapping[Tuple[int, int], float], phase: str) -> AllocEvent:
         """Grant provider n's positive amounts in (app, resource) order.
 
-        Each grant lands in the remaining capacity and request, the allocation
-        tensor and the returned event, which is appended to the log.
+        Each grant lands in the remaining capacity and request, `allocated` and
+        the returned event; the event log is the run's one record of grants.
         """
         chunks = []
         for (j, k), x in sorted(allocation.items()):
             if x > 0:
-                self.allocation.add(n, j, k, x, s.K)
                 self.apply(n, j, k, x)
                 chunks.append((j, k, x))
         event = AllocEvent(phase=phase, allocator=n, chunks=tuple(chunks))

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from .model import AllocEvent, AllocState, Scenario, TOL
-from .gpoa import RunResult, partition_players, run_solo_phase
+from .gpoa import RunResult, partition_players, start_run
 from .subsolver import ShareMemo, solve_surplus_share
 
 
@@ -65,7 +65,7 @@ def _commit_match(
     m: int, n: int, g1_active: List[int], g2_active: List[int],
 ) -> AllocEvent:
     """Commit cell (m, n) and retire whichever side it left without surplus or deficit."""
-    ev = state.commit(s, n, matrix.allocs[(m, n)], "share")
+    ev = state.commit(n, matrix.allocs[(m, n)], "share")
     if not state.has_surplus(n):
         g2_active.remove(n)
     if not state.has_deficit(s, m):
@@ -75,7 +75,7 @@ def _commit_match(
 
 def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
     memo = {} if share_memo is None else share_memo
-    state, _, payoffs, _ = run_solo_phase(s)
+    state, payoffs = start_run(s)
     g1_active, g2_active = partition_players(s)
 
     matches: List[MatchRecord] = []
@@ -96,10 +96,10 @@ def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
         payoffs[m].bonus += bonus
 
     return RunResult(
-        allocation=state.allocation,
         payoffs=payoffs,
         order_used=[rec.n for rec in matches],
         events=state.events,
+        K=s.K,
         matches=matches,
         share_memo=(s, memo),
     )
@@ -118,7 +118,7 @@ def check_matching_stability(result: RunResult, s: Scenario) -> List[BlockingPai
     """
     run_s, memo = result.share_memo or (None, None)
     memo = memo if run_s is s else None
-    state = run_solo_phase(s)[0]
+    state = start_run(s)[0]
     g1_active, g2_active = partition_players(s)
     blocking: List[BlockingPair] = []
 

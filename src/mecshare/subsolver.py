@@ -165,8 +165,9 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
       and delta = 0.01, no generated or bench scenario gets there.
 
     Every jump lands on the float the loop's own additions reach, so the
-    result keeps its bits: it is bit-identical to one unit at a time except
-    where two items' gains lie within rounding noise of each other.
+    result keeps its bits. A won full-delta run is taken whole: that is the greedy
+    the identity contract names. The one-unit loop can instead alternate between
+    items whose gains differ only by rounding, and there the two differ.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")

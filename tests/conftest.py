@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from mecshare.game import CoalitionEntry, CoalitionReport
 from mecshare.model import Application, Scenario, UtilitySpec
 from mecshare.scengen import GenSpec, Stream, generate_scenario
 
@@ -37,6 +38,26 @@ def with_comm_costs(s, seed):
         if a.owner != p.id
     }
     return dataclasses.replace(s, comm_costs=costs)
+
+
+def failing_rationality_report():
+    """Two players whose grand payoffs fail both rationality checks.
+
+    Player 1 gets 4.0 in the grand coalition against 5.0 alone, and the grand
+    payoffs sum to 9.0 against a grand value of 10.0.
+    """
+    def entry(value, payoffs):
+        return CoalitionEntry(value=value, payoffs=payoffs, order_used=[],
+                              candidates=[((), payoffs)])
+
+    return CoalitionReport(
+        entries={
+            frozenset({1}): entry(5.0, {1: 5.0}),
+            frozenset({2}): entry(3.0, {2: 3.0}),
+            frozenset({1, 2}): entry(10.0, {1: 4.0, 2: 5.0}),
+        },
+        provider_ids=[1, 2],
+    )
 
 
 @pytest.fixture

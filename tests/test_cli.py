@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import mecshare
-from mecshare import cli, game
+from mecshare import cli, game, subsolver
 from mecshare.cli import main
 from mecshare.model import load_scenario
 from mecshare.ppmpoa import run_ppmpoa
+
+from conftest import failing_rationality_report
 
 
 def read_json(path):
@@ -130,6 +132,46 @@ class TestVerify:
             f"{name}: pass" if v["passed"] else f"{name}: FAIL (witnesses: {len(v['witnesses'])})"
             for name, v in verdicts.items()
         ]
+
+    def test_failing_rationality_prints_its_witnesses(
+        self, scenario_file, tmp_path, capsys, monkeypatch
+    ):
+        report = failing_rationality_report()
+        monkeypatch.setattr(cli, "enumerate_coalitions", lambda *args: report)
+        out = str(tmp_path / "verify.json")
+        capsys.readouterr()
+        assert main(["verify", "--scenario", scenario_file, "--out", out]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "superadditivity: pass",
+            "rationality: FAIL (witnesses: 2)",
+            "no_blocking_coalition: FAIL (witnesses: 1)",
+        ]
+        assert read_json(out)["verdicts"]["rationality"]["witnesses"] == [
+            ["individual", 1, 4.0, 5.0], ["group", 9.0, 10.0]
+        ]
+
+    def test_ppmpoa_stability_run_reuses_the_enumeration_solves(self, tmp_path, monkeypatch):
+        scenario, out = str(tmp_path / "s.json"), str(tmp_path / "verify.json")
+        main(["gen", "--setting", "3", "--seed", "1", "--utility", "linear", "--out", scenario])
+        share_solves = {"enumeration": 0, "stability": 0}
+        phase = ["enumeration"]
+        greedy = subsolver.allocate_greedy
+
+        def counting_greedy(spec, delta, epsilon_gain):
+            if spec.kind == "share":
+                share_solves[phase[0]] += 1
+            return greedy(spec, delta, epsilon_gain)
+
+        def stability_run(s, share_memo=None):
+            phase[0] = "stability"
+            return run_ppmpoa(s, share_memo)
+
+        monkeypatch.setattr(subsolver, "allocate_greedy", counting_greedy)
+        monkeypatch.setattr(cli, "run_ppmpoa", stability_run)
+        assert main(["verify", "--scenario", scenario, "--algorithm", "ppmpoa", "--out", out]) == 1
+        assert read_json(out)["matching_stable"] is True
+        # The stability run and its replay are all hits in the enumeration's memo.
+        assert share_solves == {"enumeration": 67, "stability": 0}
 
     def test_ppmpoa_verify_includes_matching_stability(self, scenario_file, tmp_path):
         out = tmp_path / "verify.json"

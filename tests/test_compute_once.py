@@ -109,7 +109,7 @@ def reference_run_ppmpoa(s: Scenario) -> RunResult:
         payoffs[m].bonus += bonus
 
     return RunResult(
-        allocation=alloc,
+        K=s.K,
         payoffs=payoffs,
         order_used=[rec.n for rec in matches],
         events=events,
@@ -449,10 +449,10 @@ def test_swept_enumeration_solves_and_commits_each_solo_once(monkeypatch):
     solo_commits = []
     commit = AllocState.commit
 
-    def counting_commit(self, s_, n, allocation, phase):
+    def counting_commit(self, n, allocation, phase):
         if phase == "solo":
             solo_commits.append(n)
-        return commit(self, s_, n, allocation, phase)
+        return commit(self, n, allocation, phase)
 
     monkeypatch.setattr(AllocState, "commit", counting_commit)
     report = enumerate_coalitions(s, OrderingScheme.cdo(0), sweep_orders=True)

@@ -24,7 +24,7 @@ from mecshare.game import (
 )
 from mecshare.scengen import GenSpec, generate_scenario
 
-from conftest import linear_app, make_scenario, with_comm_costs
+from conftest import failing_rationality_report, linear_app, make_scenario, with_comm_costs
 
 CDO = OrderingScheme.cdo(0)
 
@@ -128,6 +128,11 @@ class TestPropertyChecks:
     def test_rationality_holds(self, report):
         verdict = check_rationality(report)
         assert verdict.passed, verdict.witnesses
+
+    def test_rationality_failure_names_each_witness(self):
+        verdict = check_rationality(failing_rationality_report())
+        assert not verdict.passed
+        assert verdict.witnesses == [("individual", 1, 4.0, 5.0), ("group", 9.0, 10.0)]
 
     def test_no_blocking_coalition(self, report):
         verdict = check_no_blocking_coalition(report)

@@ -6,6 +6,14 @@ records no grant order: every spec the protocols hand the allocator must give
 the same bits from both. A run is always an item's first grant, so it starts
 at x = 0 and is taken in a few exact jumps (`subsolver._full_steps`), checked
 further down against the plain run loop from 0.
+
+The greedy this contract names is `allocate_greedy`'s: an item that wins a
+full delta step takes its whole run of full steps at once. The one-unit loop
+below picks again at every step, so it can alternate between two items whose
+gains differ only by rounding; no spec the protocols build on generated
+scenarios has such a near-tie, and
+`test_near_tie_run_is_taken_whole_where_the_one_unit_loop_alternates` pins a
+hand-built one as a documented finding.
 """
 import dataclasses
 import heapq
@@ -255,6 +263,21 @@ class TestEdgeCases:
         )
         res = assert_identical(spec, 0.01, 1e-9)
         assert res.allocation[(1, 0)] == 0.0
+
+
+def test_near_tie_run_is_taken_whole_where_the_one_unit_loop_alternates():
+    # A documented finding, not the contract: two identical apps on a provider
+    # that cannot serve both. Their recomputed gains differ by an ulp from step
+    # to step, so the one-unit loop alternates between them; the allocator
+    # gives the first winner its whole run.
+    s = make_scenario([Provider(id=1, capacity=(1.5,), native_apps=(1, 2))],
+                      [linear_app(1, 1, [1.3], a=3.7), linear_app(2, 1, [1.3], a=3.7)])
+    spec = build_solo_spec(s, 1)
+    got = allocate_greedy(spec, s.delta, s.epsilon_gain)
+    want = reference_delta_greedy(spec, s.delta, s.epsilon_gain)
+    assert got.allocation == {(1, 0): 1.2999999999999998, (2, 0): 0.20000000000000004}
+    assert want.allocation == {(1, 0): 1.2299999999999998, (2, 0): 0.2700000000000001}
+    assert got.resources_used == want.resources_used == 1.4999999999999998
 
 
 # --- specs the protocols never build ----------------------------------------
