@@ -103,10 +103,17 @@ def _outcome(payoffs, alloc: AllocationTensor) -> dict:
     }
 
 
-def _verdicts(report: CoalitionReport) -> List[PropertyVerdict]:
-    """The coalition properties that verify reports and table3 tabulates, in column order."""
+def _coalition_analysis(
+    args: argparse.Namespace, s: Scenario
+) -> Tuple[CoalitionReport, List[PropertyVerdict], bool, int]:
+    """The report, verdicts, matching stability and exit code that verify and table3 write."""
+    memo = {}  # the stability run's grand coalition reuses the enumeration's share solves
+    scheme = parse_ordering(args.order)
+    report = enumerate_coalitions(s, scheme, args.algorithm, args.sweep_orders, memo)
     checks = (check_superadditivity, check_rationality, check_no_blocking_coalition)
-    return [check(report) for check in checks]
+    verdicts = [check(report) for check in checks]
+    stable = args.algorithm != "ppmpoa" or not check_matching_stability(run_ppmpoa(s, memo), s)
+    return report, verdicts, stable, 0 if stable and all(v.passed for v in verdicts) else 1
 
 
 # --- subcommands ----------------------------------------------------------
@@ -157,13 +164,7 @@ def cmd_ppmpoa(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
 
 
 def cmd_verify(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
-    scheme = parse_ordering(args.order)
-    memo = {}  # the stability run's grand coalition reuses the enumeration's share solves
-    report = enumerate_coalitions(s, scheme, args.algorithm, args.sweep_orders, memo)
-    verdicts = _verdicts(report)
-    stability_ok = True
-    if args.algorithm == "ppmpoa":
-        stability_ok = not check_matching_stability(run_ppmpoa(s, memo), s)
+    report, verdicts, stable, code = _coalition_analysis(args, s)
     payload = {
         "algorithm": args.algorithm,
         "coalitions": {
@@ -178,12 +179,11 @@ def cmd_verify(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
             v.name: {"passed": v.passed, "witnesses": [list(w) for w in v.witnesses]}
             for v in verdicts
         },
-        "matching_stable": stability_ok,
+        "matching_stable": stable,
     }
-    ok = all(v.passed for v in verdicts) and stability_ok
     for v in verdicts:
         print(f"{v.name}: pass" if v.passed else f"{v.name}: FAIL (witnesses: {len(v.witnesses)})")
-    return payload, 0 if ok else 1
+    return payload, code
 
 
 def cmd_misreport(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
@@ -202,8 +202,8 @@ def cmd_misreport(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]
 
 
 def cmd_table3(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
-    report = enumerate_coalitions(s, parse_ordering(args.order), args.algorithm)
-    verdicts = ["pass" if v.passed else "fail" for v in _verdicts(report)]
+    report, verdicts, _stable, code = _coalition_analysis(args, s)
+    cells = ["pass" if v.passed else "fail" for v in verdicts]
     ids = report.provider_ids
     header = (
         ["coalition"]
@@ -215,8 +215,8 @@ def cmd_table3(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
         report.entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
     ):
         label = "{" + ",".join(str(n) for n in sorted(members)) + "}"
-        rows.append([label] + [entry.payoffs.get(n, 0.0) for n in ids] + [entry.value] + verdicts)
-    return (header, rows), 0 if "fail" not in verdicts else 1
+        rows.append([label] + [entry.payoffs.get(n, 0.0) for n in ids] + [entry.value] + cells)
+    return (header, rows), code
 
 
 def _split_orderings(text: str) -> List[str]:
@@ -320,20 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = on_scenario("ppmpoa", cmd_ppmpoa, "run the matching-based algorithm")
     p.add_argument("--trace", default=None, help="per-round match CSV")
 
-    p = on_scenario("verify", cmd_verify, "coalition sweep with property checks")
-    p.add_argument("--algorithm", choices=["gpoa", "ppmpoa"], default="gpoa")
-    p.add_argument(
-        "--order",
-        default="cdo:k=0",
-        help="GPOA surplus order, always validated; with --sweep-orders it runs only for "
-        f"coalitions with more than {SWEEP_LIMIT} surplus providers; ppmpoa never reads it",
-    )
-    p.add_argument(
-        "--sweep-orders",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="evaluate every surplus-order permutation per coalition",
-    )
+    def on_coalitions(name: str, func, help: str) -> None:
+        p = on_scenario(name, func, help)
+        p.add_argument("--algorithm", choices=["gpoa", "ppmpoa"], default="gpoa")
+        p.add_argument(
+            "--order",
+            default="cdo:k=0",
+            help="GPOA surplus order, always validated; with --sweep-orders it runs only for "
+            f"coalitions with more than {SWEEP_LIMIT} surplus providers; ppmpoa never reads it",
+        )
+        p.add_argument("--sweep-orders", action=argparse.BooleanOptionalAction, default=True,
+                       help="evaluate every surplus-order permutation per coalition")
+
+    on_coalitions("verify", cmd_verify, "coalition sweep with property checks")
 
     p = on_scenario("misreport", cmd_misreport, "truthful vs misreported capacity/requests")
     p.add_argument("--provider", type=int, required=True)
@@ -341,9 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--req-factor", type=float, default=1.0)
     p.add_argument("--algorithm", choices=["gpoa", "ppmpoa"], default="gpoa")
 
-    p = on_scenario("table3", cmd_table3, "coalition payoff table with verdict columns")
-    p.add_argument("--algorithm", choices=["gpoa", "ppmpoa"], default="gpoa")
-    p.add_argument("--order", default="cdo:k=0")
+    on_coalitions("table3", cmd_table3, "verify's coalition table and verdicts as CSV")
 
     p = on_scenario("compare", cmd_compare, "solo vs gpoa vs ppmpoa side by side")
     p.add_argument("--orderings", default="", help="comma-separated ordering specs")

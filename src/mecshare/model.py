@@ -305,14 +305,6 @@ class AllocState:
     allocated: Dict[int, List[float]]  # z: total granted to each app so far
     events: List[AllocEvent] = field(default_factory=list)
 
-    @staticmethod
-    def initial(s: Scenario) -> "AllocState":
-        return AllocState(
-            remaining_capacity={p.id: list(p.capacity) for p in s.providers},
-            remaining_request={a.id: list(a.request) for a in s.applications},
-            allocated={a.id: [0.0] * s.K for a in s.applications},
-        )
-
     def apply(self, n: int, j: int, k: int, amount: float) -> None:
         self.remaining_capacity[n][k] -= amount
         self.remaining_request[j][k] -= amount

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from mecshare.game import CoalitionEntry, CoalitionReport
-from mecshare.model import Application, Scenario, UtilitySpec
+from mecshare.model import AllocState, Application, Scenario, UtilitySpec
 from mecshare.scengen import GenSpec, Stream, generate_scenario
 
 
@@ -25,6 +25,15 @@ def linear_app(app_id, owner, request, a=1.0, c=0.0, w1=1.0):
         request=tuple(request),
         utility=UtilitySpec.linear(a=a, c=c),
         weight_w1=w1,
+    )
+
+
+def initial_state(s):
+    """A run's state before its solo phase: every capacity and request whole, nothing granted."""
+    return AllocState(
+        remaining_capacity={p.id: list(p.capacity) for p in s.providers},
+        remaining_request={a.id: list(a.request) for a in s.applications},
+        allocated={a.id: [0.0] * s.K for a in s.applications},
     )
 
 

@@ -12,8 +12,9 @@ import pytest
 import mecshare
 from mecshare import cli, game, subsolver
 from mecshare.cli import main
+from mecshare.gpoa import parse_ordering
 from mecshare.model import load_scenario
-from mecshare.ppmpoa import run_ppmpoa
+from mecshare.ppmpoa import BlockingPair, run_ppmpoa
 
 from conftest import failing_rationality_report
 
@@ -249,8 +250,10 @@ class TestTables:
         assert main(
             ["gpoa", "--scenario", scenario_file, "--order", order, "--out", str(gpoa_out)]
         ) == 0
+        # Only an unswept table runs the given order in every coalition.
         assert main(
-            ["table3", "--scenario", scenario_file, "--order", order, "--out", str(table_out)]
+            ["table3", "--scenario", scenario_file, "--no-sweep-orders", "--order", order,
+             "--out", str(table_out)]
         ) == 0
         with open(table_out) as fh:
             rows = list(csv.reader(fh))
@@ -259,6 +262,52 @@ class TestTables:
         assert {n: float(grand[f"player_{n}"]) for n in payoffs} == {
             n: p["total"] for n, p in payoffs.items()
         }
+
+    def test_table3_writes_verifys_verdicts_and_exit_code(self, tmp_path):
+        # Unswept, this file fails superadditivity and no-blocking; the sweep passes both.
+        scenario = str(tmp_path / "s.json")
+        main(["gen", "--setting", "3", "--seed", "4", "--utility", "linear", "--out", scenario])
+        table_out, verify_out = tmp_path / "table3.csv", tmp_path / "verify.json"
+        assert main(["table3", "--scenario", scenario, "--out", str(table_out)]) == 0
+        assert main(["verify", "--scenario", scenario, "--out", str(verify_out)]) == 0
+        verify = read_json(str(verify_out))
+        with open(table_out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-3:] == ["superadditive", "rational", "core"]
+        want = ["pass" if v["passed"] else "fail" for v in verify["verdicts"].values()]
+        assert want == ["pass"] * 3
+        assert all(row[-3:] == want for row in rows[1:])
+        assert float(rows[-1][-4]) == verify["coalitions"]["1,2,3,4,5,6"]["value"]
+
+    def test_table3_without_sweep_is_the_unswept_enumeration(self, tmp_path):
+        scenario = str(tmp_path / "s.json")
+        main(["gen", "--setting", "3", "--seed", "4", "--utility", "linear", "--out", scenario])
+        out = tmp_path / "table3.csv"
+        assert main(["table3", "--scenario", scenario, "--no-sweep-orders", "--out", str(out)]) == 1
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert all(row[-3:] == ["fail", "pass", "fail"] for row in rows[1:])
+        s = load_scenario(scenario)
+        grand = game.enumerate_coalitions(s, parse_ordering("cdo:k=0")).entries[
+            frozenset(s.provider_ids())
+        ]
+        assert rows[-1][0] == "{1,2,3,4,5,6}"
+        assert rows[-1][1:-3] == [repr(grand.payoffs[n]) for n in s.provider_ids()] + [
+            repr(grand.value)
+        ]
+
+    def test_table3_fails_an_unstable_matching_as_verify_does(
+        self, scenario_file, tmp_path, monkeypatch
+    ):
+        blocked = [BlockingPair(round=1, m=1, n=2, value=2.0, committed_value=1.0)]
+        monkeypatch.setattr(cli, "check_matching_stability", lambda result, s: blocked)
+        verify_out, table_out = str(tmp_path / "verify.json"), str(tmp_path / "table3.csv")
+        for command, out in (("verify", verify_out), ("table3", table_out)):
+            argv = [command, "--scenario", scenario_file, "--algorithm", "ppmpoa", "--out", out]
+            assert main(argv) == 1, command
+        assert read_json(verify_out)["matching_stable"] is False
+        with open(table_out) as fh:
+            assert all(row[-3:] == ["pass"] * 3 for row in list(csv.reader(fh))[1:])
 
     def test_compare_lists_all_modes(self, scenario_file, tmp_path):
         out = tmp_path / "compare.csv"

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mecshare.model import (
-    AllocState,
     AllocationTensor,
     Application,
     Provider,
@@ -20,7 +19,7 @@ from mecshare.model import (
     validate_scenario,
 )
 
-from conftest import linear_app, make_scenario
+from conftest import initial_state, linear_app, make_scenario
 
 
 def with_number(name: str, value) -> Scenario:
@@ -199,7 +198,7 @@ def test_deficit_apps_follow_provider_then_native_app_order():
         ],
         apps,
     )
-    state = AllocState.initial(s)
+    state = initial_state(s)
     assert state.deficit_apps(s, [2, 1]) == [2, 3, 1]
     state.apply(1, 3, 0, 1.0)
     assert state.deficit_apps(s, [2, 1]) == [2, 1]

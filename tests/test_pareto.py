@@ -14,12 +14,12 @@ import itertools
 import pytest
 
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
-from mecshare.model import TOL, AllocState
+from mecshare.model import TOL
 from mecshare.ppmpoa import run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
 from mecshare.subsolver import SubproblemResult, _rollback_uncovered_cost, build_share_spec
 
-from conftest import with_comm_costs
+from conftest import initial_state, with_comm_costs
 
 SEEDS = range(1, 6)
 
@@ -37,7 +37,7 @@ def runs(s, seed):
 
 def pareto_witnesses(s, result, cover_cost=True):
     """(provider, app, resource, step) of every one-step grant the run left open."""
-    state = AllocState.initial(s)
+    state = initial_state(s)
     for ev in result.events:
         for j, k, x in ev.chunks:
             state.apply(ev.allocator, j, k, x)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mecshare import subsolver
-from mecshare.model import AllocState, Provider, UtilitySpec
+from mecshare.model import Provider, UtilitySpec
 from mecshare.subsolver import (
     GridTooLarge,
     SubproblemItem,
@@ -17,7 +17,7 @@ from mecshare.subsolver import (
     solve_surplus_share,
 )
 
-from conftest import linear_app, make_scenario
+from conftest import initial_state, linear_app, make_scenario
 
 
 def linear_items(params, r_equals_ub=True):
@@ -186,7 +186,7 @@ class TestSurplusShare:
             apps,
             comm_costs=comm,
         )
-        state = AllocState.initial(s)
+        state = initial_state(s)
         state.apply(1, 1, 0, 2.0)
         state.apply(2, 2, 0, 2.0)
         return s, state
@@ -213,7 +213,7 @@ class TestSurplusShare:
             ],
             apps,
         )
-        state = AllocState.initial(s)
+        state = initial_state(s)
         state.apply(2, 3, 0, 1.0)  # provider 2 serves its own app first
         res = solve_surplus_share(s, 2, state, [1, 2])
         assert res.allocation[(1, 0)] == pytest.approx(2.0, abs=1e-9)
@@ -243,7 +243,7 @@ class TestSurplusShare:
             apps,
             comm_costs={(2, 1): 1.03},
         )
-        state = AllocState.initial(s)
+        state = initial_state(s)
         state.apply(1, 1, 0, 3.5)
         state.apply(2, 2, 0, 1.0)
         spec = build_share_spec(s, 2, state, [1])
@@ -272,7 +272,7 @@ class TestSurplusShare:
             apps, K=2,
             comm_costs={(2, 1): 0.3, (2, 2): 0.1} if costs else None,
         )
-        state = AllocState.initial(s)
+        state = initial_state(s)
         state.apply(1, 1, 0, 0.5)
         state.apply(1, 2, 1, 0.5)
         state.apply(2, 3, 0, 1.0)
