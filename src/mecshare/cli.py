@@ -106,14 +106,20 @@ def _outcome(payoffs, alloc: AllocationTensor) -> dict:
 def _coalition_analysis(
     args: argparse.Namespace, s: Scenario
 ) -> Tuple[CoalitionReport, List[PropertyVerdict], bool, int]:
-    """The report, verdicts, matching stability and exit code that verify and table3 write."""
+    """Verify's and table3's report, verdicts, stability and exit code; prints each check."""
     memo = {}  # the stability run's grand coalition reuses the enumeration's share solves
     scheme = parse_ordering(args.order)
     report = enumerate_coalitions(s, scheme, args.algorithm, args.sweep_orders, memo)
     checks = (check_superadditivity, check_rationality, check_no_blocking_coalition)
     verdicts = [check(report) for check in checks]
-    stable = args.algorithm != "ppmpoa" or not check_matching_stability(run_ppmpoa(s, memo), s)
-    return report, verdicts, stable, 0 if stable and all(v.passed for v in verdicts) else 1
+    lines = [(v.name, v.passed, f"witnesses: {len(v.witnesses)}") for v in verdicts]
+    blocking = []
+    if args.algorithm == "ppmpoa":
+        blocking = check_matching_stability(run_ppmpoa(s, memo), s)
+        lines.append(("matching_stable", not blocking, f"blocking pairs: {len(blocking)}"))
+    for name, passed, count in lines:
+        print(f"{name}: pass" if passed else f"{name}: FAIL ({count})")
+    return report, verdicts, not blocking, 0 if all(passed for _, passed, _ in lines) else 1
 
 
 # --- subcommands ----------------------------------------------------------
@@ -165,7 +171,7 @@ def cmd_ppmpoa(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
 
 def cmd_verify(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
     report, verdicts, stable, code = _coalition_analysis(args, s)
-    payload = {
+    return {
         "algorithm": args.algorithm,
         "coalitions": {
             ",".join(str(n) for n in sorted(members)): {
@@ -180,10 +186,7 @@ def cmd_verify(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
             for v in verdicts
         },
         "matching_stable": stable,
-    }
-    for v in verdicts:
-        print(f"{v.name}: pass" if v.passed else f"{v.name}: FAIL (witnesses: {len(v.witnesses)})")
-    return payload, code
+    }, code
 
 
 def cmd_misreport(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:

@@ -147,7 +147,7 @@ def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
             allocated={j: tuple(z) for j, z in state.allocated.items()},
             event=event,
             deficit=state.has_deficit(s, n),
-            surplus=state.has_surplus(n),
+            surplus=state.has_surplus(s, n),
         )
     return records
 

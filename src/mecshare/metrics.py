@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from .model import AllocationTensor, Scenario, TOL
+from .model import AllocationTensor, Scenario
 
 
 @dataclass
@@ -58,7 +58,7 @@ def fragmentation_index(s: Scenario, x: AllocationTensor):
     remotes: Dict[int, Set[int]] = {a.id: set() for a in s.applications}
     owner = {a.id: a.owner for a in s.applications}
     for (n, j), vec in x.entries.items():
-        if j in owner and n != owner[j] and any(v > TOL for v in vec):
+        if j in owner and n != owner[j] and any(v > s.tol for v in vec):
             remotes[j].add(n)
     per_app = {j: len(providers) for j, providers in remotes.items()}
     served = [c for c in per_app.values() if c > 0]

@@ -8,9 +8,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-#: Absolute tolerance for partition thresholds and state bookkeeping.
-TOL = 1e-9
-
 #: Defaults used when a scenario file omits the corresponding keys.
 DEFAULT_DELTA = 0.01
 DEFAULT_EPSILON_GAIN = 1e-9
@@ -96,6 +93,11 @@ class Scenario:
 
     def comm_d(self, n: int, j: int) -> float:
         return self.comm_costs.get((n, j), 0.0)
+
+    @cached_property
+    def tol(self) -> float:
+        """An amount at or below δ·10⁻⁷ is no deficit, surplus or grant (1e-9 at δ = 0.01)."""
+        return self.delta / 1e7
 
     @cached_property
     def _providers_by_id(self) -> Dict[int, Provider]:
@@ -310,21 +312,21 @@ class AllocState:
         self.remaining_request[j][k] -= amount
         self.allocated[j][k] += amount
 
-    def app_has_deficit(self, j: int, k: int | None = None) -> bool:
-        """App j still misses more than TOL of resource k (of any resource when k is None)."""
+    def app_has_deficit(self, s: Scenario, j: int, k: int | None = None) -> bool:
+        """App j still misses more than `s.tol` of resource k (of any resource when k is None)."""
         if k is None:
-            return max(self.remaining_request[j]) > TOL
-        return self.remaining_request[j][k] > TOL
+            return max(self.remaining_request[j]) > s.tol
+        return self.remaining_request[j][k] > s.tol
 
     def deficit_apps(self, s: Scenario, providers: Iterable[int]) -> List[int]:
         """Apps of `providers` that still miss some resource, in provider then native-app order."""
-        return [a.id for n in providers for a in s.apps_of(n) if self.app_has_deficit(a.id)]
+        return [a.id for n in providers for a in s.apps_of(n) if self.app_has_deficit(s, a.id)]
 
     def has_deficit(self, s: Scenario, n: int) -> bool:
         return bool(self.deficit_apps(s, [n]))
 
-    def has_surplus(self, n: int) -> bool:
-        return max(self.remaining_capacity[n]) > TOL
+    def has_surplus(self, s: Scenario, n: int) -> bool:
+        return max(self.remaining_capacity[n]) > s.tol
 
     def commit(self, n: int, allocation: Mapping[Tuple[int, int], float], phase: str) -> AllocEvent:
         """Grant provider n's positive amounts in (app, resource) order.

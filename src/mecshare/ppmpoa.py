@@ -2,18 +2,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
-from .model import AllocEvent, AllocState, Scenario, TOL
+from .model import AllocEvent, AllocState, Scenario
 from .gpoa import RunResult, partition_players, start_run
-from .subsolver import ShareMemo, solve_surplus_share
+from .subsolver import ShareMemo, SubproblemResult, solve_surplus_share
 
 
 @dataclass
 class MatchingMatrix:
-    J: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    R: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    allocs: Dict[Tuple[int, int], Mapping[Tuple[int, int], float]] = field(default_factory=dict)
+    J: Dict[Tuple[int, int], SubproblemResult] = field(default_factory=dict)
 
 
 @dataclass
@@ -37,7 +35,7 @@ class BlockingPair:
 def build_matching_matrix(
     s: Scenario, state: AllocState, g1: List[int], g2: List[int], memo: ShareMemo | None
 ) -> MatchingMatrix:
-    """Candidate (value, resources, allocation) for every deficit/surplus pair.
+    """Every deficit/surplus pair's share solve, the very result `solve_surplus_share` returned.
 
     Cell (m, n) is n's share solve over m's deficit apps; every m in g1 has
     one. The solves leave the state untouched. Given a `memo`, after a
@@ -48,16 +46,14 @@ def build_matching_matrix(
     apps = {m: state.deficit_apps(s, [m]) for m in g1}
     for n in g2:
         for m in g1:
-            res = solve_surplus_share(s, n, state, apps[m], memo)
-            matrix.J[(m, n)] = res.objective_value
-            matrix.R[(m, n)] = res.resources_used
-            matrix.allocs[(m, n)] = res.allocation
+            matrix.J[(m, n)] = solve_surplus_share(s, n, state, apps[m], memo)
     return matrix
 
 
 def select_match(matrix: MatchingMatrix) -> Tuple[int, int]:
     """Largest value wins; ties go to the cell using fewest resources, then lowest ids."""
-    return min(matrix.J, key=lambda c: (-matrix.J[c], matrix.R[c], c))
+    J = matrix.J
+    return min(J, key=lambda c: (-J[c].objective_value, J[c].resources_used, c))
 
 
 def _commit_match(
@@ -65,8 +61,8 @@ def _commit_match(
     m: int, n: int, g1_active: List[int], g2_active: List[int],
 ) -> AllocEvent:
     """Commit cell (m, n) and retire whichever side it left without surplus or deficit."""
-    ev = state.commit(n, matrix.allocs[(m, n)], "share")
-    if not state.has_surplus(n):
+    ev = state.commit(n, matrix.J[(m, n)].allocation, "share")
+    if not state.has_surplus(s, n):
         g2_active.remove(n)
     if not state.has_deficit(s, m):
         g1_active.remove(m)
@@ -82,8 +78,8 @@ def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
     while g1_active and g2_active:
         matrix = build_matching_matrix(s, state, g1_active, g2_active, memo)
         m, n = select_match(matrix)
-        j_val, r_val = matrix.J[(m, n)], matrix.R[(m, n)]
-        if j_val <= s.epsilon_gain or r_val <= TOL:
+        j_val, r_val = matrix.J[(m, n)].objective_value, matrix.J[(m, n)].resources_used
+        if j_val <= s.epsilon_gain or r_val <= s.tol:
             break
         matches.append(MatchRecord(round=len(matches) + 1, m=m, n=n, value=j_val, resources=r_val))
         payoffs[n].sharing += j_val
@@ -130,15 +126,15 @@ def check_matching_stability(result: RunResult, s: Scenario) -> List[BlockingPai
             )
             continue
         matrix = build_matching_matrix(s, state, g1_active, [rec.n], memo)
-        value = matrix.J[(rec.m, rec.n)]
+        value = matrix.J[(rec.m, rec.n)].objective_value
         for m_other in g1_active:
-            if m_other != rec.m and matrix.J[(m_other, rec.n)] > value:
+            if m_other != rec.m and matrix.J[(m_other, rec.n)].objective_value > value:
                 blocking.append(
                     BlockingPair(
                         round=rec.round,
                         m=m_other,
                         n=rec.n,
-                        value=matrix.J[(m_other, rec.n)],
+                        value=matrix.J[(m_other, rec.n)].objective_value,
                         committed_value=value,
                     )
                 )

@@ -347,7 +347,7 @@ def build_share_spec(s: Scenario, n: int, state: AllocState, deficit_apps: List[
         if d > 0:
             monotone = False  # the -d*x term can make contributions decrease
         for k in range(s.K):
-            if not state.app_has_deficit(j, k):
+            if not state.app_has_deficit(s, j, k):
                 continue
             gap = state.remaining_request[j][k]
             z = state.allocated[j][k]

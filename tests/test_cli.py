@@ -309,6 +309,29 @@ class TestTables:
         with open(table_out) as fh:
             assert all(row[-3:] == ["pass"] * 3 for row in list(csv.reader(fh))[1:])
 
+    def test_verify_and_table3_print_the_same_lines(
+        self, scenario_file, tmp_path, monkeypatch, capsys
+    ):
+        verdicts = ["superadditivity: pass", "rationality: pass", "no_blocking_coalition: pass"]
+        blocked = [BlockingPair(round=1, m=1, n=2, value=2.0, committed_value=1.0)] * 2
+
+        def printed(command, algorithm):
+            capsys.readouterr()
+            out = str(tmp_path / f"{command}-{algorithm}.out")
+            code = main([command, "--scenario", scenario_file, "--algorithm", algorithm,
+                         "--out", out])
+            return code, capsys.readouterr().out.splitlines()
+
+        for command in ("verify", "table3"):
+            assert printed(command, "gpoa") == (0, verdicts)
+            assert printed(command, "ppmpoa") == (0, verdicts + ["matching_stable: pass"])
+        monkeypatch.setattr(cli, "check_matching_stability", lambda result, s: blocked)
+        for command in ("verify", "table3"):
+            assert printed(command, "gpoa") == (0, verdicts)
+            assert printed(command, "ppmpoa") == (
+                1, verdicts + ["matching_stable: FAIL (blocking pairs: 2)"]
+            )
+
     def test_compare_lists_all_modes(self, scenario_file, tmp_path):
         out = tmp_path / "compare.csv"
         assert main(

@@ -8,6 +8,7 @@ The memoised build must give the same bits.
 import copy
 import dataclasses
 import itertools
+from types import MappingProxyType
 from typing import List
 
 import pytest
@@ -32,7 +33,6 @@ from mecshare.model import (
     AllocState,
     Provider,
     Scenario,
-    TOL,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,
@@ -47,7 +47,7 @@ from mecshare.ppmpoa import (
     select_match,
 )
 from mecshare.scengen import GenSpec, generate_scenario
-from mecshare.subsolver import solve_single_provider, solve_surplus_share
+from mecshare.subsolver import SubproblemResult, solve_single_provider, solve_surplus_share
 
 from conftest import with_comm_costs
 
@@ -72,15 +72,12 @@ def reference_build_matching_matrix(
     for n in g2:
         for m in g1:
             cell = copy.deepcopy(state)
-            deficit_apps = [a.id for a in s.apps_of(m) if cell.app_has_deficit(a.id)]
+            deficit_apps = [a.id for a in s.apps_of(m) if cell.app_has_deficit(s, a.id)]
             if deficit_apps:
                 res = solve_surplus_share(s, n, cell, deficit_apps)
-                j_val, r_val, alloc = res.objective_value, res.resources_used, res.allocation
             else:
-                j_val, r_val, alloc = 0.0, 0.0, {}
-            matrix.J[(m, n)] = j_val
-            matrix.R[(m, n)] = r_val
-            matrix.allocs[(m, n)] = alloc
+                res = SubproblemResult(MappingProxyType({}), 0.0, 0.0)
+            matrix.J[(m, n)] = res
     return matrix
 
 
@@ -94,8 +91,8 @@ def reference_run_ppmpoa(s: Scenario) -> RunResult:
     while g1_active and g2_active:
         matrix = reference_build_matching_matrix(s, state, g1_active, g2_active)
         m, n = select_match(matrix)
-        j_val, r_val = matrix.J[(m, n)], matrix.R[(m, n)]
-        if j_val <= s.epsilon_gain or r_val <= TOL:
+        j_val, r_val = matrix.J[(m, n)].objective_value, matrix.J[(m, n)].resources_used
+        if j_val <= s.epsilon_gain or r_val <= s.tol:
             break
         round_no += 1
         matches.append(MatchRecord(round=round_no, m=m, n=n, value=j_val, resources=r_val))
@@ -136,15 +133,15 @@ def reference_check_matching_stability(result: RunResult, s: Scenario) -> List[B
             )
             continue
         matrix = reference_build_matching_matrix(s, state, g1_active, g2_active)
-        committed = matrix.J[(rec.m, rec.n)]
+        committed = matrix.J[(rec.m, rec.n)].objective_value
         for m_other in g1_active:
-            if m_other != rec.m and matrix.J[(m_other, rec.n)] > committed:
+            if m_other != rec.m and matrix.J[(m_other, rec.n)].objective_value > committed:
                 blocking.append(
                     BlockingPair(
                         round=rec.round,
                         m=m_other,
                         n=rec.n,
-                        value=matrix.J[(m_other, rec.n)],
+                        value=matrix.J[(m_other, rec.n)].objective_value,
                         committed_value=committed,
                     )
                 )

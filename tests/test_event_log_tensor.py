@@ -12,11 +12,11 @@ import pytest
 
 from mecshare.game import enumerate_coalitions
 from mecshare.gpoa import OrderingScheme, run_gpoa, run_solo_phase
-from mecshare.model import TOL, AllocState, AllocationTensor
+from mecshare.model import AllocState, AllocationTensor
 from mecshare.ppmpoa import run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
 
-from conftest import with_comm_costs
+from conftest import make_scenario, with_comm_costs
 
 
 def reference_add(entries, n: int, j: int, k: int, amount: float, k_count: int) -> None:
@@ -100,6 +100,8 @@ def test_an_enumeration_builds_no_tensor(monkeypatch, algorithm, sweep):
     assert calls == ["from_events"]
 
 
+S = make_scenario([], [], delta=0.01)
+TOL = S.tol
 ABOVE = math.nextafter(TOL, math.inf)
 BELOW = math.nextafter(TOL, 0.0)
 VECTORS = [  # (vector, some entry above TOL)
@@ -118,5 +120,5 @@ def test_the_max_rule_is_the_any_rule_at_the_tol_boundary(vec, above):
         allocated={7: [0.0] * len(vec)},
     )
     assert any(x > TOL for x in vec) is above
-    assert state.app_has_deficit(7) is above
-    assert state.has_surplus(1) is above
+    assert state.app_has_deficit(S, 7) is above
+    assert state.has_surplus(S, 1) is above

@@ -59,7 +59,7 @@ def partition_of_solo_state(s):
     """The deficit/surplus rule applied to the state `run_solo_phase` hands out."""
     state = run_solo_phase(s)[0]
     g1 = [n for n in s.provider_ids() if state.has_deficit(s, n)]
-    g2 = [n for n in s.provider_ids() if state.has_surplus(n) and n not in g1]
+    g2 = [n for n in s.provider_ids() if state.has_surplus(s, n) and n not in g1]
     return g1, g2
 
 

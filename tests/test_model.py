@@ -19,6 +19,9 @@ from mecshare.model import (
     validate_scenario,
 )
 
+from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
+from mecshare.ppmpoa import run_ppmpoa
+
 from conftest import initial_state, linear_app, make_scenario
 
 
@@ -205,6 +208,31 @@ def test_deficit_apps_follow_provider_then_native_app_order():
     assert state.has_deficit(s, 1)
     state.apply(1, 1, 0, 1.0)
     assert state.deficit_apps(s, [1]) == [] and not state.has_deficit(s, 1)
+
+
+def test_the_threshold_is_1e_9_at_the_default_delta():
+    assert make_scenario([], [], delta=0.01).tol == 1e-9
+    assert make_scenario([], [], delta=1e-12).tol == 1e-19
+
+
+def test_a_scenario_below_1e_9_shares_in_gpoa_and_ppmpoa():
+    # Every capacity and request is below 1e-9, the threshold at the default delta.
+    s = make_scenario(
+        [
+            Provider(id=1, capacity=(3e-10,), native_apps=(1,)),
+            Provider(id=2, capacity=(9e-10,), native_apps=(2,)),
+        ],
+        [linear_app(1, owner=1, request=(7e-10,)), linear_app(2, owner=2, request=(2e-10,))],
+        delta=1e-12,
+    )
+    assert validate_scenario(s) == []
+    assert partition_players(s) == ([1], [2])
+    gpoa = run_gpoa(s, OrderingScheme.cdo(0))
+    ppmpoa = run_ppmpoa(s)
+    assert [(r.m, r.n) for r in ppmpoa.matches] == [(1, 2)]
+    for result in (gpoa, ppmpoa):
+        assert result.allocation.entries[(2, 1)][0] > 0
+        assert sum(p.total for p in result.payoffs.values()) == pytest.approx(3.0, abs=1e-8)
 
 
 def test_scenario_round_trip_preserves_comm_costs():

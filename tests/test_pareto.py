@@ -14,7 +14,6 @@ import itertools
 import pytest
 
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
-from mecshare.model import TOL
 from mecshare.ppmpoa import run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
 from mecshare.subsolver import SubproblemResult, _rollback_uncovered_cost, build_share_spec
@@ -43,11 +42,11 @@ def pareto_witnesses(s, result, cover_cost=True):
             state.apply(ev.allocator, j, k, x)
     witnesses = []
     for n in partition_players(s)[1]:
-        remote = [a.id for a in s.applications if a.owner != n and state.app_has_deficit(a.id)]
+        remote = [a.id for a in s.applications if a.owner != n and state.app_has_deficit(s, a.id)]
         spec = build_share_spec(s, n, state, remote)
         for it in spec.items:
             step = min(s.delta, it.ub, spec.capacity[it.k])
-            if spec.capacity[it.k] <= TOL or it.f(step) <= s.epsilon_gain:
+            if spec.capacity[it.k] <= s.tol or it.f(step) <= s.epsilon_gain:
                 continue
             grant = SubproblemResult({(it.app, it.k): step}, it.f(step), step)
             if cover_cost and _rollback_uncovered_cost(s, n, state, grant)[(it.app, it.k)] == 0.0:

@@ -1,10 +1,11 @@
 import itertools
+from types import MappingProxyType
 
 import pytest
 
 from mecshare import ppmpoa
 from mecshare.model import Provider
-from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
+from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, start_run
 from mecshare.ppmpoa import (
     MatchingMatrix,
     check_matching_stability,
@@ -12,13 +13,16 @@ from mecshare.ppmpoa import (
     select_match,
 )
 from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.subsolver import SubproblemResult
 
 from conftest import linear_app, make_scenario, with_comm_costs
 
 
 class TestSelectMatch:
     def _matrix(self, j, r):
-        return MatchingMatrix(J=dict(j), R=dict(r))
+        return MatchingMatrix(
+            J={c: SubproblemResult(MappingProxyType({}), value, r[c]) for c, value in j.items()}
+        )
 
     def test_largest_value_wins(self):
         m = self._matrix({(1, 4): 2.0, (2, 4): 5.0}, {(1, 4): 1.0, (2, 4): 9.0})
@@ -101,6 +105,17 @@ class TestRunPpmpoa:
         _, frag_g = fragmentation_index(setting3_seed7, gpoa.allocation)
         _, frag_p = fragmentation_index(setting3_seed7, ppmpoa.allocation)
         assert frag_p <= frag_g + 1e-12
+
+
+def test_matrix_cells_are_the_memos_own_results(setting3_seed7):
+    s, memo = setting3_seed7, {}
+    run_ppmpoa(s, memo)
+    solved = len(memo)
+    g1, g2 = partition_players(s)
+    matrix = ppmpoa.build_matching_matrix(s, start_run(s)[0], g1, g2, memo)
+    assert len(memo) == solved  # the run's first round built these cells: all hits
+    assert len(matrix.J) == len(g1) * len(g2) > 1
+    assert all(any(cell is res for res in memo.values()) for cell in matrix.J.values())
 
 
 class TestMatchingStability:
