@@ -301,11 +301,11 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
                 d = s.comm_d(n, j)
                 gap = r - z0
                 inc = eval_utility(a.utility, z0 + x_eff, r) - eval_utility(a.utility, z0, r)
-                # A gap closed to within bookkeeping tolerance counts as fully
-                # closed; otherwise a ~1e-12 difference between the run's and
-                # the replay's remaining-gap arithmetic gets amplified by a
-                # microscopic denominator.
-                ratio = 1.0 if gap - x_eff <= 1e-9 * max(1.0, r) else x_eff / gap
+                # A gap left within the slack counts as closed: the run's grant closed
+                # it, and the replay's gap or clip at the capacity differs by rounding.
+                capacity = s.provider(n).capacity[k]
+                closed = gap - x_eff <= s.capacity_slack(capacity, capacity - cap[n][k])
+                ratio = 1.0 if closed else x_eff / gap
                 payoff[n] += a.weight_w1 * (inc - d * x_eff) + ratio * ratio
                 payoff[a.owner] += x_eff / r
             z[j][k] += x_eff

@@ -45,22 +45,17 @@ def parse_ordering(text: str) -> OrderingScheme:
     """Parse CLI forms like cao:k=0, cdo:k=1, random:seed=7, explicit:4,5,6."""
     kind, _, rest = text.partition(":")
     kind = kind.lower()
-    if kind in ("cao", "cdo"):
-        k = 0
-        if rest:
-            key, _, val = rest.partition("=")
-            if key != "k":
-                raise ValueError(f"expected k=<index> after {kind}:, got {rest!r}")
-            k = int(val)
-        return OrderingScheme(kind=kind, k=k)
-    if kind == "random":
-        key, _, val = rest.partition("=")
-        if key != "seed":
-            raise ValueError(f"expected seed=<int> after random:, got {rest!r}")
-        return OrderingScheme(kind="random", seed=int(val))
-    if kind == "explicit":
-        return OrderingScheme(kind="explicit", order=tuple(int(p) for p in rest.split(",")))
-    raise ValueError(f"unknown ordering scheme {text!r}")
+    key, _, val = rest.partition("=")
+    try:
+        if kind in ("cao", "cdo") and (not rest or key == "k"):
+            return OrderingScheme(kind=kind, k=int(val) if rest else 0)
+        if kind == "random" and key == "seed":
+            return OrderingScheme(kind="random", seed=int(val))
+        if kind == "explicit":
+            return OrderingScheme(kind="explicit", order=tuple(int(p) for p in rest.split(",")))
+    except ValueError:  # a number that does not parse, reported below with the spec
+        pass
+    raise ValueError(f"bad ordering {text!r} (forms: cao:k=0, cdo:k=1, random:seed=7, explicit:4,5)")
 
 
 @dataclass

@@ -20,10 +20,6 @@ MAX_DELTA_STEPS = 10**7
 ResourceVector = Tuple[float, ...]
 
 
-def feasibility_tol(value: float) -> float:
-    return 1e-9 * max(1.0, abs(value))
-
-
 @dataclass(frozen=True)
 class UtilitySpec:
     """Per-resource utility: either linear a*x + c or a logistic curve centered at the request."""
@@ -96,8 +92,20 @@ class Scenario:
 
     @cached_property
     def tol(self) -> float:
-        """An amount at or below δ·10⁻⁷ is no deficit, surplus or grant (1e-9 at δ = 0.01)."""
+        """The one tolerance on resource amounts: δ·10⁻⁷, which is 1e-9 at δ = 0.01.
+
+        An amount at or below it is no deficit or surplus (`AllocState`, PPMPOA's
+        stop rule) and no fragment (`metrics`); an allocation may go below 0 or past
+        a request by it (`AllocationTensor.check_feasibility`). A capacity bound and
+        the replay's closed gaps (`game.realized_payoffs`) add `capacity_slack`.
+        """
         return self.delta / 1e7
+
+    def capacity_slack(self, capacity: float, drawn: float) -> float:
+        """`tol`, plus one rounding of `capacity` per δ-step of the amount `drawn` from it:
+        the allocator's running capacity rounds at each step (`subsolver._steps_loop`),
+        so a run's grants pass a capacity of 1500 at δ = 0.01 by up to 1.3e-9."""
+        return self.tol + capacity * sys.float_info.epsilon * (drawn / self.delta)
 
     @cached_property
     def _providers_by_id(self) -> Dict[int, Provider]:
@@ -273,28 +281,24 @@ class AllocationTensor:
         return by_app, by_provider
 
     def check_feasibility(self, s: Scenario) -> List[str]:
-        """Capacity, demand-cap, and nonnegativity violations for this allocation."""
+        """Negative entries, and capacities and requests passed, beyond the scenario's slack."""
         out: List[str] = []
         for (n, j), vec in self.entries.items():
             for k, x in enumerate(vec):
-                if x < -feasibility_tol(x):
+                if x < -s.tol:
                     out.append(f"x[{n},{j},{k}] = {x} is negative")
         by_app, by_provider = self.totals(s.K)
         zeros = [0.0] * s.K
         for p in s.providers:
             used = by_provider.get(p.id, zeros)
-            for k in range(s.K):
-                if used[k] > p.capacity[k] + feasibility_tol(p.capacity[k]):
-                    out.append(
-                        f"provider {p.id} resource {k}: used {used[k]} > capacity {p.capacity[k]}"
-                    )
+            for k, cap in enumerate(p.capacity):
+                if used[k] > cap + s.capacity_slack(cap, min(used[k], cap)):
+                    out.append(f"provider {p.id} resource {k}: used {used[k]} > capacity {cap}")
         for a in s.applications:
             totals = by_app.get(a.id, zeros)
-            for k in range(s.K):
-                if totals[k] > a.request[k] + feasibility_tol(a.request[k]):
-                    out.append(
-                        f"app {a.id} resource {k}: allocated {totals[k]} > request {a.request[k]}"
-                    )
+            for k, r in enumerate(a.request):
+                if totals[k] > r + s.tol:
+                    out.append(f"app {a.id} resource {k}: allocated {totals[k]} > request {r}")
         return out
 
 

@@ -380,7 +380,7 @@ def _rollback_uncovered_cost(
         a = s.app(app)
         z = state.allocated[app][k]
         inc = eval_utility(a.utility, z + x, a.request[k]) - eval_utility(a.utility, z, a.request[k])
-        if inc < d * x - 1e-12:
+        if inc < d * x * (1 - 1e-12):  # a slack relative to the cost, for rounding in inc
             allocation[(app, k)] = 0.0
     return allocation
 

@@ -109,6 +109,14 @@ class TestAlgorithms:
             main(["gpoa", "--scenario", scenario_file, "--order", "bogus", "--out",
                   str(tmp_path / "x.json")])
 
+    @pytest.mark.parametrize("spec", ["cdo:k=", "explicit:", "explicit:2,,3", "random:seed=x"])
+    def test_bad_ordering_spec_is_named_in_the_error(self, scenario_file, tmp_path, capsys, spec):
+        argv = ["gpoa", "--scenario", scenario_file, "--order", spec, "--out",
+                str(tmp_path / "x.json")]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and spec in err[0], err
+
 
 class TestVerify:
     def test_passing_scenario_exits_zero(self, scenario_file, tmp_path, capsys):
@@ -417,6 +425,54 @@ class TestErrorHandling:
         assert err.replace(str(s4), "").count("K") == 1
 
 
+def sub_unit_json(delta, capacities, requests, comm_costs=()):
+    """K=1, linear a=1 c=0: provider n has capacities[n-1] and one app n requesting requests[n-1]."""
+    linear = {"kind": "linear", "params": {"a": 1.0, "c": 0.0}}
+    return json.dumps({
+        "K": 1,
+        "delta": delta,
+        "providers": [
+            {"id": n, "capacity": [c], "native_apps": [n]} for n, c in enumerate(capacities, 1)
+        ],
+        "applications": [
+            {"id": n, "owner": n, "request": [r], "utility": linear}
+            for n, r in enumerate(requests, 1)
+        ],
+        "comm_costs": [{"provider": n, "app": j, "d": d} for n, j, d in comm_costs],
+    })
+
+
+class TestSubUnitAmounts:
+    """Amounts far below 1 are compared against the scenario's own tolerance."""
+
+    def run_json(self, tmp_path, text, argv):
+        scenario, out = tmp_path / "scenario.json", tmp_path / "out.json"
+        scenario.write_text(text)
+        assert cli.run(argv + ["--scenario", str(scenario), "--out", str(out)]) == 0
+        return read_json(out)
+
+    def test_misreports_truthful_payoff_is_the_runs_payoff(self, tmp_path):
+        # Provider 2 closes a quarter of app 1's gap; an absolute 1e-9 counted it closed.
+        text = sub_unit_json(1e-13, (3e-10, 3e-10), (7e-10, 2e-10))
+        total = self.run_json(tmp_path, text, ["gpoa"])["payoffs"]["2"]["total"]
+        assert total == pytest.approx(1.0625000003, abs=1e-12)
+        payload = self.run_json(tmp_path, text, ["misreport", "--provider", "2"])
+        assert payload["truthful_payoff"] == total
+
+    @pytest.mark.parametrize(
+        "delta, capacities, requests",
+        [(1e-303, (3e-300, 9e-300), (7e-300, 2e-300)), (1e-3, (3.0, 9.0), (7.0, 2.0))],
+        ids=["1e-300", "1"],
+    )
+    def test_a_grant_that_does_not_cover_its_cost_is_rolled_back_at_any_scale(
+        self, tmp_path, delta, capacities, requests
+    ):
+        # d = 5 on (2, 1) exceeds app 1's slope of 1, so provider 2 grants it nothing.
+        text = sub_unit_json(delta, capacities, requests, [(2, 1, 5.0)])
+        allocation = self.run_json(tmp_path, text, ["gpoa"])["allocation"]
+        assert sorted(allocation) == ["1:1", "2:2"]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "command",
@@ -565,6 +621,12 @@ BAD_INPUTS = {
     "report-negative-entry": report_case({"2:1": [-1.0]}),
     "report-unknown-app": report_case({"1:999": [1.0]}),
     "report-over-capacity-and-request": report_case({"2:1": [1000.0]}),
+    # App 1 receives 1.1e-9 of its 7e-10 and provider 2 grants 1e-9 of its 9e-10.
+    "report-over-bounds-below-1e-9": (
+        sub_unit_json(1e-12, (3e-10, 9e-10), (7e-10, 2e-10)),
+        ["report", "--allocation", "alloc.json"],
+        json.dumps({"allocation": {"1:1": [3e-10], "2:2": [2e-10], "2:1": [8e-10]}}),
+    ),
 }
 
 

@@ -11,7 +11,6 @@ from mecshare.model import (
     Scenario,
     UtilitySpec,
     eval_utility,
-    feasibility_tol,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -19,10 +18,12 @@ from mecshare.model import (
     validate_scenario,
 )
 
+from mecshare.game import realized_payoffs
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
 from mecshare.ppmpoa import run_ppmpoa
+from mecshare.scengen import GenSpec, Stream, generate_scenario
 
-from conftest import initial_state, linear_app, make_scenario
+from conftest import initial_state, linear_app, make_scenario, with_comm_costs
 
 
 def with_number(name: str, value) -> Scenario:
@@ -83,9 +84,80 @@ def test_unknown_utility_kind_raises():
         eval_utility(UtilitySpec(kind="quadratic"), 1.0, 1.0)
 
 
-def test_feasibility_tol_scales_with_magnitude():
-    assert feasibility_tol(0.5) == 1e-9
-    assert feasibility_tol(1e6) == pytest.approx(1e-3)
+def two_providers_in_steps(delta):
+    """Capacities 300 and 900 and requests 700 and 200, all in units of delta."""
+    return make_scenario(
+        [
+            Provider(id=1, capacity=(300 * delta,), native_apps=(1,)),
+            Provider(id=2, capacity=(900 * delta,), native_apps=(2,)),
+        ],
+        [linear_app(1, owner=1, request=(700 * delta,)), linear_app(2, owner=2, request=(200 * delta,))],
+        delta=delta,
+    )
+
+
+@pytest.mark.parametrize("delta", [0.01, 1e-12, 64 * 5e-324], ids=["0.01", "1e-12", "subnormal"])
+def test_check_feasibility_flags_the_same_entries_at_every_delta(delta):
+    s = two_providers_in_steps(delta)
+    assert validate_scenario(s) == []
+    fits = AllocationTensor({(1, 1): (300 * delta,), (2, 2): (200 * delta,), (2, 1): (400 * delta,)})
+    assert fits.check_feasibility(s) == []
+    assert AllocationTensor({(1, 1): (600 * delta,)}).check_feasibility(s) == [
+        f"provider 1 resource 0: used {600 * delta} > capacity {300 * delta}"
+    ]
+    assert AllocationTensor({(2, 2): (400 * delta,)}).check_feasibility(s) == [
+        f"app 2 resource 0: allocated {400 * delta} > request {200 * delta}"
+    ]
+    assert AllocationTensor({(1, 1): (-300 * delta,)}).check_feasibility(s) == [
+        f"x[1,1,0] = {-300 * delta} is negative"
+    ]
+
+
+def large_providers(seed):
+    """4 providers with 60 apps each, K=1, requests U[50, 150] and capacities of 0.5-1.5x
+    their own apps' total: about 3400 to 7600 units at delta = 0.01."""
+    rng = Stream(seed)
+    providers, apps = [], []
+    for n in range(1, 5):
+        ids = range(60 * n - 59, 60 * n + 1)
+        requests = [rng.uniform(50.0, 150.0) for _ in ids]
+        apps += [linear_app(j, owner=n, request=(r,)) for j, r in zip(ids, requests)]
+        capacity = sum(requests) * rng.uniform(0.5, 1.5)
+        providers.append(Provider(id=n, capacity=(capacity,), native_apps=tuple(ids)))
+    return make_scenario(providers, apps)
+
+
+RUN_INPUTS = {
+    **{
+        f"setting{setting}-{utility}{'-costs' if costs else ''}": (setting, utility, costs)
+        for setting in (1, 2, 3, 4)
+        for utility in ("linear", "sigmoid")
+        for costs in (False, True)
+    },
+    "large": ("large", None, False),
+    "large-costs": ("large", None, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_INPUTS))
+def test_every_run_is_feasible_and_replays_to_its_payoffs(case):
+    # The capacities of "large" reach thousands of units, where the allocator's
+    # running capacity drifts from the sum of its grants by more than tol.
+    setting, utility, costs = RUN_INPUTS[case]
+    if setting == "large":
+        s = large_providers(1)
+    else:
+        s = generate_scenario(GenSpec(setting=setting, seed=1, utility_kind=utility))
+    if costs:
+        s = with_comm_costs(s, 1)
+    assert validate_scenario(s) == []
+    runs = [run_gpoa(s, OrderingScheme.cdo(0)), run_gpoa(s, OrderingScheme.random(1)), run_ppmpoa(s)]
+    for result in runs:
+        assert result.allocation.check_feasibility(s) == []
+        # The replay sums in another order and clips at the drifted capacities.
+        replay = realized_payoffs(s, result.events)
+        for n, p in result.payoffs.items():
+            assert abs(replay[n] - p.total) <= 1e-12 * max(1.0, abs(p.total)), n
 
 
 class TestValidateScenario:
