@@ -7,7 +7,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, NoReturn, Tuple, Union
+from typing import Callable, Dict, List, NoReturn, Tuple, TypeVar, Union
 
 from . import __version__
 from .model import (
@@ -37,6 +37,7 @@ from .scengen import GenSpec, generate_scenario
 #: What a command returns for `main` to write: a JSON payload without its
 #: manifest, or a CSV (header, rows).
 Artifact = Union[dict, Tuple[List[str], List[list]]]
+T = TypeVar("T")
 
 
 def _manifest(args: argparse.Namespace, started: float) -> dict:
@@ -66,21 +67,19 @@ def _write_csv(path: str, header: List[str], rows: List[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _describe(exc: Exception) -> str:
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-
-
-def _load_scenario(path: str) -> Scenario:
+def _read(what: str, path: str, load: Callable[[str], T], check: Callable[[T], List[str]]) -> T:
+    """`load(path)` once `check` finds no problem; else a one-line ValueError naming the file."""
     if not os.path.exists(path):
-        raise ValueError(f"scenario file not found: {path}")
+        raise ValueError(f"{what} file not found: {path}")
     try:
-        s = load_scenario(path)
-        problems = validate_scenario(s)
+        value = load(path)
+        problems = check(value)
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise ValueError(f"cannot read scenario {path}: {_describe(exc)}") from exc
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"cannot read {what} {path}: {reason}") from exc
     if problems:
-        raise ValueError(f"invalid scenario {path}: " + "; ".join(problems))
-    return s
+        raise ValueError(f"invalid {what} {path}: " + "; ".join(problems))
+    return value
 
 
 def alloc_from_dict(d: Dict[str, List[float]]) -> AllocationTensor:
@@ -89,6 +88,11 @@ def alloc_from_dict(d: Dict[str, List[float]]) -> AllocationTensor:
         n, j = (int(part) for part in key.split(":"))
         tensor.entries[(n, j)] = tuple(vec)
     return tensor
+
+
+def _load_allocation(path: str) -> AllocationTensor:
+    with open(path) as fh:
+        return alloc_from_dict(json.load(fh)["allocation"])
 
 
 def _outcome(payoffs, alloc: AllocationTensor) -> dict:
@@ -264,16 +268,7 @@ def cmd_compare(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
 
 
 def cmd_report(args: argparse.Namespace, s: Scenario) -> Tuple[Artifact, int]:
-    if not os.path.exists(args.allocation):
-        raise ValueError(f"allocation file not found: {args.allocation}")
-    try:
-        with open(args.allocation) as fh:
-            alloc = alloc_from_dict(json.load(fh)["allocation"])
-    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise ValueError(f"cannot read allocation {args.allocation}: {_describe(exc)}") from exc
-    problems = validate_allocation(s, alloc)
-    if problems:
-        raise ValueError(f"invalid allocation {args.allocation}: " + "; ".join(problems))
+    alloc = _read("allocation", args.allocation, _load_allocation, lambda a: validate_allocation(s, a))
     violations = alloc.check_feasibility(s)
     if violations:
         raise ValueError(f"infeasible allocation {args.allocation}: " + "; ".join(violations))
@@ -360,7 +355,7 @@ def main(argv: List[str] | None = None) -> int:
     """Parse, load the scenario, run the command, and write its artifact with a manifest."""
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
-    s = _load_scenario(args.scenario) if "scenario" in args else None
+    s = _read("scenario", args.scenario, load_scenario, validate_scenario) if "scenario" in args else None
     artifact, code = args.func(args, s)
     if isinstance(artifact, tuple):
         _write_csv(args.out, *artifact)

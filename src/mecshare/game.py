@@ -27,14 +27,6 @@ SWEEP_LIMIT = 4
 PROPERTY_TOL = 1e-6
 
 
-class EmptyCoalition(ValueError):
-    pass
-
-
-class TooManyProviders(ValueError):
-    pass
-
-
 @dataclass
 class CoalitionEntry:
     value: float
@@ -96,7 +88,7 @@ def coalition_value(
     """Run the chosen algorithm on the sub-scenario of `members`; value = sum of payoffs."""
     members = frozenset(members)
     if not members:
-        raise EmptyCoalition("coalition must be nonempty")
+        raise ValueError("coalition must be nonempty")
     unknown = members - set(s.provider_ids())
     if unknown:
         raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
@@ -146,9 +138,9 @@ def enumerate_coalitions(
     """
     ids = s.provider_ids()
     if not ids:
-        raise EmptyCoalition("scenario has no providers")
+        raise ValueError("scenario has no providers")
     if len(ids) > MAX_PROVIDERS:
-        raise TooManyProviders(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
+        raise ValueError(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
     sweep = sweep_orders and algorithm == "gpoa"
     explicit = algorithm == "gpoa" and scheme.kind == "explicit"
     if algorithm == "gpoa":

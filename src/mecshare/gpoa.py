@@ -13,10 +13,6 @@ if TYPE_CHECKING:
     from .ppmpoa import MatchRecord
 
 
-class InvalidExplicitOrder(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class OrderingScheme:
     kind: str  # "cao" | "cdo" | "random" | "explicit"
@@ -113,7 +109,7 @@ def order_surplus(s: Scenario, scheme: OrderingScheme) -> List[int]:
         return Stream(scheme.seed).shuffle(sorted(g2))
     if scheme.kind == "explicit":
         if sorted(scheme.order) != sorted(g2):
-            raise InvalidExplicitOrder(
+            raise ValueError(
                 f"explicit order {list(scheme.order)} is not a permutation of {sorted(g2)}"
             )
         return list(scheme.order)

@@ -66,10 +66,6 @@ class Stream:
         return out
 
 
-class InvalidSpec(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class GenSpec:
     setting: int
@@ -78,9 +74,9 @@ class GenSpec:
 
     def validate(self) -> None:
         if self.setting not in SETTINGS:
-            raise InvalidSpec(f"setting must be one of {sorted(SETTINGS)}")
+            raise ValueError(f"setting must be one of {sorted(SETTINGS)}")
         if self.utility_kind not in ("linear", "sigmoid"):
-            raise InvalidSpec("utility_kind must be 'linear' or 'sigmoid'")
+            raise ValueError("utility_kind must be 'linear' or 'sigmoid'")
 
 
 def generate_scenario(spec: GenSpec) -> Scenario:

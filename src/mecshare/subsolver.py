@@ -18,10 +18,6 @@ ORACLE_STATE_CAP = 10**7
 _LADDER_CAP = 1 << 13
 
 
-class GridTooLarge(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SubproblemItem:
     app: int
@@ -61,30 +57,29 @@ def _steps_loop(xi: float, ck: float, ub: float, delta: float) -> Tuple[float, f
     return xi, ck
 
 
-def _quantum(v: float, step: float, n: int) -> Tuple[float, int]:
-    """(q, m): each of the next m updates `v += step` (m <= n) adds exactly q.
+def _quantum(v: float, delta: float, n: int) -> Tuple[float, int]:
+    """(q, m): each of the next m updates `v -= delta` (m <= n) subtracts exactly q.
 
-    Let [b, 2b) be v's binade and u its ulp. While the exact sum stays in
-    [b, 2b], v + step rounds to the grid of u, so it adds step rounded to a
-    multiple of u: the same q every time, unless step is an odd multiple of
-    u/2 (a tie, rounded by v's parity). `room`, the distance to the binade edge
-    ahead, is exact, and so are the products and sums below, which stay in
-    the binade; dividing by q only estimates m, which is then checked exactly.
-    m == 0 where a step leaves the binade or ties. Nothing divides by u, so a
-    subnormal v or step needs no special case.
+    Let [b, 2b) be v's binade and u its ulp. While the exact difference stays
+    in [b, 2b), v - delta rounds to the grid of u, so it subtracts delta
+    rounded to a multiple of u: the same q every time, unless delta is an odd
+    multiple of u/2 (a tie, rounded by v's parity). `room`, the distance to
+    the binade's floor, is exact, and so are the products and differences
+    below, which stay in the binade; dividing by q only estimates m, which is
+    then checked exactly. m == 0 where a step leaves the binade or ties.
+    Nothing divides by u, so a subnormal v or delta needs no special case.
     """
     b = math.ldexp(0.5, math.frexp(v)[1])  # largest power of two <= v
-    room = v - b if step < 0 else (b - v) + b
-    d = abs(step)
-    if room < d:
+    room = v - b
+    if room < delta:
         return 0.0, 0
-    q = (v + step) - v
-    if abs(d - abs(q)) * 2 == math.ulp(v):
+    q = v - (v - delta)
+    if abs(delta - q) * 2 == math.ulp(v):
         return 0.0, 0
     if q == 0:
         return 0.0, n
-    m = min(n, int((room - d) / abs(q)) + 1)
-    while room - (m - 1) * abs(q) < d:
+    m = min(n, int((room - delta) / q) + 1)
+    while room - (m - 1) * q < delta:
         m -= 1
     return q, m
 
@@ -108,8 +103,8 @@ def _drain(c: float, n: int, delta: float) -> Tuple[int, float]:
     """
     steps = 0
     while steps < n and c >= delta:
-        q, m = _quantum(c, -delta, n - steps)
-        c += m * q
+        q, m = _quantum(c, delta, n - steps)
+        c -= m * q
         steps += m
         if steps < n and c >= delta:
             c -= delta
@@ -244,7 +239,7 @@ def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
     """Exhaustive search over the grid {0, step, 2*step, ...}; verification oracle.
 
     Ties resolve to the lexicographically smallest allocation in
-    (app id, resource index) item order.
+    (app id, resource index) item order. Slacks scale with grid_step.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be > 0")
@@ -254,12 +249,12 @@ def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
     for it in items:
         n_steps = int(math.floor(it.ub / grid_step + 1e-12))
         pts = [i * grid_step for i in range(n_steps + 1)]
-        if pts[-1] < it.ub - 1e-12:
+        if pts[-1] < it.ub - grid_step * 1e-10:
             pts.append(it.ub)
         levels.append(pts)
         states *= len(pts)
         if states > ORACLE_STATE_CAP:
-            raise GridTooLarge(f"grid has more than {ORACLE_STATE_CAP} states")
+            raise ValueError(f"grid has more than {ORACLE_STATE_CAP} states")
 
     best_obj = -math.inf
     best_x: List[float] = [0.0] * len(items)
@@ -276,7 +271,7 @@ def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
         it = items[i]
         avail = cap.get(it.k, 0.0)
         for level in levels[i]:
-            if level > avail + 1e-12:
+            if level > avail + grid_step * 1e-10:
                 break
             x[i] = level
             cap[it.k] = avail - level

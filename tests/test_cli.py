@@ -539,6 +539,11 @@ def comm_cost(provider, app):
 
 
 NO_PROVIDERS = json.dumps({"K": 1, "providers": [], "applications": []})
+THIRTEEN_PROVIDERS = json.dumps({
+    "K": 1,
+    "providers": [{"id": n, "capacity": [1.0], "native_apps": []} for n in range(1, 14)],
+    "applications": [],
+})
 DEEP_JSON = "[" * 100000 + "]" * 100000
 HUGE_SLOPE = {"kind": "linear", "params": {"a": 1e308, "c": 0.0}}
 
@@ -598,6 +603,8 @@ BAD_INPUTS = {
     ),
     "verify-no-providers": (NO_PROVIDERS, ["verify"]),
     "table3-no-providers": (NO_PROVIDERS, ["table3"]),
+    "verify-too-many-providers": (THIRTEEN_PROVIDERS, ["verify"]),
+    "table3-too-many-providers": (THIRTEEN_PROVIDERS, ["table3"]),
     # [0.0] * K in metrics raised MemoryError at K = 10**12 and OverflowError at 10**20.
     "compare-no-providers-huge-K": (
         json.dumps({"K": 10**12, "providers": [], "applications": []}), ["compare"]

@@ -4,7 +4,6 @@ import pytest
 
 from mecshare.model import Provider
 from mecshare.gpoa import (
-    InvalidExplicitOrder,
     OrderingScheme,
     order_surplus,
     parse_ordering,
@@ -104,7 +103,7 @@ class TestOrderSurplus:
     def test_explicit_must_be_a_permutation(self):
         s = self._scenario({4: 1.0, 5: 2.0})
         assert order_surplus(s, OrderingScheme.explicit((5, 4))) == [5, 4]
-        with pytest.raises(InvalidExplicitOrder):
+        with pytest.raises(ValueError, match="is not a permutation of"):
             order_surplus(s, OrderingScheme.explicit((4, 6)))
 
     def test_cao_and_cdo_sort_by_post_solo_capacity(self):

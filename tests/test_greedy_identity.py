@@ -421,7 +421,7 @@ def test_run_matches_the_loop_on_fixed_cases(delta):
 def test_delta_0_01_ties_in_the_binade_below_2_to_the_minus_5():
     # 0.01 is an odd multiple of half the ulp of [2**-6, 2**-5), so there
     # fl(c - 0.01) rounds by the parity of c and no quantum is exact.
-    assert subsolver._quantum(0.03, -0.01, 10) == (0.0, 0)
+    assert subsolver._quantum(0.03, 0.01, 10) == (0.0, 0)
     lo, hi = 2.0**-6, 2.0**-5
     for i in range(400):
         c = lo + (hi - lo) * i / 400

@@ -12,7 +12,6 @@ from mecshare.scengen import (
     SETTINGS,
     SURPLUS_SCALE,
     GenSpec,
-    InvalidSpec,
     Stream,
     generate_scenario,
     prng_next,
@@ -119,7 +118,7 @@ def test_linear_params_within_ranges():
     ],
 )
 def test_invalid_specs_rejected(kwargs):
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError, match="must be one of|must be 'linear' or 'sigmoid'"):
         GenSpec(**kwargs).validate()
 
 

@@ -6,7 +6,6 @@ import pytest
 from mecshare import subsolver
 from mecshare.model import Provider, UtilitySpec
 from mecshare.subsolver import (
-    GridTooLarge,
     SubproblemItem,
     SubproblemSpec,
     allocate_greedy,
@@ -117,7 +116,7 @@ class TestAllocateOracle:
         items = [
             SubproblemItem(app=i, k=0, ub=100.0, f=lambda x: x) for i in range(5)
         ]
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(ValueError, match="grid has more than"):
             allocate_oracle(
                 SubproblemSpec(items=items, capacity={0: 10.0}), grid_step=0.01
             )
@@ -129,6 +128,24 @@ class TestAllocateOracle:
         )
         res = allocate_oracle(spec, grid_step=0.5)
         assert res.allocation[(1, 0)] == pytest.approx(0.75)
+
+    def test_a_spec_scaled_by_a_power_of_two_gets_the_scaled_answer(self):
+        # Two items of ub 0.6 share a capacity of 1 on a grid of 0.1. At a
+        # scale of 2**-40 an absolute 1e-12 slack exceeded the whole capacity
+        # and granted both items their ub, 1.2 times the capacity.
+        def spec(scale):
+            ub = 0.6 * scale
+            items = [
+                SubproblemItem(app=j, k=0, ub=ub, f=lambda x, ub=ub: (x / ub) ** 2) for j in (1, 2)
+            ]
+            return SubproblemSpec(items=items, capacity={0: scale})
+
+        scale = 2.0**-40
+        unscaled = allocate_oracle(spec(1.0), grid_step=0.1)
+        assert dict(unscaled.allocation) == {(1, 0): pytest.approx(0.4), (2, 0): pytest.approx(0.6)}
+        res = allocate_oracle(spec(scale), grid_step=0.1 * scale)
+        assert res.resources_used <= scale
+        assert dict(res.allocation) == {key: x * scale for key, x in unscaled.allocation.items()}
 
 
 def test_greedy_tracks_oracle_on_random_linear_instances():
