@@ -128,7 +128,8 @@ def enumerate_coalitions(
 
     Each entry is picked once, when it is built. Its candidates are ranked by
     value, highest first, ties broken by the smaller surplus order, and the
-    entry takes the first ranked one. Under a sweep the grand coalition
+    entry takes the first ranked one. A value within `PROPERTY_TOL`·(1 + |best|)
+    of the best counts as tied with it, so a pick never turns on rounding. Under a sweep the grand coalition
     instead takes the first ranked candidate that no proper coalition blocks,
     or the first one if every candidate is blocked. It comes last in bitset
     order, so every proper coalition is built before it.
@@ -166,7 +167,10 @@ def enumerate_coalitions(
             candidates.append(
                 (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
             )
-        ranked = sorted(candidates, key=lambda c: (-sum(c[1].values()), c[0]))
+        best = max(sum(c[1].values()) for c in candidates)
+        tied = best - PROPERTY_TOL * (1 + abs(best))  # values this close to the best tie with it
+        ranked = sorted(candidates, key=lambda c: (
+            -(best if sum(c[1].values()) >= tied else sum(c[1].values())), c[0]))
         order, payoffs = ranked[0]
         if sweep and members == full:
             order, payoffs = next((c for c in ranked if all(

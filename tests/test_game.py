@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from mecshare import subsolver
+from mecshare import game, subsolver
 from mecshare.model import Provider
-from mecshare.gpoa import OrderingScheme, run_gpoa
+from mecshare.gpoa import OrderingScheme, Payoff, run_gpoa
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.game import (
     PROPERTY_TOL,
@@ -107,6 +107,31 @@ class TestEnumerateCoalitions:
         assert len(at_limit) == 2 * (SWEEP_LIMIT + 1)
         assert all(len(e.candidates) == math.factorial(SWEEP_LIMIT) for e in at_limit)
 
+    def test_a_one_ulp_change_to_a_candidate_value_leaves_the_pick(self, monkeypatch):
+        # Every run is worth 1.0 to its coalition, except that the last surplus
+        # order of each sweep is worth one ulp more. Values one ulp apart tie,
+        # so every entry still takes its smallest order.
+        s = generate_scenario(GenSpec(setting=3, seed=1, utility_kind="linear"))
+        real_run = game.run_algorithm
+
+        def nudged(sub, algorithm, scheme, share_memo=None):
+            result = real_run(sub, algorithm, scheme, share_memo)
+            order = result.order_used
+            value = 1.0
+            if len(order) > 1 and order == sorted(order, reverse=True):
+                value = math.nextafter(1.0, 2.0)
+            first = min(result.payoffs)
+            payoffs = {n: Payoff(v_solo=value if n == first else 0.0) for n in result.payoffs}
+            return dataclasses.replace(result, payoffs=payoffs)
+
+        monkeypatch.setattr(game, "run_algorithm", nudged)
+        report = enumerate_coalitions(s, CDO, sweep_orders=True)
+        swept = [e for e in report.entries.values() if len(e.candidates) > 1]
+        assert swept and report.grand() in swept
+        for entry in swept:
+            assert entry.order_used == sorted(entry.order_used)
+            assert entry.value == 1.0
+
 
 @pytest.fixture(scope="module")
 def coalition_report():
@@ -177,8 +202,11 @@ class TestPropertyChecks:
             )
 
         for members, entry in report.entries.items():
-            # Value highest first, ties to the smaller surplus order.
-            ranked = sorted(entry.candidates, key=lambda c: (-sum(c[1].values()), c[0]))
+            # Value highest first, ties to the smaller surplus order; a value
+            # within PROPERTY_TOL * (1 + |best|) of the best ties with it.
+            best = max(sum(c[1].values()) for c in entry.candidates)
+            near = lambda v: best if v >= best - PROPERTY_TOL * (1 + abs(best)) else v  # noqa: E731
+            ranked = sorted(entry.candidates, key=lambda c: (-near(sum(c[1].values())), c[0]))
             rank = 0
             if members == full:
                 rank = next((i for i, c in enumerate(ranked) if not blocked(c[1])), 0)
