@@ -265,7 +265,9 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
 
     Grants beyond the allocator's true capacity or the app's true request are
     clipped, in ascending (app, resource) order within each event. Utilities and
-    satisfaction terms are always evaluated against the true requests.
+    satisfaction terms are always evaluated against the true requests. A deficit
+    owner is credited x_eff/r per chunk: `gpoa.credit_bonus`'s term, applied to
+    the clipped amounts.
     """
     cap = {p.id: list(p.capacity) for p in s.providers}
     z = {a.id: [0.0] * s.K for a in s.applications}
@@ -297,10 +299,9 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
                 d = s.comm_d(n, j)
                 gap = r - z0
                 inc = eval_utility(a.utility, z0 + x_eff, r) - eval_utility(a.utility, z0, r)
-                # A gap left within the slack counts as closed: the run's grant closed
+                # A gap left within `tol` counts as closed: the run's grant closed
                 # it, and the replay's gap or clip at the capacity differs by rounding.
-                capacity = s.provider(n).capacity[k]
-                closed = gap - x_eff <= s.capacity_slack(capacity, capacity - cap[n][k])
+                closed = gap - x_eff <= s.tol
                 ratio = 1.0 if closed else x_eff / gap
                 payoff[n] += a.weight_w1 * (inc - d * x_eff) + ratio * ratio
                 payoff[a.owner] += x_eff / r

@@ -168,6 +168,20 @@ def run_solo_phase(
     return state, AllocationTensor.from_events(state.events, s.K), payoffs, state.events
 
 
+def credit_bonus(s: Scenario, payoffs: Dict[int, Payoff], event: AllocEvent) -> None:
+    """Credit a share event to the deficit owners: each adds Σ x/r over its apps' chunks.
+
+    A chunk is a positive grant toward a request, so r > 0. Every run's bonus
+    is this rule, applied event by event.
+    """
+    sums: Dict[int, float] = {}
+    for j, k, x in event.chunks:
+        a = s.app(j)
+        sums[a.owner] = sums.get(a.owner, 0.0) + x / a.request[k]
+    for m, bonus in sums.items():
+        payoffs[m].bonus += bonus
+
+
 def run_gpoa(
     s: Scenario, scheme: OrderingScheme, share_memo: ShareMemo | None = None
 ) -> RunResult:
@@ -175,23 +189,12 @@ def run_gpoa(
     state, payoffs = start_run(s)
     g1 = partition_players(s)[0]
 
-    shared: Dict[Tuple[int, int], float] = {}  # (app, k) -> amount granted in sharing rounds
     for n in order:
         deficit_apps = state.deficit_apps(s, g1)
         if not deficit_apps:
             break
         res = solve_surplus_share(s, n, state, deficit_apps, share_memo)
         payoffs[n].sharing += res.objective_value
-        for j, k, x in state.commit(n, res.allocation, "share").chunks:
-            shared[(j, k)] = shared.get((j, k), 0.0) + x
-
-    for m in g1:
-        bonus = 0.0
-        for a in s.apps_of(m):
-            for k in range(s.K):
-                x = shared.get((a.id, k), 0.0)
-                if x > 0 and a.request[k] > 0:
-                    bonus += x / a.request[k]
-        payoffs[m].bonus = bonus
+        credit_bonus(s, payoffs, state.commit(n, res.allocation, "share"))
 
     return RunResult(payoffs=payoffs, order_used=order, events=state.events, K=s.K)

@@ -96,16 +96,12 @@ class Scenario:
 
         An amount at or below it is no deficit or surplus (`AllocState`, PPMPOA's
         stop rule) and no fragment (`metrics`); an allocation may go below 0 or past
-        a request by it (`AllocationTensor.check_feasibility`). A capacity bound and
-        the replay's closed gaps (`game.realized_payoffs`) add `capacity_slack`.
+        a request or a capacity by it (`AllocationTensor.check_feasibility`), and a
+        gap the replay leaves within it is closed (`game.realized_payoffs`). The
+        allocator charges each run of δ-steps against the capacity once, so its
+        grants stay within a few roundings of the capacity, far inside `tol`.
         """
         return self.delta / 1e7
-
-    def capacity_slack(self, capacity: float, drawn: float) -> float:
-        """`tol`, plus one rounding of `capacity` per δ-step of the amount `drawn` from it:
-        the allocator's running capacity rounds at each step (`subsolver._steps_loop`),
-        so a run's grants pass a capacity of 1500 at δ = 0.01 by up to 1.3e-9."""
-        return self.tol + capacity * sys.float_info.epsilon * (drawn / self.delta)
 
     @cached_property
     def _providers_by_id(self) -> Dict[int, Provider]:
@@ -281,7 +277,7 @@ class AllocationTensor:
         return by_app, by_provider
 
     def check_feasibility(self, s: Scenario) -> List[str]:
-        """Negative entries, and capacities and requests passed, beyond the scenario's slack."""
+        """Negative entries, and capacities and requests passed, beyond the scenario's `tol`."""
         out: List[str] = []
         for (n, j), vec in self.entries.items():
             for k, x in enumerate(vec):
@@ -292,7 +288,7 @@ class AllocationTensor:
         for p in s.providers:
             used = by_provider.get(p.id, zeros)
             for k, cap in enumerate(p.capacity):
-                if used[k] > cap + s.capacity_slack(cap, min(used[k], cap)):
+                if used[k] > cap + s.tol:
                     out.append(f"provider {p.id} resource {k}: used {used[k]} > capacity {cap}")
         for a in s.applications:
             totals = by_app.get(a.id, zeros)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .model import AllocEvent, AllocState, Scenario
-from .gpoa import RunResult, partition_players, start_run
+from .gpoa import RunResult, credit_bonus, partition_players, start_run
 from .subsolver import ShareMemo, SubproblemResult, solve_surplus_share
 
 
@@ -83,13 +83,7 @@ def run_ppmpoa(s: Scenario, share_memo: ShareMemo | None = None) -> RunResult:
             break
         matches.append(MatchRecord(round=len(matches) + 1, m=m, n=n, value=j_val, resources=r_val))
         payoffs[n].sharing += j_val
-        ev = _commit_match(s, state, matrix, m, n, g1_active, g2_active)
-        bonus = 0.0
-        for j, k, x in ev.chunks:
-            r = s.app(j).request[k]
-            if r > 0:
-                bonus += x / r
-        payoffs[m].bonus += bonus
+        credit_bonus(s, payoffs, _commit_match(s, state, matrix, m, n, g1_active, g2_active))
 
     return RunResult(
         payoffs=payoffs,

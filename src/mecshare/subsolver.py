@@ -3,19 +3,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, repeat
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from .model import AllocState, Scenario, eval_utility
 
 ORACLE_STATE_CAP = 10**7
-#: Most steps of a delta-ladder (8193 floats, about 0.26 MB); a longer run
-#: takes the plain loop.
-_LADDER_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -49,83 +43,20 @@ class SubproblemResult:
 ShareMemo = Dict[tuple, SubproblemResult]
 
 
-def _steps_loop(xi: float, ck: float, ub: float, delta: float) -> Tuple[float, float]:
-    """A run of full delta steps taken one at a time."""
-    while ub - xi >= delta and ck >= delta:
-        xi += delta
-        ck -= delta
-    return xi, ck
-
-
-def _quantum(v: float, delta: float, n: int) -> Tuple[float, int]:
-    """(q, m): each of the next m updates `v -= delta` (m <= n) subtracts exactly q.
-
-    Let [b, 2b) be v's binade and u its ulp. While the exact difference stays
-    in [b, 2b), v - delta rounds to the grid of u, so it subtracts delta
-    rounded to a multiple of u: the same q every time, unless delta is an odd
-    multiple of u/2 (a tie, rounded by v's parity). `room`, the distance to
-    the binade's floor, is exact, and so are the products and differences
-    below, which stay in the binade; dividing by q only estimates m, which is
-    then checked exactly. m == 0 where a step leaves the binade or ties.
-    Nothing divides by u, so a subnormal v or delta needs no special case.
-    """
-    b = math.ldexp(0.5, math.frexp(v)[1])  # largest power of two <= v
-    room = v - b
-    if room < delta:
-        return 0.0, 0
-    q = v - (v - delta)
-    if abs(delta - q) * 2 == math.ulp(v):
-        return 0.0, 0
-    if q == 0:
-        return 0.0, n
-    m = min(n, int((room - delta) / q) + 1)
-    while room - (m - 1) * q < delta:
-        m -= 1
-    return q, m
-
-
-@lru_cache(maxsize=_LADDER_CAP.bit_length() - 1)  # each power-of-two length of one delta
-def _ladder(delta: float, steps: int) -> Tuple[float, ...]:
-    """The first `steps` steps of the delta-ladder 0, delta, fl(delta + delta), ...
-
-    Each rung is the float the loop's own additions reach after that many
-    steps, so a rung depends on delta alone and a longer ladder begins with a
-    shorter one.
-    """
-    return tuple(accumulate(repeat(delta, steps), initial=0.0))
-
-
-def _drain(c: float, n: int, delta: float) -> Tuple[int, float]:
-    """(steps, c) of the ck side of a run: at most n steps, ending once c < delta.
-
-    Unlike x, c needs no search inside a jump: a jump keeps c at least delta
-    above its binade's floor, so c >= delta at every step it covers.
-    """
-    steps = 0
-    while steps < n and c >= delta:
-        q, m = _quantum(c, delta, n - steps)
-        c -= m * q
-        steps += m
-        if steps < n and c >= delta:
-            c -= delta
-            steps += 1
-    return steps, c
-
-
 def _full_steps(ck: float, ub: float, delta: float) -> Tuple[float, float]:
-    """The `(x, ck)` of `_steps_loop(0.0, ck, ub, delta)`, bit for bit, in a few jumps.
+    """(x, ck) after the longest run of full delta steps from x = 0.
 
-    The ladder is fetched at the power of two at or above the rungs ub needs
-    (`_LADDER_CAP` is one), so items with nearby bounds share one cached
-    ladder. A run that climbs past its top takes the plain loop.
+    The run takes n steps, n the largest count with fl(n*delta) <= ub and
+    fl(n*delta) <= ck; x = fl(n*delta) and ck is charged with x once.
     """
-    top_rung = int(min(_LADDER_CAP, ub / delta + 2))
-    ladder = _ladder(delta, 1 << (top_rung - 1).bit_length())
-    t = bisect_left(ladder, True, 0, top_rung, key=lambda v: ub - v < delta)
-    if t == top_rung and ub - ladder[t] >= delta:
-        return _steps_loop(0.0, ck, ub, delta)
-    n, ck = _drain(ck, t, delta)
-    return ladder[n], ck
+    top = min(ub, ck)
+    n = int(top / delta)
+    while n * delta > top:
+        n -= 1
+    while (n + 1) * delta <= top:
+        n += 1
+    x = n * delta
+    return x, ck - x
 
 
 def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> SubproblemResult:
@@ -138,34 +69,20 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     Precondition: every item's f is convex on [0, ub], so its delta-step gains
     never decrease. The builders below satisfy it: linear utility plus x/r,
     the logistic (centred at r, so x <= r stays below the inflection point),
-    and (x/gap)**2 together with -d*x. Hence, once an item wins a unit, it
-    keeps winning while a full delta step still fits: its own gain does not
-    shrink and no other item's gain moves while cap[k] >= delta. That run is
-    what `_steps_loop` computes one step at a time.
+    and (x/gap)**2 together with -d*x. Hence, once an item wins a full delta
+    step, it keeps winning while another full step still fits: its own gain
+    does not shrink and no other item's gain moves meanwhile.
 
-    Such a run is the item's first grant: it ends once ub - x < delta or
-    cap[k] < delta, and neither ever grows, so a full step fits only while
-    x == 0. `_full_steps(cap[k], ub, delta)` gives the run's `(x, cap[k])` in
-    a few jumps:
-
-    - x: the run climbs the delta-ladder 0, delta, fl(delta + delta), ...,
-      which depends on delta alone. It is cached by delta and length
-      (`_ladder`), and a bisection over the rungs up to the item's ub finds
-      the step where ub - x < delta, a test that is monotone along it.
-    - cap[k]: inside one binade, fl(c - delta) subtracts the same multiple q
-      of the binade's ulp every time except on a rounding tie, so m steps
-      give c - m*q exactly (`_quantum`); a step across a binade edge or on
-      a tie is taken as the loop takes it (`_drain`).
-    - A run past the ladder's top takes `_steps_loop`; with requests below 10
-      and delta = 0.01, no generated or bench scenario gets there.
-
-    Every jump lands on the float the loop's own additions reach, so the
-    result keeps its bits. A won full-delta run is taken whole: that is the greedy
-    the identity contract names. The one-unit loop can instead alternate between
-    items whose gains differ only by rounding, and there the two differ.
+    So a won full step at x == 0 starts a run that is taken whole, by count
+    (`_full_steps`): n full steps, n the largest count with fl(n*delta) <= ub
+    and fl(n*delta) <= cap[k]. Then x = fl(n*delta) and cap[k] -= x, each
+    rounded once, so the grants never drift from the capacity by more than a
+    few roundings. That is the greedy the identity contract names. A one-unit
+    loop that picks again at every step can instead alternate between items
+    whose gains differ only by rounding, and there the two differ.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if delta <= 0 or epsilon_gain < 0:
+        raise ValueError("delta must be > 0 and epsilon_gain >= 0")
     items = sorted(spec.items, key=lambda it: (it.app, it.k))
     cap = dict(spec.capacity)
     x = [0.0] * len(items)
@@ -212,11 +129,12 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
             if g <= epsilon_gain:
                 continue
         # Stale entry: another item now has a larger gain, reinsert and retry.
-        if heap and g < -heap[0][0] - 1e-15:
+        # Queued gains are positive, so the slack is relative to them.
+        if heap and g < -heap[0][0] * (1 - 1e-15):
             heapq.heappush(heap, (-g, i, s))
             continue
         k = items[i].k
-        if s == delta:  # x[i] == 0: the delta loop would pick this item until its run ends
+        if s == delta and x[i] == 0:
             x[i], cap[k] = _full_steps(cap[k], items[i].ub, delta)
         else:
             x[i] += s
@@ -248,7 +166,7 @@ def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
     states = 1
     for it in items:
         n_steps = int(math.floor(it.ub / grid_step + 1e-12))
-        pts = [i * grid_step for i in range(n_steps + 1)]
+        pts = [min(i * grid_step, it.ub) for i in range(n_steps + 1)]
         if pts[-1] < it.ub - grid_step * 1e-10:
             pts.append(it.ub)
         levels.append(pts)

@@ -1,11 +1,12 @@
-"""allocate_greedy against a frozen copy of the one-unit-at-a-time delta-greedy.
+"""allocate_greedy against a one-unit-at-a-time delta-greedy that counts its full steps.
 
-`allocate_greedy` grants each run of full delta steps at once. The reference
-below is the allocator as it was before that, kept verbatim except that it
-records no grant order: every spec the protocols hand the allocator must give
-the same bits from both. A run is always an item's first grant, so it starts
-at x = 0 and is taken in a few exact jumps (`subsolver._full_steps`), checked
-further down against the plain run loop from 0.
+The reference below picks an item again at every unit. A full delta step
+from x = 0 starts a streak: after its n-th consecutive full step the item's
+x is fl(n*delta), and the capacity the streak started on is charged with x
+once. Every spec the protocols hand the allocator must give the same bits
+from both; `allocate_greedy` takes each streak whole, by count
+(`subsolver._full_steps`), checked further down against a loop that counts
+one step at a time.
 
 The greedy this contract names is `allocate_greedy`'s: an item that wins a
 full delta step takes its whole run of full steps at once. The one-unit loop
@@ -19,7 +20,6 @@ import dataclasses
 import heapq
 import json
 import math
-import tracemalloc
 from typing import Dict, List, Tuple
 
 import pytest
@@ -48,6 +48,11 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
     The final unit is clamped to the exact remaining bound/capacity. Ties break
     on (app id, resource index) ascending; the loop stops once no item's gain
     exceeds epsilon_gain. Deterministic for identical inputs.
+
+    Full steps are counted. An item at x = 0 whose full step fits starts a
+    streak on the capacity c0 of its resource; the streak goes on while the
+    item is picked again and fl((n + 1)*delta) <= min(ub, c0). After its n-th
+    full step x = fl(n*delta), and the capacity is c0 - x, charged once.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -55,6 +60,7 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
     cap = dict(spec.capacity)
     x = [0.0] * len(items)
     saturated = [False] * len(items)
+    streak = [None, 0, 0.0]  # the item on a streak of full steps, its count n and its c0
 
     if spec.monotone:
         # Non-binding resource types saturate every item at its bound; the
@@ -69,16 +75,21 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
                 cap[it.k] -= it.ub
                 saturated[i] = True
 
-    def step_for(i: int) -> float:
+    def step_for(i: int) -> Tuple[float, int]:
+        """(s, n): i's next step, and the count n > 0 it reaches if it is a full step of a streak."""
         it = items[i]
-        return min(delta, it.ub - x[i], cap.get(it.k, 0.0))
+        on_streak = i == streak[0]
+        n, c0 = (streak[1], streak[2]) if on_streak else (0, cap.get(it.k, 0.0))
+        if (on_streak or x[i] == 0) and (n + 1) * delta <= min(it.ub, c0):
+            return delta, n + 1
+        return min(delta, it.ub - x[i], cap.get(it.k, 0.0)), 0
 
     def gain_for(i: int) -> float:
-        s = step_for(i)
+        s, n = step_for(i)
         if s <= 0:
             return -math.inf
         f = items[i].f
-        return f(x[i] + s) - f(x[i])
+        return f(n * delta if n else x[i] + s) - f(x[i])
 
     heap: List[Tuple[float, int, int, int]] = []
     for i, it in enumerate(items):
@@ -95,12 +106,20 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
         if g <= epsilon_gain:
             continue
         # Stale entry: another item now has a larger gain, reinsert and retry.
-        if heap and g < -heap[0][0] - 1e-15:
+        if heap and g < -heap[0][0] * (1 - 1e-15):
             heapq.heappush(heap, (-g, app, k, i))
             continue
-        s = step_for(i)
-        x[i] += s
-        cap[k] = cap.get(k, 0.0) - s
+        s, n = step_for(i)
+        if n:
+            if streak[0] != i:
+                streak[:] = [i, 0, cap.get(k, 0.0)]
+            streak[1] = n
+            x[i] = n * delta
+            cap[k] = streak[2] - x[i]
+        else:
+            streak[0] = None
+            x[i] += s
+            cap[k] = cap.get(k, 0.0) - s
         g2 = gain_for(i)
         if g2 > epsilon_gain:
             heapq.heappush(heap, (-g2, app, k, i))
@@ -275,9 +294,9 @@ def test_near_tie_run_is_taken_whole_where_the_one_unit_loop_alternates():
     spec = build_solo_spec(s, 1)
     got = allocate_greedy(spec, s.delta, s.epsilon_gain)
     want = reference_delta_greedy(spec, s.delta, s.epsilon_gain)
-    assert got.allocation == {(1, 0): 1.2999999999999998, (2, 0): 0.20000000000000004}
-    assert want.allocation == {(1, 0): 1.2299999999999998, (2, 0): 0.2700000000000001}
-    assert got.resources_used == want.resources_used == 1.4999999999999998
+    assert got.allocation == {(1, 0): 1.3, (2, 0): 0.19999999999999996}
+    assert want.allocation == {(1, 0): 1.2200000000000009, (2, 0): 0.27999999999999886}
+    assert (got.resources_used, want.resources_used) == (1.5, 1.4999999999999998)
 
 
 # --- specs the protocols never build ----------------------------------------
@@ -347,7 +366,7 @@ def recording_calls(spec):
     return calls
 
 
-# --- the precondition the tight loop relies on ------------------------------
+# --- the precondition a counted run relies on -------------------------------
 
 
 def builder_items():
@@ -378,20 +397,20 @@ def test_builder_objectives_have_non_decreasing_delta_gains():
     assert checked > 0
 
 
-# --- a run of full steps in jumps, against the plain run loop ----------------
+# --- a run of full steps by count, against a loop that counts one step at a time
 
 
-def reference_run(xi, ck, ub, delta):
-    """The run loop `allocate_greedy` took before its jumps, verbatim."""
-    while ub - xi >= delta and ck >= delta:
-        xi += delta
-        ck -= delta
-    return xi, ck
+def reference_run(ck, ub, delta):
+    """A run of full steps from x = 0, counted one step at a time; ck is charged with x once."""
+    n = 0
+    while (n + 1) * delta <= ub and (n + 1) * delta <= ck:
+        n += 1
+    return n * delta, ck - n * delta
 
 
 def assert_run_matches(ck, ub, delta):
     got = subsolver._full_steps(ck, ub, delta)
-    want = reference_run(0.0, ck, ub, delta)
+    want = reference_run(ck, ub, delta)
     assert [v.hex() for v in got] == [v.hex() for v in want], (ck, ub, delta)
 
 
@@ -418,56 +437,12 @@ def test_run_matches_the_loop_on_fixed_cases(delta):
     assert_run_matches(delta * 0.75, 10 * delta, delta)
 
 
-def test_delta_0_01_ties_in_the_binade_below_2_to_the_minus_5():
-    # 0.01 is an odd multiple of half the ulp of [2**-6, 2**-5), so there
-    # fl(c - 0.01) rounds by the parity of c and no quantum is exact.
-    assert subsolver._quantum(0.03, 0.01, 10) == (0.0, 0)
-    lo, hi = 2.0**-6, 2.0**-5
-    for i in range(400):
-        c = lo + (hi - lo) * i / 400
-        for ck in (c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)):
-            assert_run_matches(ck, 5.0, 0.01)
-    for ck in power_of_two_and_neighbours(2.0**-5) + [0.5, 1.0, 3.0]:
-        assert_run_matches(ck, 5.0, 0.01)
-
-
-def test_run_past_the_top_of_the_ladder_matches_the_loop():
-    delta = 0.01
-    n = subsolver._LADDER_CAP
-    for steps in (n - 1, n, n + 1, 3 * n + 5):
-        ub = steps * delta + delta / 2
-        for ck in (steps * delta / 2, 2 * steps * delta, math.ldexp(1.0, math.frexp(ub)[1] - 1)):
-            assert_run_matches(ck, ub, delta)
-
-
-def test_each_ladder_is_built_once_per_delta_and_length():
-    subsolver._ladder.cache_clear()
-    for setting in (1, 2, 3, 4):
-        for seed in (1, 2):
-            s = generate_scenario(GenSpec(setting=setting, seed=seed))
-            run_gpoa(s, OrderingScheme.cdo(0))
-            check_matching_stability(run_ppmpoa(s), s)
-    info = subsolver._ladder.cache_info()
-    # Every scenario has delta = 0.01 and requests below 10: ladders of 2**k <= 1024 steps.
-    assert 0 < info.misses <= 10 < info.hits
-    assert all(len(subsolver._ladder(0.01, 2**k)) == 2**k + 1 for k in range(1, 11))
-
-
-def test_every_ladder_length_of_one_delta_stays_cached():
-    subsolver._ladder.cache_clear()
-    lengths = [2**k for k in range(1, subsolver._LADDER_CAP.bit_length())]
-    for _ in range(2):
-        for steps in lengths:
-            subsolver._ladder(0.3, steps)
-    assert subsolver._ladder.cache_info().misses == len(lengths)
-
-
 @st.composite
 def runs(draw):
     delta = draw(st.one_of(
         st.sampled_from(DELTAS),
         st.floats(min_value=5e-324, max_value=1e3),
-        # few significant bits: ties in many binades
+        # few significant bits: exact multiples in many binades
         st.builds(math.ldexp, st.integers(1, 99).map(float), st.integers(-1074, 3)),
     ))
     steps = draw(st.integers(0, 3000))
@@ -489,15 +464,22 @@ def test_run_matches_the_loop(case):
     assert_run_matches(*case)
 
 
-def plain_loop_runs(monkeypatch):
-    """Make `allocate_greedy` take every run one step at a time."""
-    monkeypatch.setattr(
-        subsolver, "_full_steps", lambda ck, ub, delta: reference_run(0.0, ck, ub, delta)
-    )
+@settings(max_examples=400, deadline=None)
+@given(runs())
+@example((3.0, 3.0, 0.01))
+@example((0.3, 5.0, 0.1))
+def test_run_count_is_maximal(case):
+    # n steps fit under both ub and ck, and one more step passes one of them.
+    ck, ub, delta = case
+    x, rest = subsolver._full_steps(ck, ub, delta)
+    n = round(x / delta)
+    assert n * delta == x and rest == ck - x
+    assert x <= ub and x <= ck
+    assert (n + 1) * delta > ub or (n + 1) * delta > ck
 
 
 def test_subnormal_delta_commands_match_the_plain_loop(tmp_path, monkeypatch):
-    # delta = 64 * 5e-324 is subnormal; provider 1's run passes the ladder's top.
+    # delta = 64 * 5e-324 is subnormal, so every multiple of it is exact.
     d = 64 * 5e-324
     linear = {"kind": "linear", "params": {"a": 1.0, "c": 0.0}}
     scenario = tmp_path / "subnormal.json"
@@ -525,34 +507,11 @@ def test_subnormal_delta_commands_match_the_plain_loop(tmp_path, monkeypatch):
             got[command] = payload
         return got
 
-    jumps = outputs("jumps")
-    plain_loop_runs(monkeypatch)
-    assert jumps == outputs("loop")
-    # App 3's smaller request fills first; app 1's run takes the rest, past the ladder's top.
-    assert jumps["gpoa"]["allocation"]["1:1"] == [14300 * d]
-    assert 14300 > subsolver._LADDER_CAP
-
-
-def test_long_run_memory_is_bounded_by_the_ladder_cap(monkeypatch):
-    # One request of 5e6 delta-steps; the capacity stops the run 1% short.
-    s = make_scenario([Provider(id=1, capacity=(4.95e4,), native_apps=(1,))],
-                      [linear_app(1, 1, [5e4])])
-
-    def traced_solve():
-        tracemalloc.start()
-        try:
-            result = subsolver.solve_single_provider(s, 1)
-            return result, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    got, peak = traced_solve()
-    plain_loop_runs(monkeypatch)
-    want, loop_peak = traced_solve()
-    assert got.allocation == want.allocation
-    assert got.objective_value == want.objective_value
-    assert got.resources_used == want.resources_used
-    assert peak - loop_peak < 2**20
+    counted = outputs("count")
+    monkeypatch.setattr(subsolver, "_full_steps", reference_run)  # count one step at a time
+    assert counted == outputs("loop")
+    # App 3's smaller request fills first; app 1's run of 14300 steps takes the rest.
+    assert counted["gpoa"]["allocation"]["1:1"] == [14300 * d]
 
 
 FAST_PATH = [
@@ -573,17 +532,15 @@ def test_every_protocol_run_takes_the_jump(monkeypatch, setting, seed, utility, 
     if costs:
         s = with_comm_costs(s, 1000 * setting + 10 * seed + len(utility))
     full_runs = []
-    jumps = subsolver._full_steps
+    counted = subsolver._full_steps
 
-    def counting(ck, ub, delta):
+    def checked(ck, ub, delta):
         full_runs.append((ck, ub, delta))
-        return jumps(ck, ub, delta)
+        got = counted(ck, ub, delta)
+        assert [v.hex() for v in got] == [v.hex() for v in reference_run(ck, ub, delta)]
+        return got
 
-    def no_fallback(xi, ck, ub, delta):
-        raise AssertionError(f"run from x={xi!r} fell back to the plain loop")
-
-    monkeypatch.setattr(subsolver, "_full_steps", counting)
-    monkeypatch.setattr(subsolver, "_steps_loop", no_fallback)
+    monkeypatch.setattr(subsolver, "_full_steps", checked)
     run_solo_phase(s)
     for scheme in (OrderingScheme.cao(0), OrderingScheme.cdo(0), OrderingScheme.random(seed)):
         run_gpoa(s, scheme)

@@ -141,8 +141,9 @@ RUN_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(RUN_INPUTS))
 def test_every_run_is_feasible_and_replays_to_its_payoffs(case):
-    # The capacities of "large" reach thousands of units, where the allocator's
-    # running capacity drifts from the sum of its grants by more than tol.
+    # The capacities of "large" reach thousands of units. The allocator charges
+    # each run of delta-steps against a capacity once, so its grants stay within
+    # a few roundings of it, and `tol` bounds them.
     setting, utility, costs = RUN_INPUTS[case]
     if setting == "large":
         s = large_providers(1)
@@ -154,7 +155,7 @@ def test_every_run_is_feasible_and_replays_to_its_payoffs(case):
     runs = [run_gpoa(s, OrderingScheme.cdo(0)), run_gpoa(s, OrderingScheme.random(1)), run_ppmpoa(s)]
     for result in runs:
         assert result.allocation.check_feasibility(s) == []
-        # The replay sums in another order and clips at the drifted capacities.
+        # The replay sums in another order and clips at capacities a few roundings off.
         replay = realized_payoffs(s, result.events)
         for n, p in result.payoffs.items():
             assert abs(replay[n] - p.total) <= 1e-12 * max(1.0, abs(p.total)), n

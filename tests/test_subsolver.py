@@ -91,6 +91,41 @@ class TestAllocateGreedy:
         with pytest.raises(ValueError):
             allocate_greedy(spec, delta=0.0, epsilon_gain=1e-9)
 
+    def test_rejects_negative_epsilon_gain(self):
+        spec = SubproblemSpec(items=[], capacity={})
+        with pytest.raises(ValueError):
+            allocate_greedy(spec, delta=0.01, epsilon_gain=-1.0)
+
+    @pytest.mark.parametrize("t", [1.0, 2.0**-60], ids=["unit", "2**-60"])
+    def test_stale_gain_slack_is_relative_to_the_gains(self, t):
+        # App 1 takes 3t and leaves 0.05t, which app 3 gains more from (0.05t)
+        # than app 2 ((0.05t)**2 * 10/t). App 2's queued full-step gain is stale
+        # and must be re-queued at any scale; an absolute slack of 1e-15 dwarfs
+        # gains near 2**-60 and granted the remainder to app 2 there.
+        spec = SubproblemSpec(
+            items=[
+                SubproblemItem(app=1, k=0, ub=3 * t, f=lambda x: 100 * x),
+                SubproblemItem(app=2, k=0, ub=t, f=lambda x: 10 * x * x / t),
+                SubproblemItem(app=3, k=0, ub=t, f=lambda x: x),
+            ],
+            capacity={0: 3.05 * t},
+        )
+        res = allocate_greedy(spec, delta=t, epsilon_gain=0.0)
+        assert dict(res.allocation) == {(1, 0): 3 * t, (2, 0): 0.0, (3, 0): (3.05 - 3.0) * t}
+
+    def test_a_run_of_steps_lands_on_the_request(self):
+        # Capacity 5, requests of 3: app 1 (slope 2) gets its 300 steps of 0.01
+        # as exactly 3.0, and app 2 the 2.0 left. Repeated additions stopped
+        # at 2.99999999999998 and 2.0000000000000013.
+        s = make_scenario(
+            [Provider(id=1, capacity=(5.0,), native_apps=(1, 2))],
+            [linear_app(1, owner=1, request=(3.0,), a=2.0),
+             linear_app(2, owner=1, request=(3.0,), a=1.0)],
+        )
+        res = solve_single_provider(s, 1)
+        assert dict(res.allocation) == {(1, 0): 3.0, (2, 0): 2.0}
+        assert res.resources_used == 5.0
+
 
 class TestAllocateOracle:
     def test_empty_spec_has_zero_objective(self):
@@ -128,6 +163,15 @@ class TestAllocateOracle:
         )
         res = allocate_oracle(spec, grid_step=0.5)
         assert res.allocation[(1, 0)] == pytest.approx(0.75)
+
+    def test_grid_points_stay_within_the_bound(self):
+        # 6 * 0.1 is 0.6000000000000001: the top grid point is clamped to ub.
+        spec = SubproblemSpec(
+            items=[SubproblemItem(app=1, k=0, ub=0.6, f=lambda x: x)],
+            capacity={0: 1.0},
+        )
+        res = allocate_oracle(spec, grid_step=0.1)
+        assert res.allocation[(1, 0)] == 0.6
 
     def test_a_spec_scaled_by_a_power_of_two_gets_the_scaled_answer(self):
         # Two items of ub 0.6 share a capacity of 1 on a grid of 0.1. At a
