@@ -300,7 +300,7 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
                 gap = r - z0
                 inc = eval_utility(a.utility, z0 + x_eff, r) - eval_utility(a.utility, z0, r)
                 # A gap left within `tol` counts as closed: the run's grant closed
-                # it, and the replay's gap or clip at the capacity differs by rounding.
+                # it, and the replay's clip at the true capacity differs by rounding.
                 closed = gap - x_eff <= s.tol
                 ratio = 1.0 if closed else x_eff / gap
                 payoff[n] += a.weight_w1 * (inc - d * x_eff) + ratio * ratio

@@ -126,7 +126,6 @@ def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
         apps = s.apps_of(n)
         state = AllocState(
             remaining_capacity={n: list(s.provider(n).capacity)},
-            remaining_request={a.id: list(a.request) for a in apps},
             allocated={a.id: [0.0] * s.K for a in apps},
         )
         res = solve_single_provider(s, n)
@@ -134,7 +133,6 @@ def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
         records[n] = SoloRecord(
             v_solo=res.objective_value,
             remaining_capacity=tuple(state.remaining_capacity[n]),
-            remaining_request={j: tuple(r) for j, r in state.remaining_request.items()},
             allocated={j: tuple(z) for j, z in state.allocated.items()},
             event=event,
             deficit=state.has_deficit(s, n),
@@ -151,9 +149,6 @@ def start_run(s: Scenario) -> Tuple[AllocState, Dict[int, Payoff]]:
     records = s.post_solo
     state = AllocState(
         remaining_capacity={p.id: list(records[p.id].remaining_capacity) for p in s.providers},
-        remaining_request={
-            a.id: list(records[a.owner].remaining_request[a.id]) for a in s.applications
-        },
         allocated={a.id: list(records[a.owner].allocated[a.id]) for a in s.applications},
         events=[rec.event for rec in records.values()],
     )

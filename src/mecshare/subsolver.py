@@ -262,8 +262,8 @@ def build_share_spec(s: Scenario, n: int, state: AllocState, deficit_apps: List[
         for k in range(s.K):
             if not state.app_has_deficit(s, j, k):
                 continue
-            gap = state.remaining_request[j][k]
             z = state.allocated[j][k]
+            gap = a.request[k] - z
             items.append(
                 SubproblemItem(
                     app=j,
@@ -315,8 +315,7 @@ def solve_surplus_share(
     """
     if memo is not None:
         memo_key = (n, tuple(state.remaining_capacity[n])) + tuple(
-            (j, tuple(state.remaining_request[j]), tuple(state.allocated[j]))
-            for j in sorted(deficit_apps)
+            (j, tuple(state.allocated[j])) for j in sorted(deficit_apps)
         )
         hit = memo.get(memo_key)
         if hit is not None:

@@ -32,7 +32,6 @@ def initial_state(s):
     """A run's state before its solo phase: every capacity and request whole, nothing granted."""
     return AllocState(
         remaining_capacity={p.id: list(p.capacity) for p in s.providers},
-        remaining_request={a.id: list(a.request) for a in s.applications},
         allocated={a.id: [0.0] * s.K for a in s.applications},
     )
 

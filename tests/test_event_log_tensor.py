@@ -12,11 +12,11 @@ import pytest
 
 from mecshare.game import enumerate_coalitions
 from mecshare.gpoa import OrderingScheme, run_gpoa, run_solo_phase
-from mecshare.model import AllocState, AllocationTensor
+from mecshare.model import AllocState, AllocationTensor, Provider
 from mecshare.ppmpoa import run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
 
-from conftest import make_scenario, with_comm_costs
+from conftest import linear_app, make_scenario, with_comm_costs
 
 
 def reference_add(entries, n: int, j: int, k: int, amount: float, k_count: int) -> None:
@@ -100,25 +100,37 @@ def test_an_enumeration_builds_no_tensor(monkeypatch, algorithm, sweep):
     assert calls == ["from_events"]
 
 
-S = make_scenario([], [], delta=0.01)
-TOL = S.tol
+TOL = make_scenario([], [], delta=0.01).tol
 ABOVE = math.nextafter(TOL, math.inf)
 BELOW = math.nextafter(TOL, 0.0)
-VECTORS = [  # (vector, some entry above TOL)
-    ([TOL], False), ([ABOVE], True), ([BELOW], False), ([0.0], False), ([-1.0], False),
-    ([TOL, TOL], False), ([0.0, ABOVE], True), ([ABOVE, 0.0], True),
-    ([TOL, BELOW, 0.0], False), ([-TOL, TOL, ABOVE], True), ([2 * TOL, -5.0], True),
-    ([1.0, 0.0, TOL], True),
+PAIRS = [  # (request, z, some entry misses more than TOL); each r - z is exact
+    ([2 * TOL], [TOL], False), ([2 * ABOVE], [ABOVE], True), ([2 * BELOW], [BELOW], False),
+    ([1.0], [1.0], False), ([1.0], [2.0], False),
+    ([TOL, 2 * TOL], [0.0, TOL], False), ([0.5, 2 * ABOVE], [0.5, ABOVE], True),
+    ([ABOVE, 0.0], [0.0, 0.0], True), ([2 * TOL, BELOW, 3.0], [TOL, 0.0, 3.0], False),
+    ([0.0, TOL, 2 * ABOVE], [TOL, 0.0, ABOVE], True), ([4 * TOL, 1.0], [2 * TOL, 6.0], True),
+    ([4.0, 2.0, 2 * TOL], [3.0, 2.0, TOL], True),
 ]
 
 
-@pytest.mark.parametrize("vec,above", VECTORS, ids=[repr(v) for v, _ in VECTORS])
-def test_the_max_rule_is_the_any_rule_at_the_tol_boundary(vec, above):
-    state = AllocState(
-        remaining_capacity={1: list(vec)},
-        remaining_request={7: list(vec)},
-        allocated={7: [0.0] * len(vec)},
+def _misses(request, z):
+    return [r - x for r, x in zip(request, z)]
+
+
+@pytest.mark.parametrize(
+    "request_,z,above", PAIRS, ids=[repr(_misses(r, z)) for r, z, _ in PAIRS]
+)
+def test_the_max_rule_is_the_any_rule_at_the_tol_boundary(request_, z, above):
+    # An entry with z > r is over-granted: it misses a negative amount.
+    missing = _misses(request_, z)
+    s = make_scenario(
+        [Provider(id=1, capacity=tuple(missing), native_apps=(7,))],
+        [linear_app(7, owner=1, request=request_)],
+        K=len(missing),
     )
-    assert any(x > TOL for x in vec) is above
-    assert state.app_has_deficit(S, 7) is above
-    assert state.has_surplus(S, 1) is above
+    state = AllocState(remaining_capacity={1: list(missing)}, allocated={7: list(z)})
+    assert any(x > TOL for x in missing) is above
+    assert state.app_has_deficit(s, 7) is above
+    assert state.deficit_apps(s, [1]) == ([7] if above else [])
+    assert [state.app_has_deficit(s, 7, k) for k in range(s.K)] == [x > TOL for x in missing]
+    assert state.has_surplus(s, 1) is above

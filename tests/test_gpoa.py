@@ -135,7 +135,7 @@ class TestSoloPhase:
         assert payoffs[2].v_solo == pytest.approx(3.0, abs=1e-9)
         assert state.remaining_capacity[1][0] == pytest.approx(0.0, abs=1e-9)
         assert state.remaining_capacity[2][0] == pytest.approx(4.0, abs=1e-9)
-        assert state.remaining_request[1][0] == pytest.approx(2.0, abs=1e-9)
+        assert s.app(1).request[0] - state.allocated[1][0] == pytest.approx(2.0, abs=1e-9)
         assert [e.phase for e in events] == ["solo", "solo"]
 
     def test_partition_after_solo(self):

@@ -364,7 +364,7 @@ class TestSurplusShare:
         before = copy.deepcopy(state)
         j_val, r_val, alloc = self._pair_match(s, 1, 2, state)
         assert state.remaining_capacity == before.remaining_capacity
-        assert state.remaining_request == before.remaining_request
+        assert state.allocated == before.allocated
         assert j_val == pytest.approx(3.0, abs=1e-9)
         assert r_val == pytest.approx(2.0, abs=1e-9)
         assert alloc[(1, 0)] == pytest.approx(2.0, abs=1e-9)
@@ -380,10 +380,40 @@ class TestSurplusShare:
         # A 1e-12 residual is bookkeeping noise, not a deficit: granting it
         # would score (x/gap)^2 = 1 for a 1e-12 grant.
         s, state = self._one_gap_scenario()
-        state.remaining_request[1][0] = 1e-12
+        state.allocated[1][0] = 4.0 - 1e-12
         assert state.deficit_apps(s, [1]) == []
         assert self._pair_match(s, 1, 2, state) == (0.0, 0.0, {})
         assert build_share_spec(s, 2, state, [1]).items == []
+
+    @staticmethod
+    def _granted_in_order(grants):
+        """App 1 (request 1.0) after provider 1 grants it `grants` in order; provider 2 shares."""
+        apps = [linear_app(1, owner=1, request=(1.0,)), linear_app(2, owner=2, request=(1.0,))]
+        s = make_scenario(
+            [
+                Provider(id=1, capacity=(1.0,), native_apps=(1,)),
+                Provider(id=2, capacity=(3.0,), native_apps=(2,)),
+            ],
+            apps,
+        )
+        state = initial_state(s)
+        for x in grants:
+            state.apply(1, 1, 0, x)
+        return s, state
+
+    def test_the_share_bound_is_request_minus_granted_in_any_grant_order(self):
+        # 1.0 - 0.1 - 0.3 is 0.6000000000000001, but 0.1 + 0.3 and 0.3 + 0.1 are both 0.4.
+        for grants in ([0.1, 0.3], [0.3, 0.1]):
+            s, state = self._granted_in_order(grants)
+            [item] = build_share_spec(s, 2, state, [1]).items
+            assert item.ub == 0.6
+
+    def test_states_with_equal_grant_totals_share_one_memo_entry(self):
+        (s, first), (_, second) = map(self._granted_in_order, ([0.1, 0.3], [0.3, 0.1]))
+        memo = {}
+        res = solve_surplus_share(s, 2, first, [1], memo)
+        assert solve_surplus_share(s, 2, second, [1], memo) is res
+        assert len(memo) == 1
 
 
 def test_sigmoid_solo_solve_stays_feasible():
