@@ -324,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--order",
             default="cdo:k=0",
-            help="GPOA surplus order, always validated; with --sweep-orders it runs only for "
-            f"coalitions with more than {SWEEP_LIMIT} surplus providers; ppmpoa never reads it",
+            help="GPOA surplus order, validated under either algorithm; with --sweep-orders it "
+            f"runs only for coalitions with more than {SWEEP_LIMIT} surplus providers; "
+            "ppmpoa never runs it",
         )
         p.add_argument("--sweep-orders", action=argparse.BooleanOptionalAction, default=True,
                        help="evaluate every surplus-order permutation per coalition")

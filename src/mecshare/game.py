@@ -68,6 +68,16 @@ def restrict_scenario(s: Scenario, members: FrozenSet[int]) -> Scenario:
     return sub
 
 
+def restrict_scheme(scheme: OrderingScheme, members) -> OrderingScheme:
+    """An explicit order keeps the `members` it lists, in its order; other schemes are unchanged.
+
+    A provider's surplus flag is its own, so this orders exactly a coalition's surplus set.
+    """
+    if scheme.kind != "explicit":
+        return scheme
+    return OrderingScheme.explicit(n for n in scheme.order if n in members)
+
+
 def run_algorithm(
     s: Scenario, algorithm: str, scheme: OrderingScheme, share_memo: ShareMemo | None = None
 ) -> RunResult:
@@ -92,7 +102,7 @@ def coalition_value(
     unknown = members - set(s.provider_ids())
     if unknown:
         raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
-    result = run_algorithm(restrict_scenario(s, members), algorithm, scheme)
+    result = run_algorithm(restrict_scenario(s, members), algorithm, restrict_scheme(scheme, members))
     payoffs = {n: p.total for n, p in result.payoffs.items()}
     return sum(payoffs.values()), payoffs, result.order_used
 
@@ -143,21 +153,16 @@ def enumerate_coalitions(
     if len(ids) > MAX_PROVIDERS:
         raise ValueError(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
     sweep = sweep_orders and algorithm == "gpoa"
-    explicit = algorithm == "gpoa" and scheme.kind == "explicit"
-    if algorithm == "gpoa":
-        # Raises unless the scheme can order the surplus set, even where a sweep
-        # never runs it. A provider's surplus flag is its own, so each coalition's
-        # surplus set, and an explicit order, is this one restricted.
-        order_surplus(s, scheme)
+    # Raises unless the scheme can order the surplus set, under either algorithm and
+    # even where a sweep never runs it; each coalition's is this one restricted.
+    order_surplus(s, scheme)
     full = frozenset(ids)
     share_memo = {} if share_memo is None else share_memo
     entries: Dict[FrozenSet[int], CoalitionEntry] = {}
     for members in _coalitions_by_bitset(ids):
         sub = restrict_scenario(s, members)
         surplus = partition_players(sub)[1]
-        schemes = [scheme]
-        if explicit:
-            schemes = [OrderingScheme.explicit(n for n in scheme.order if n in members)]
+        schemes = [restrict_scheme(scheme, members)]
         if sweep and len(surplus) <= SWEEP_LIMIT:
             orders = itertools.permutations(sorted(surplus))
             schemes = [OrderingScheme.explicit(p) for p in orders]

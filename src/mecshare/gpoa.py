@@ -135,7 +135,7 @@ def build_post_solo(s: Scenario) -> Dict[int, SoloRecord]:
             remaining_capacity=tuple(state.remaining_capacity[n]),
             allocated={j: tuple(z) for j, z in state.allocated.items()},
             event=event,
-            deficit=state.has_deficit(s, n),
+            deficit=bool(state.deficit_apps(s, [n])),
             surplus=state.has_surplus(s, n),
         )
     return records

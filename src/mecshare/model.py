@@ -96,7 +96,8 @@ class Scenario:
     def tol(self) -> float:
         """The one tolerance on resource amounts: δ·10⁻⁷, which is 1e-9 at δ = 0.01.
 
-        An amount at or below it is no deficit or surplus (`AllocState`, PPMPOA's
+        An amount at or below it is no deficit or surplus (`AllocState.deficit_apps`
+        and `has_surplus`, the gap test of `subsolver.build_share_spec`, PPMPOA's
         stop rule) and no fragment (`metrics`); an allocation may go below 0 or past
         a request or a capacity by it (`AllocationTensor.check_feasibility`), and a
         gap the replay leaves within it is closed (`game.realized_payoffs`). The
@@ -308,25 +309,11 @@ class AllocState:
     allocated: Dict[int, List[float]]  # z: total granted to each app so far
     events: List[AllocEvent] = field(default_factory=list)
 
-    def apply(self, n: int, j: int, k: int, amount: float) -> None:
-        self.remaining_capacity[n][k] -= amount
-        self.allocated[j][k] += amount
-
-    def app_has_deficit(self, s: Scenario, j: int, k: int | None = None) -> bool:
-        """App j still misses more than `s.tol` of resource k (of any resource when k is None)."""
-        if k is None:
-            return self._misses(s, s.app(j))
-        return s.app(j).request[k] - self.allocated[j][k] > s.tol
-
-    def _misses(self, s: Scenario, a: Application) -> bool:
-        return max(map(operator.sub, a.request, self.allocated[a.id])) > s.tol
-
     def deficit_apps(self, s: Scenario, providers: Iterable[int]) -> List[int]:
-        """Apps of `providers` that still miss some resource, in provider then native-app order."""
-        return [a.id for n in providers for a in s.apps_of(n) if self._misses(s, a)]
-
-    def has_deficit(self, s: Scenario, n: int) -> bool:
-        return bool(self.deficit_apps(s, [n]))
+        """Apps of `providers` missing more than `s.tol` of a resource, in provider then app order."""
+        z, tol = self.allocated, s.tol
+        return [a.id for n in providers for a in s.apps_of(n)
+                if max(map(operator.sub, a.request, z[a.id])) > tol]
 
     def has_surplus(self, s: Scenario, n: int) -> bool:
         return max(self.remaining_capacity[n]) > s.tol
@@ -340,7 +327,8 @@ class AllocState:
         chunks = []
         for (j, k), x in sorted(allocation.items()):
             if x > 0:
-                self.apply(n, j, k, x)
+                self.remaining_capacity[n][k] -= x
+                self.allocated[j][k] += x
                 chunks.append((j, k, x))
         event = AllocEvent(phase=phase, allocator=n, chunks=tuple(chunks))
         self.events.append(event)

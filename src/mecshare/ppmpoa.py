@@ -64,7 +64,7 @@ def _commit_match(
     ev = state.commit(n, matrix.J[(m, n)].allocation, "share")
     if not state.has_surplus(s, n):
         g2_active.remove(n)
-    if not state.has_deficit(s, m):
+    if not state.deficit_apps(s, [m]):
         g1_active.remove(m)
     return ev
 

@@ -260,10 +260,10 @@ def build_share_spec(s: Scenario, n: int, state: AllocState, deficit_apps: List[
         if d > 0:
             monotone = False  # the -d*x term can make contributions decrease
         for k in range(s.K):
-            if not state.app_has_deficit(s, j, k):
-                continue
             z = state.allocated[j][k]
             gap = a.request[k] - z
+            if gap <= s.tol:
+                continue
             items.append(
                 SubproblemItem(
                     app=j,

@@ -591,6 +591,9 @@ BAD_INPUTS = {
     "verify-explicit-order": (
         two_provider_json(), ["verify", "--no-sweep-orders", "--order", "explicit:2,3"]
     ),
+    "verify-ppmpoa-order-resource-out-of-range": (
+        two_provider_json(), ["verify", "--algorithm", "ppmpoa", "--order", "cao:k=7"]
+    ),
     "misreport-unknown-provider": (two_provider_json(), ["misreport", "--provider", "99"]),
     "misreport-zero-factor": (
         two_provider_json(), ["misreport", "--provider", "1", "--cap-factor", "0"]

@@ -72,7 +72,7 @@ def reference_build_matching_matrix(
     for n in g2:
         for m in g1:
             cell = copy.deepcopy(state)
-            deficit_apps = [a.id for a in s.apps_of(m) if cell.app_has_deficit(s, a.id)]
+            deficit_apps = cell.deficit_apps(s, [m])
             if deficit_apps:
                 res = solve_surplus_share(s, n, cell, deficit_apps)
             else:

@@ -15,6 +15,7 @@ from mecshare.gpoa import OrderingScheme, run_gpoa, run_solo_phase
 from mecshare.model import AllocState, AllocationTensor, Provider
 from mecshare.ppmpoa import run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.subsolver import build_share_spec
 
 from conftest import linear_app, make_scenario, with_comm_costs
 
@@ -113,16 +114,16 @@ PAIRS = [  # (request, z, some entry misses more than TOL); each r - z is exact
 ]
 
 
-def _misses(request, z):
+def _gaps(request, z):
     return [r - x for r, x in zip(request, z)]
 
 
 @pytest.mark.parametrize(
-    "request_,z,above", PAIRS, ids=[repr(_misses(r, z)) for r, z, _ in PAIRS]
+    "request_,z,above", PAIRS, ids=[repr(_gaps(r, z)) for r, z, _ in PAIRS]
 )
 def test_the_max_rule_is_the_any_rule_at_the_tol_boundary(request_, z, above):
     # An entry with z > r is over-granted: it misses a negative amount.
-    missing = _misses(request_, z)
+    missing = _gaps(request_, z)
     s = make_scenario(
         [Provider(id=1, capacity=tuple(missing), native_apps=(7,))],
         [linear_app(7, owner=1, request=request_)],
@@ -130,7 +131,8 @@ def test_the_max_rule_is_the_any_rule_at_the_tol_boundary(request_, z, above):
     )
     state = AllocState(remaining_capacity={1: list(missing)}, allocated={7: list(z)})
     assert any(x > TOL for x in missing) is above
-    assert state.app_has_deficit(s, 7) is above
     assert state.deficit_apps(s, [1]) == ([7] if above else [])
-    assert [state.app_has_deficit(s, 7, k) for k in range(s.K)] == [x > TOL for x in missing]
+    # The per-resource rule: the share spec has an item for each resource missing more than TOL.
+    items = build_share_spec(s, 1, state, [7]).items
+    assert [it.k for it in items] == [k for k, x in enumerate(missing) if x > TOL]
     assert state.has_surplus(s, 1) is above

@@ -72,6 +72,18 @@ class TestCoalitionValue:
         value, payoffs, _ = coalition_value(setting1_seed42, {1, 2, 3}, CDO, "ppmpoa")
         assert value == pytest.approx(sum(payoffs.values()), rel=1e-12)
 
+    @pytest.mark.parametrize("algorithm", ["gpoa", "ppmpoa"])
+    @pytest.mark.parametrize(
+        "scheme", [OrderingScheme.explicit([6, 5, 4]), CDO], ids=["explicit:6,5,4", "cdo:k=0"]
+    )
+    def test_every_coalition_is_the_unswept_enumerations_entry(self, scheme, algorithm):
+        # An explicit order is restricted to each coalition's members, as the enumeration does.
+        s = generate_scenario(GenSpec(setting=3, seed=1, utility_kind="linear"))
+        report = enumerate_coalitions(s, scheme, algorithm)
+        for members, entry in report.entries.items():
+            expected = (entry.value, entry.payoffs, entry.order_used)
+            assert coalition_value(s, members, scheme, algorithm) == expected, sorted(members)
+
 
 class TestEnumerateCoalitions:
     def test_all_nonempty_subsets_present(self, setting1_seed42):

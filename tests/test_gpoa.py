@@ -57,7 +57,7 @@ def deficit_with_leftover_scenario():
 def partition_of_solo_state(s):
     """The deficit/surplus rule applied to the state `run_solo_phase` hands out."""
     state = run_solo_phase(s)[0]
-    g1 = [n for n in s.provider_ids() if state.has_deficit(s, n)]
+    g1 = [n for n in s.provider_ids() if state.deficit_apps(s, [n])]
     g2 = [n for n in s.provider_ids() if state.has_surplus(s, n) and n not in g1]
     return g1, g2
 

@@ -377,7 +377,7 @@ def builder_items():
             for costs in (False, True):
                 sc = with_comm_costs(s, 70 + setting) if costs else s
                 state, _, _, _ = run_solo_phase(sc)
-                deficit_apps = [a.id for a in sc.applications if state.app_has_deficit(sc, a.id)]
+                deficit_apps = state.deficit_apps(sc, sc.provider_ids())
                 for n in sc.provider_ids():
                     if not costs:
                         yield from build_solo_spec(sc, n).items

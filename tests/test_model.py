@@ -276,11 +276,11 @@ def test_deficit_apps_follow_provider_then_native_app_order():
     )
     state = initial_state(s)
     assert state.deficit_apps(s, [2, 1]) == [2, 3, 1]
-    state.apply(1, 3, 0, 1.0)
+    state.commit(1, {(3, 0): 1.0}, "solo")
     assert state.deficit_apps(s, [2, 1]) == [2, 1]
-    assert state.has_deficit(s, 1)
-    state.apply(1, 1, 0, 1.0)
-    assert state.deficit_apps(s, [1]) == [] and not state.has_deficit(s, 1)
+    assert state.deficit_apps(s, [1]) == [1]
+    state.commit(1, {(1, 0): 1.0}, "solo")
+    assert state.deficit_apps(s, [1]) == []
 
 
 def test_the_threshold_is_1e_9_at_the_default_delta():

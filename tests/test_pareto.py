@@ -38,11 +38,10 @@ def pareto_witnesses(s, result, cover_cost=True):
     """(provider, app, resource, step) of every one-step grant the run left open."""
     state = initial_state(s)
     for ev in result.events:
-        for j, k, x in ev.chunks:
-            state.apply(ev.allocator, j, k, x)
+        state.commit(ev.allocator, {(j, k): x for j, k, x in ev.chunks}, ev.phase)
     witnesses = []
     for n in partition_players(s)[1]:
-        remote = [a.id for a in s.applications if a.owner != n and state.app_has_deficit(s, a.id)]
+        remote = state.deficit_apps(s, [m for m in s.provider_ids() if m != n])
         spec = build_share_spec(s, n, state, remote)
         for it in spec.items:
             step = min(s.delta, it.ub, spec.capacity[it.k])

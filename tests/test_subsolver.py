@@ -248,8 +248,8 @@ class TestSurplusShare:
             comm_costs=comm,
         )
         state = initial_state(s)
-        state.apply(1, 1, 0, 2.0)
-        state.apply(2, 2, 0, 2.0)
+        state.commit(1, {(1, 0): 2.0}, "solo")
+        state.commit(2, {(2, 0): 2.0}, "solo")
         return s, state
 
     def test_share_objective_matches_hand_value(self):
@@ -275,7 +275,7 @@ class TestSurplusShare:
             apps,
         )
         state = initial_state(s)
-        state.apply(2, 3, 0, 1.0)  # provider 2 serves its own app first
+        state.commit(2, {(3, 0): 1.0}, "solo")  # provider 2 serves its own app first
         res = solve_surplus_share(s, 2, state, [1, 2])
         assert res.allocation[(1, 0)] == pytest.approx(2.0, abs=1e-9)
         assert res.allocation[(2, 0)] == pytest.approx(1.0, abs=1e-9)
@@ -305,8 +305,8 @@ class TestSurplusShare:
             comm_costs={(2, 1): 1.03},
         )
         state = initial_state(s)
-        state.apply(1, 1, 0, 3.5)
-        state.apply(2, 2, 0, 1.0)
+        state.commit(1, {(1, 0): 3.5}, "solo")
+        state.commit(2, {(2, 0): 1.0}, "solo")
         spec = build_share_spec(s, 2, state, [1])
         raw = allocate_greedy(spec, s.delta, s.epsilon_gain)
         assert raw.allocation[(1, 0)] > 0  # greedy does grant before rollback
@@ -334,10 +334,8 @@ class TestSurplusShare:
             comm_costs={(2, 1): 0.3, (2, 2): 0.1} if costs else None,
         )
         state = initial_state(s)
-        state.apply(1, 1, 0, 0.5)
-        state.apply(1, 2, 1, 0.5)
-        state.apply(2, 3, 0, 1.0)
-        state.apply(2, 3, 1, 1.0)
+        state.commit(1, {(1, 0): 0.5, (2, 1): 0.5}, "solo")
+        state.commit(2, {(3, 0): 1.0, (3, 1): 1.0}, "solo")
         spec = build_share_spec(s, 2, state, [1, 2])
         assert len(spec.items) == 4 and spec.monotone is not costs
         greedy_results = []
@@ -371,8 +369,8 @@ class TestSurplusShare:
 
     def test_pair_match_without_deficit_returns_zero(self):
         s, state = self._one_gap_scenario()
-        state.apply(2, 1, 0, 2.0)  # close the gap
-        assert state.deficit_apps(s, [1]) == [] and not state.has_deficit(s, 1)
+        state.commit(2, {(1, 0): 2.0}, "share")  # close the gap
+        assert state.deficit_apps(s, [1]) == []
         j_val, r_val, alloc = self._pair_match(s, 1, 2, state)
         assert (j_val, r_val, alloc) == (0.0, 0.0, {})
 
@@ -398,7 +396,7 @@ class TestSurplusShare:
         )
         state = initial_state(s)
         for x in grants:
-            state.apply(1, 1, 0, x)
+            state.commit(1, {(1, 0): x}, "solo")
         return s, state
 
     def test_the_share_bound_is_request_minus_granted_in_any_grant_order(self):
