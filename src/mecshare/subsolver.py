@@ -25,9 +25,6 @@ class SubproblemSpec:
     items: List[SubproblemItem]
     capacity: Dict[int, float]  # available amount per resource index
     kind: str = "solo"  # "solo" | "share"
-    # True when every item's contribution is non-decreasing in x; enables the
-    # saturation shortcut for resource types whose capacity is not binding.
-    monotone: bool = False
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,12 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     few roundings. That is the greedy the identity contract names. A one-unit
     loop that picks again at every step can instead alternate between items
     whose gains differ only by rounding, and there the two differ.
+
+    On a slack resource type, whose capacity covers its items' summed bounds,
+    an item whose first step gains more than epsilon_gain fills its bound
+    outside the heap and any other item is never granted, so epsilon_gain is
+    the stop rule on every type. Kept on purpose: such an item fills its bound
+    even where its last sub-delta step, ub - fl(n*delta), gains no more.
     """
     if delta <= 0 or epsilon_gain < 0:
         raise ValueError("delta must be > 0 and epsilon_gain >= 0")
@@ -87,17 +90,10 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
     cap = dict(spec.capacity)
     x = [0.0] * len(items)
 
-    if spec.monotone:
-        # Non-binding resource types saturate every item at its bound; the
-        # delta loop would end there anyway for non-decreasing contributions.
-        ub_by_k: Dict[int, float] = {}
-        for it in items:
-            ub_by_k[it.k] = ub_by_k.get(it.k, 0.0) + it.ub
-        slack = {k for k, total in ub_by_k.items() if total <= cap.get(k, 0.0)}
-        for i, it in enumerate(items):
-            if it.k in slack:
-                x[i] = it.ub
-                cap[it.k] -= it.ub
+    ub_by_k: Dict[int, float] = {}
+    for it in items:
+        ub_by_k[it.k] = ub_by_k.get(it.k, 0.0) + it.ub
+    slack = {k for k, total in ub_by_k.items() if total <= cap.get(k, 0.0)}
 
     def step_for(i: int) -> float:
         it = items[i]
@@ -111,12 +107,18 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
 
     # Each entry keeps the step its gain was taken at. x[i] cannot change while
     # i's entry is queued, so a pop whose step is unchanged reuses the gain.
-    # Items are sorted by (app, k), so i breaks ties in that order.
+    # Items are sorted by (app, k), so i breaks ties in that order. The first
+    # step at x = 0 is taken inline, with the bits of gain_for(i, step_for(i)).
     heap: List[Tuple[float, int, float]] = []
-    for i in range(len(items)):
-        s = step_for(i)
-        g = gain_for(i, s)
-        if g > epsilon_gain:
+    for i, it in enumerate(items):
+        s = min(delta, it.ub, cap.get(it.k, 0.0))
+        g = it.f(s) - it.f(0.0) if s > 0 else -math.inf
+        if g <= epsilon_gain:
+            continue
+        if it.k in slack:
+            x[i] = it.ub
+            cap[it.k] -= it.ub
+        else:
             heap.append((-g, i, s))
     heapq.heapify(heap)
 
@@ -230,7 +232,7 @@ def build_solo_spec(s: Scenario, n: int) -> SubproblemSpec:
                 )
             )
     capacity = {k: s.provider(n).capacity[k] for k in range(s.K)}
-    return SubproblemSpec(items=items, capacity=capacity, kind="solo", monotone=True)
+    return SubproblemSpec(items=items, capacity=capacity, kind="solo")
 
 
 def _solo_contrib(utility, w1: float, r: float) -> Callable[[float], float]:
@@ -253,12 +255,9 @@ def _share_contrib(utility, w1: float, r: float, z: float, gap: float, d: float)
 def build_share_spec(s: Scenario, n: int, state: AllocState, deficit_apps: List[int]) -> SubproblemSpec:
     """Surplus-sharing objective over remote deficit apps, capacity = n's remaining."""
     items: List[SubproblemItem] = []
-    monotone = True
     for j in sorted(deficit_apps):
         a = s.app(j)
         d = s.comm_d(n, j)
-        if d > 0:
-            monotone = False  # the -d*x term can make contributions decrease
         for k in range(s.K):
             z = state.allocated[j][k]
             gap = a.request[k] - z
@@ -273,7 +272,7 @@ def build_share_spec(s: Scenario, n: int, state: AllocState, deficit_apps: List[
                 )
             )
     capacity = {k: max(0.0, state.remaining_capacity[n][k]) for k in range(s.K)}
-    return SubproblemSpec(items=items, capacity=capacity, kind="share", monotone=monotone)
+    return SubproblemSpec(items=items, capacity=capacity, kind="share")
 
 
 def _rollback_uncovered_cost(

@@ -1,7 +1,7 @@
 """Property tests of the communication-cost path on generated scenarios of every setting.
 
-Costs d ~ U[0, 0.5] on every remote (provider, app) pair make the share
-objectives non-monotone and let `_rollback_uncovered_cost` zero grants. The
+Costs d ~ U[0, 0.5] on every remote (provider, app) pair let the share
+objectives fall as x grows and let `_rollback_uncovered_cost` zero grants. The
 examples are derandomized, so the suite stays deterministic.
 """
 import copy

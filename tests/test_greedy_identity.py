@@ -6,7 +6,9 @@ x is fl(n*delta), and the capacity the streak started on is charged with x
 once. Every spec the protocols hand the allocator must give the same bits
 from both; `allocate_greedy` takes each streak whole, by count
 (`subsolver._full_steps`), checked further down against a loop that counts
-one step at a time.
+one step at a time. Both fill a slack resource type by the same rule, gated
+by each item's first-step gain; a hypothesis check tests that rule against
+the one-unit loop run without it.
 
 The greedy this contract names is `allocate_greedy`'s: an item that wins a
 full delta step takes its whole run of full steps at once. The one-unit loop
@@ -42,7 +44,8 @@ from mecshare.subsolver import (
 from conftest import linear_app, make_scenario, with_comm_costs
 
 
-def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> SubproblemResult:
+def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float,
+                           slack_rule: bool = True) -> SubproblemResult:
     """Grant delta-sized units to the item with the largest positive marginal gain.
 
     The final unit is clamped to the exact remaining bound/capacity. Ties break
@@ -53,27 +56,25 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
     streak on the capacity c0 of its resource; the streak goes on while the
     item is picked again and fl((n + 1)*delta) <= min(ub, c0). After its n-th
     full step x = fl(n*delta), and the capacity is c0 - x, charged once.
+
+    The slack rule: on a resource type whose capacity covers its items' summed
+    bounds, an item whose first step gains more than epsilon_gain is filled to
+    its bound before the loop starts, and any other item there is left out.
+    `slack_rule=False` runs every item through the one-unit loop instead.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
     items = sorted(spec.items, key=lambda it: (it.app, it.k))
     cap = dict(spec.capacity)
     x = [0.0] * len(items)
-    saturated = [False] * len(items)
     streak = [None, 0, 0.0]  # the item on a streak of full steps, its count n and its c0
 
-    if spec.monotone:
-        # Non-binding resource types saturate every item at its bound; the
-        # delta loop would end there anyway for non-decreasing contributions.
+    slack = set()
+    if slack_rule:
         ub_by_k: Dict[int, float] = {}
         for it in items:
             ub_by_k[it.k] = ub_by_k.get(it.k, 0.0) + it.ub
         slack = {k for k, total in ub_by_k.items() if total <= cap.get(k, 0.0)}
-        for i, it in enumerate(items):
-            if it.k in slack:
-                x[i] = it.ub
-                cap[it.k] -= it.ub
-                saturated[i] = True
 
     def step_for(i: int) -> Tuple[float, int]:
         """(s, n): i's next step, and the count n > 0 it reaches if it is a full step of a streak."""
@@ -93,10 +94,13 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
 
     heap: List[Tuple[float, int, int, int]] = []
     for i, it in enumerate(items):
-        if saturated[i]:
-            continue
         g = gain_for(i)
-        if g > epsilon_gain:
+        if g <= epsilon_gain:
+            continue
+        if it.k in slack:
+            x[i] = it.ub
+            cap[it.k] -= it.ub
+        else:
             heap.append((-g, it.app, it.k, i))
     heapq.heapify(heap)
 
@@ -152,7 +156,7 @@ def spec_key(spec, delta, epsilon_gain):
          repr([c.cell_contents for c in it.f.__closure__ or ()]))
         for it in spec.items
     )
-    return (spec.kind, spec.monotone, tuple(sorted(spec.capacity.items())), items,
+    return (spec.kind, tuple(sorted(spec.capacity.items())), items,
             delta, epsilon_gain)
 
 
@@ -253,14 +257,15 @@ class TestEdgeCases:
 
     def test_a_queued_step_that_stays_reuses_its_gain(self):
         # Item 1's run leaves item 2's step at a full delta, so item 2's pop
-        # reuses the gain its entry was queued with.
+        # reuses the gain its entry was queued with. The capacity binds, so
+        # both items go through the heap.
         spec = SubproblemSpec(
             items=[linear_item(1, 0, 1.0, 2.0), linear_item(2, 0, 1.0, 1.0)],
-            capacity={0: 10.0},
+            capacity={0: 1.5},
         )
         calls = recording_calls(spec)
         res = assert_identical(spec, 0.01, 1e-9)
-        assert res.allocation[(2, 0)] == 1.0
+        assert res.allocation[(2, 0)] == 0.5
         assert calls[2].count(0.01) == 1
 
     def test_equal_gains_go_to_the_smaller_app_first(self):
@@ -312,36 +317,37 @@ def contribution(kind, ub, a, d):
 
 
 @st.composite
-def specs(draw):
+def specs(draw, slack_only=False):
     delta = draw(st.sampled_from([2.0**-7, 0.01, 0.3]))
     K = draw(st.integers(1, 2))
     n = draw(st.integers(1, 6))
     keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, K - 1)),
                          min_size=n, max_size=n, unique=True))
-    items, non_decreasing = [], True
+    items = []
     for app, k in keys:
         kind = draw(st.sampled_from(["linear", "logistic", "share"]))
         ub = draw(st.one_of(st.floats(0.001, 2.0),
                             st.integers(1, int(2.0 / delta) + 1).map(lambda m: m * delta)))
         a = draw(st.floats(0.1, 20.0) if kind == "logistic" else st.floats(-1.0, 4.0))
         d = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
-        non_decreasing &= {"linear": a >= 0, "logistic": True, "share": d == 0}[kind]
         items.append(SubproblemItem(app=app, k=k, ub=ub, f=contribution(kind, ub, a, d)))
     # Near-equal gains may legitimately split a run (see `allocate_greedy`), and
     # every run starts at x = 0, so no two items may start within rounding noise.
     first = sorted(it.f(min(delta, it.ub)) - it.f(0.0) for it in items)
     assume(all(hi - lo > 1e-9 * max(abs(lo), abs(hi)) for lo, hi in zip(first, first[1:])))
     capacity = {}
-    for it in sorted(items, key=lambda it: (it.app, it.k)):  # the shortcut's own sum
+    for it in sorted(items, key=lambda it: (it.app, it.k)):  # the slack rule's own sum
         capacity[it.k] = capacity.get(it.k, 0.0) + it.ub
     for k, total in capacity.items():
+        if slack_only:  # strictly slack, by far more than the roundings of the bounds' sum
+            capacity[k] = draw(st.floats(1.01, 2.0)) * total
+            continue
         capacity[k] = draw(st.sampled_from(["below", "at", "above"]).flatmap(lambda where: {
             "below": st.floats(0.0, 1.0, exclude_max=True).map(lambda f: f * total),
             "at": st.just(total),
             "above": st.floats(1.0, 2.0, exclude_min=True).map(lambda f: f * total),
         }[where]))
-    monotone = non_decreasing and draw(st.booleans())
-    return SubproblemSpec(items=items, capacity=capacity, monotone=monotone), delta
+    return SubproblemSpec(items=items, capacity=capacity), delta
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,6 +355,38 @@ def specs(draw):
 def test_unbuilt_specs_match_reference(case):
     spec, delta = case
     assert_identical(spec, delta, 1e-9)
+
+
+def own_step_gains(it, delta):
+    """The gains of an item's steps from x = 0 to ub when nothing else binds it:
+    its counted full steps, then its last sub-delta step if one is left."""
+    n, gains = 0, []
+    while (n + 1) * delta <= it.ub:
+        gains.append(it.f((n + 1) * delta) - it.f(n * delta))
+        n += 1
+    if n * delta < it.ub:
+        gains.append(it.f(it.ub) - it.f(n * delta))
+    return gains
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs(slack_only=True))
+def test_slack_types_match_the_one_unit_loop(case):
+    # An independent check of the slack rule: on resource types that are all
+    # strictly slack, the allocator equals the one-unit loop run with no slack
+    # rule, bit for bit, wherever each item that wins its first step also
+    # gains more than epsilon_gain on every later step, its last sub-delta
+    # step included.
+    spec, delta = case
+    epsilon_gain = 1e-9
+    for it in spec.items:
+        gains = own_step_gains(it, delta)
+        assume(gains[0] <= epsilon_gain or min(gains) > epsilon_gain)
+    got = allocate_greedy(spec, delta, epsilon_gain)
+    want = reference_delta_greedy(spec, delta, epsilon_gain, slack_rule=False)
+    assert got.allocation == want.allocation
+    assert got.objective_value == want.objective_value
+    assert got.resources_used == want.resources_used
 
 
 def recording_calls(spec):

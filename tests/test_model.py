@@ -324,7 +324,7 @@ def test_scenario_round_trip_preserves_comm_costs():
     x1=st.floats(min_value=0.0, max_value=100.0),
     x2=st.floats(min_value=0.0, max_value=100.0),
 )
-def test_linear_utility_monotone_property(a, c, x1, x2):
+def test_linear_utility_is_non_decreasing(a, c, x1, x2):
     u = UtilitySpec.linear(a=a, c=c)
     lo, hi = sorted((x1, x2))
     assert eval_utility(u, lo, 100.0) <= eval_utility(u, hi, 100.0) + 1e-12

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from mecshare import subsolver
+from mecshare.gpoa import OrderingScheme, run_gpoa
 from mecshare.model import Provider, UtilitySpec
+from mecshare.ppmpoa import run_ppmpoa
 from mecshare.subsolver import (
     SubproblemItem,
     SubproblemSpec,
@@ -69,22 +71,16 @@ class TestAllocateGreedy:
         res = allocate_greedy(spec, delta=0.1, epsilon_gain=1e-9)
         assert res.allocation[(1, 0)] == 0.0
 
-    def test_monotone_fast_path_agrees_with_plain_greedy(self):
-        params = [(1, 0, 3.0, 1.5, 0.2), (2, 0, 2.0, 0.7, 0.0), (3, 1, 4.0, 1.1, 0.5)]
-        capacity = {0: 10.0, 1: 10.0}  # slack everywhere: fast path saturates
-        fast = allocate_greedy(
-            SubproblemSpec(items=linear_items(params), capacity=capacity, monotone=True),
-            delta=0.01,
-            epsilon_gain=1e-9,
-        )
-        slow = allocate_greedy(
-            SubproblemSpec(items=linear_items(params), capacity=capacity, monotone=False),
-            delta=0.01,
-            epsilon_gain=1e-9,
-        )
-        for key, value in fast.allocation.items():
-            assert slow.allocation[key] == pytest.approx(value, abs=1e-9)
-        assert fast.objective_value == pytest.approx(slow.objective_value, abs=1e-9)
+    def test_epsilon_gain_stops_items_on_a_slack_resource_type(self):
+        # Each step gains 0.01 * (1 + 1/2) = 0.015 <= epsilon_gain on both types:
+        # capacity 10 covers the request on resource 0, and 1 does not on
+        # resource 1. Neither is granted; a fill of the slack type that ignores
+        # epsilon_gain would grant 2.0 of resource 0.
+        app = linear_app(1, owner=1, request=(2.0, 2.0), a=1.0)
+        s = make_scenario([Provider(id=1, capacity=(10.0, 1.0), native_apps=(1,))], [app],
+                          K=2, epsilon_gain=1.0)
+        res = solve_single_provider(s, 1)
+        assert dict(res.allocation) == {(1, 0): 0.0, (1, 1): 0.0}
 
     def test_rejects_nonpositive_delta(self):
         spec = SubproblemSpec(items=[], capacity={})
@@ -337,7 +333,7 @@ class TestSurplusShare:
         state.commit(1, {(1, 0): 0.5, (2, 1): 0.5}, "solo")
         state.commit(2, {(3, 0): 1.0, (3, 1): 1.0}, "solo")
         spec = build_share_spec(s, 2, state, [1, 2])
-        assert len(spec.items) == 4 and spec.monotone is not costs
+        assert len(spec.items) == 4
         greedy_results = []
 
         def recording(spec_, delta, epsilon_gain):
@@ -350,6 +346,26 @@ class TestSurplusShare:
         assert sum(x > 0 for x in res.allocation.values()) >= 2
         assert res.objective_value == sum(it.f(res.allocation[(it.app, it.k)]) for it in spec.items)
         assert res.resources_used == sum(res.allocation.values())
+
+    @pytest.mark.parametrize("run", [lambda s: run_gpoa(s, OrderingScheme.cdo(0)), run_ppmpoa],
+                             ids=["gpoa", "ppmpoa"])
+    @pytest.mark.parametrize("surplus", [5000.0, 800.0])
+    def test_a_flat_deficit_app_gets_nothing_at_any_surplus(self, run, surplus):
+        # App 1's utility is flat (a = 0), so each step gains (0.01/900)**2,
+        # about 1.2e-10, below epsilon_gain = 1e-9: the greedy shares nothing,
+        # whether or not provider 2's capacity covers the gap. A fill of the
+        # slack type that ignores epsilon_gain would share 900 at 5000.
+        s = make_scenario(
+            [
+                Provider(id=1, capacity=(100.0,), native_apps=(1,)),
+                Provider(id=2, capacity=(surplus,), native_apps=(2,)),
+            ],
+            [linear_app(1, owner=1, request=(1000.0,), a=0.0),
+             linear_app(2, owner=2, request=(10.0,), a=1.0)],
+        )
+        entries = run(s).allocation.entries
+        assert (2, 1) not in entries
+        assert entries[(1, 1)] == (100.0,) and entries[(2, 2)] == (10.0,)
 
     @staticmethod
     def _pair_match(s, m, n, state):
