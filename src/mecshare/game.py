@@ -269,8 +269,8 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
     """Replay an event log against the true scenario and account realized payoffs.
 
     Grants beyond the allocator's true capacity or the app's true request are
-    clipped, in ascending (app, resource) order within each event. Utilities and
-    satisfaction terms are always evaluated against the true requests. A deficit
+    clipped, in commit order: (app, resource) order within each event. Utilities
+    and satisfaction terms are always evaluated against the true requests. A deficit
     owner is credited x_eff/r per chunk: `gpoa.credit_bonus`'s term, applied to
     the clipped amounts.
     """
@@ -287,7 +287,7 @@ def realized_payoffs(s: Scenario, events: List[AllocEvent]) -> Dict[int, float]:
 
     for ev in events:
         n = ev.allocator
-        for j, k, x in sorted(ev.chunks):
+        for j, k, x in ev.chunks:
             a = s.app(j)
             r = a.request[k]
             x_eff = min(x, max(0.0, cap[n][k]), max(0.0, r - z[j][k]))

@@ -13,10 +13,10 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 DEFAULT_DELTA = 0.01
 DEFAULT_EPSILON_GAIN = 1e-9
 
-#: Cap on the sum of r/delta over all positive request entries. Runs of steps
-#: are counted, so it no longer bounds time (a solo solve of 10**7 steps over
-#: 1000 apps took 10 ms on Python 3.11, 2-vCPU VM); it stays an input bound,
-#: whose message the tests and CI's `misreport --cap-factor 1e9` case pin.
+#: Cap on the sum of r/delta over all positive request entries. It bounds every
+#: request at 10**7 * delta, which keeps `Scenario.tol` (delta * 1e-7) far above
+#: the rounding of any granted amount; files needing ~5e9 steps passed a
+#: capacity by more than `tol` (23652445.220860653 used of 23652445.22086065).
 MAX_DELTA_STEPS = 10**7
 
 ResourceVector = Tuple[float, ...]
@@ -236,7 +236,7 @@ def validate_scenario(s: Scenario) -> List[str]:
 
 
 def validate_allocation(s: Scenario, alloc: AllocationTensor) -> List[str]:
-    """Return the problems of a stored allocation against its scenario; empty means it fits."""
+    """A stored allocation's problems: bad keys and vectors, else `check_feasibility`'s."""
     out: List[str] = []
     for (n, j), vec in alloc.entries.items():
         if n not in s._providers_by_id:
@@ -244,7 +244,7 @@ def validate_allocation(s: Scenario, alloc: AllocationTensor) -> List[str]:
         if j not in s._apps_by_id:
             out.append(f"x[{n},{j}]: unknown app {j}")
         _check_vector(f"x[{n},{j}]", vec, s.K, out)
-    return out
+    return out or alloc.check_feasibility(s)
 
 
 @dataclass
@@ -319,13 +319,14 @@ class AllocState:
         return max(self.remaining_capacity[n]) > s.tol
 
     def commit(self, n: int, allocation: Mapping[Tuple[int, int], float], phase: str) -> AllocEvent:
-        """Grant provider n's positive amounts in (app, resource) order.
+        """Grant provider n's positive amounts, in the allocation's order.
 
-        Each grant lands in the remaining capacity, `allocated` and the
-        returned event; the event log is the run's one record of grants.
+        The solvers build allocations in (app, resource) order, and grants are
+        recorded and replayed in commit order. Each grant lands in the remaining
+        capacity, `allocated` and the returned event, the run's one record.
         """
         chunks = []
-        for (j, k), x in sorted(allocation.items()):
+        for (j, k), x in allocation.items():
             if x > 0:
                 self.remaining_capacity[n][k] -= x
                 self.allocated[j][k] += x
@@ -400,7 +401,7 @@ def _utility_from_dict(d: dict) -> UtilitySpec:
         return UtilitySpec.linear(a=params["a"], c=params["c"])
     if d["kind"] == "sigmoid":
         return UtilitySpec.sigmoid(mu=params["mu"])
-    raise ValueError(f"unknown utility kind {d['kind']!r}")
+    return UtilitySpec(kind=d["kind"])  # `validate_scenario` names the app
 
 
 def scenario_from_dict(d: dict) -> Scenario:

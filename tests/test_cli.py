@@ -13,10 +13,11 @@ import mecshare
 from mecshare import cli, game, subsolver
 from mecshare.cli import main
 from mecshare.gpoa import parse_ordering
-from mecshare.model import load_scenario
+from mecshare.model import load_scenario, save_scenario, scenario_to_dict
 from mecshare.ppmpoa import BlockingPair, run_ppmpoa
+from mecshare.scengen import GenSpec, generate_scenario
 
-from conftest import failing_rationality_report
+from conftest import failing_rationality_report, with_comm_costs
 
 
 def read_json(path):
@@ -53,6 +54,12 @@ class TestGen:
         first["manifest"].pop("wall_time_s")
         second["manifest"].pop("wall_time_s")
         assert first == second
+
+    def test_unknown_setting_is_one_error_line(self, tmp_path, capsys):
+        assert cli.run(["gen", "--setting", "9", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(
@@ -393,6 +400,95 @@ class TestTables:
         assert "aggregate" in entities
 
 
+def run_on(scenario, argv, out):
+    """`cli.run` of one command on `scenario`, writing `out`; returns its exit code."""
+    return cli.run([argv[0], "--scenario", str(scenario), *argv[1:], "--out", str(out)])
+
+
+def run_json(tmp_path, text, argv):
+    """The JSON artifact of one command, which must exit 0, on a scenario file of `text`."""
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out.json"
+    scenario.write_text(text)
+    assert run_on(scenario, argv, out) == 0
+    return read_json(out)
+
+
+def test_setting1_seed1_through_every_command_that_reads_it(tmp_path):
+    scenario = tmp_path / "s.json"
+    assert cli.run(["gen", "--setting", "1", "--seed", "1", "--out", str(scenario)]) == 0
+    misreport = ["misreport", "--provider", "1", "--cap-factor", "1.5", "--req-factor", "0.75"]
+    for argv, out in (
+        (["gpoa"], "gpoa.json"),
+        (["report", "--allocation", str(tmp_path / "gpoa.json")], "report.csv"),
+        (["solo"], "solo.json"),
+        (["ppmpoa", "--trace", str(tmp_path / "rounds.csv")], "ppmpoa.json"),
+        (misreport, "misreport.json"),
+        (["table3"], "table3.csv"),
+    ):
+        assert run_on(scenario, argv, tmp_path / out) == 0, argv
+    assert (tmp_path / "rounds.csv").read_text().splitlines()[0] == "round,m,n,J,R"
+    assert "gain" in read_json(tmp_path / "misreport.json")
+    assert (tmp_path / "table3.csv").read_text().startswith("coalition,player_1,")
+
+
+@pytest.fixture(scope="module")
+def generated_files(tmp_path_factory):
+    """Linear setting 3 seed 1, and setting 3 seed 2 with a cost d ~ U[0, 0.5] on
+    every remote (provider, app) pair (cost seed 7)."""
+    folder = tmp_path_factory.mktemp("generated")
+    files = {"setting3-seed1": folder / "s3.json", "costed": folder / "c3.json"}
+    assert main(["gen", "--setting", "3", "--seed", "1", "--utility", "linear",
+                 "--out", str(files["setting3-seed1"])]) == 0
+    costed = with_comm_costs(generate_scenario(GenSpec(setting=3, seed=2)), 7)
+    save_scenario(costed, str(files["costed"]))
+    return files
+
+
+# (file, argv, exit code, a key of the JSON artifact, a printed line)
+GENERATED_RUNS = [
+    ("setting3-seed1", ["verify"], 0, "verdicts", "superadditivity: pass"),
+    # table3 writes verify's swept analysis; unswept, the file fails superadditivity.
+    ("setting3-seed1", ["table3"], 0, None, "superadditivity: pass"),
+    ("setting3-seed1", ["table3", "--no-sweep-orders"], 1, None,
+     "superadditivity: FAIL (witnesses: 3)"),
+    # Under PPMPOA superadditivity fails, and the stability replay must still hold.
+    ("setting3-seed1", ["table3", "--algorithm", "ppmpoa"], 1, None, "matching_stable: pass"),
+    ("costed", ["ppmpoa"], 0, "matches", None),
+    ("costed", ["verify"], 0, "verdicts", "superadditivity: pass"),
+    ("costed", ["verify", "--algorithm", "ppmpoa"], 1, "verdicts", "matching_stable: pass"),
+    ("costed", ["misreport", "--provider", "1", "--cap-factor", "1.5", "--req-factor", "0.75"],
+     0, "gain", None),
+]
+
+
+@pytest.mark.parametrize(
+    "file, argv, code, key, line", GENERATED_RUNS,
+    ids=[f"{f}-{'-'.join(argv).replace('--', '')}" for f, argv, *_ in GENERATED_RUNS],
+)
+def test_generated_file_exit_code_and_output(
+    generated_files, tmp_path, capsys, file, argv, code, key, line
+):
+    out = tmp_path / "out"
+    assert run_on(generated_files[file], argv, out) == code
+    if key is not None:
+        assert key in read_json(out)
+    if line is not None:
+        assert line in capsys.readouterr().out.splitlines()
+
+
+def test_costs_lower_the_gpoa_value_of_a_generated_file(generated_files, tmp_path):
+    costed = generated_files["costed"]
+    assert len(read_json(costed)["comm_costs"]) == 180
+    free = tmp_path / "s.json"
+    assert cli.run(["gen", "--setting", "3", "--seed", "2", "--out", str(free)]) == 0
+    assert run_on(free, ["gpoa"], tmp_path / "free.json") == 0
+    assert run_on(costed, ["gpoa"], tmp_path / "costed.json") == 0
+    # 932.68 against 963.65
+    assert read_json(tmp_path / "costed.json")["value"] < read_json(tmp_path / "free.json")["value"]
+    report = ["report", "--allocation", str(tmp_path / "costed.json")]
+    assert run_on(costed, report, tmp_path / "report.csv") == 0
+
+
 class TestErrorHandling:
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         argv = ["solo", "--scenario", str(tmp_path / "nope.json"), "--out",
@@ -445,18 +541,12 @@ def sub_unit_json(delta, capacities, requests, comm_costs=()):
 class TestSubUnitAmounts:
     """Amounts far below 1 are compared against the scenario's own tolerance."""
 
-    def run_json(self, tmp_path, text, argv):
-        scenario, out = tmp_path / "scenario.json", tmp_path / "out.json"
-        scenario.write_text(text)
-        assert cli.run(argv + ["--scenario", str(scenario), "--out", str(out)]) == 0
-        return read_json(out)
-
     def test_misreports_truthful_payoff_is_the_runs_payoff(self, tmp_path):
         # Provider 2 closes a quarter of app 1's gap; an absolute 1e-9 counted it closed.
         text = sub_unit_json(1e-13, (3e-10, 3e-10), (7e-10, 2e-10))
-        total = self.run_json(tmp_path, text, ["gpoa"])["payoffs"]["2"]["total"]
+        total = run_json(tmp_path, text, ["gpoa"])["payoffs"]["2"]["total"]
         assert total == pytest.approx(1.0625000003, abs=1e-12)
-        payload = self.run_json(tmp_path, text, ["misreport", "--provider", "2"])
+        payload = run_json(tmp_path, text, ["misreport", "--provider", "2"])
         assert payload["truthful_payoff"] == total
 
     @pytest.mark.parametrize(
@@ -469,8 +559,65 @@ class TestSubUnitAmounts:
     ):
         # d = 5 on (2, 1) exceeds app 1's slope of 1, so provider 2 grants it nothing.
         text = sub_unit_json(delta, capacities, requests, [(2, 1, 5.0)])
-        allocation = self.run_json(tmp_path, text, ["gpoa"])["allocation"]
+        allocation = run_json(tmp_path, text, ["gpoa"])["allocation"]
         assert sorted(allocation) == ["1:1", "2:2"]
+
+
+def linear(a):
+    return {"kind": "linear", "params": {"a": a, "c": 0.0}}
+
+
+SUBNORMAL = 64 * 5e-324
+
+# name -> (scenario, command, a check of its JSON artifact)
+SMALL_FILES = {
+    # A run of delta-steps is counted, not summed: requests of 3.0 on a capacity of 5.0
+    # get exactly 3.0 and 2.0.
+    "counted-steps": (
+        {"K": 1,
+         "providers": [{"id": 1, "capacity": [5.0], "native_apps": [1, 2]}],
+         "applications": [{"id": 1, "owner": 1, "request": [3.0], "utility": linear(2.0)},
+                          {"id": 2, "owner": 1, "request": [3.0], "utility": linear(1.0)}]},
+        "solo", lambda out: out["allocation"] == {"1:1": [3.0], "1:2": [2.0]},
+    ),
+    # epsilon_gain is the stop rule on a slack resource type too: each step gains
+    # 0.015 <= 1.0, so nothing is granted.
+    "epsilon-on-a-slack-type": (
+        {"K": 2, "epsilon_gain": 1.0,
+         "providers": [{"id": 1, "capacity": [10.0, 1.0], "native_apps": [1]}],
+         "applications": [{"id": 1, "owner": 1, "request": [2.0, 2.0], "utility": linear(1.0)}]},
+        "solo", lambda out: out["allocation"] == {},
+    ),
+    # A flat deficit app (a = 0) gains about 1.2e-10 < epsilon_gain per step, so a
+    # surplus provider that covers its gap shares nothing.
+    "flat-deficit-app": (
+        {"K": 1,
+         "providers": [{"id": 1, "capacity": [100.0], "native_apps": [1]},
+                       {"id": 2, "capacity": [5000.0], "native_apps": [2]}],
+         "applications": [{"id": 1, "owner": 1, "request": [1000.0], "utility": linear(0.0)},
+                          {"id": 2, "owner": 2, "request": [10.0], "utility": linear(1.0)}]},
+        "gpoa", lambda out: "2:1" not in out["allocation"],
+    ),
+    "subnormal-delta": (
+        {"K": 1, "delta": SUBNORMAL,
+         "providers": [{"id": 1, "capacity": [300 * SUBNORMAL], "native_apps": [1]}],
+         "applications": [{"id": 1, "owner": 1, "request": [700 * SUBNORMAL],
+                           "utility": linear(1.0)}]},
+        "gpoa", lambda out: out["allocation"] == {"1:1": [300 * SUBNORMAL]},
+    ),
+    # The deficit/surplus threshold is relative to delta: a file whose amounts all
+    # sit below 1e-9 still shares.
+    "amounts-below-1e-9": (
+        json.loads(sub_unit_json(1e-12, (3e-10, 9e-10), (7e-10, 2e-10))),
+        "gpoa", lambda out: out["g1"] == [1] and "2:1" in out["allocation"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_FILES))
+def test_small_file_gives_its_result(tmp_path, case):
+    payload, command, check = SMALL_FILES[case]
+    assert check(run_json(tmp_path, json.dumps(payload), [command]))
 
 
 class TestDeterminism:
@@ -533,6 +680,14 @@ def provider_2_id(value):
     return edit
 
 
+def generated_json(setting, seed, edit=None):
+    """The scenario that `mecshare gen --setting <setting> --seed <seed>` writes, edited."""
+    payload = scenario_to_dict(generate_scenario(GenSpec(setting=setting, seed=seed)))
+    if edit is not None:
+        edit(payload)
+    return json.dumps(payload)
+
+
 def comm_cost(provider, app):
     """One cost d = 0.5 on the (provider, app) pair."""
     return lambda d: d.update(comm_costs=[{"provider": provider, "app": app, "d": 0.5}])
@@ -573,6 +728,10 @@ BAD_INPUTS = {
     "huge-int-capacity": (
         two_provider_json(lambda d: d["providers"][0].update(capacity=[10**400])), ["solo"]
     ),
+    "huge-int-capacity-setting1-seed1": (
+        generated_json(1, 1, lambda d: d["providers"][0]["capacity"].__setitem__(0, 10**400)),
+        ["solo"],
+    ),
     "huge-int-delta": (two_provider_json(lambda d: d.update(delta=10**400)), ["solo"]),
     "bool-capacity": (
         two_provider_json(lambda d: d["providers"][0].update(capacity=[True])), ["solo"]
@@ -604,6 +763,10 @@ BAD_INPUTS = {
         two_provider_json(),
         ["misreport", "--provider", "1", "--cap-factor", "1e9", "--req-factor", "1e9"],
     ),
+    "misreport-beyond-delta-step-cap-setting1-seed1": (
+        generated_json(1, 1),
+        ["misreport", "--provider", "1", "--cap-factor", "1e9", "--req-factor", "1e9"],
+    ),
     "verify-no-providers": (NO_PROVIDERS, ["verify"]),
     "table3-no-providers": (NO_PROVIDERS, ["table3"]),
     "verify-too-many-providers": (THIRTEEN_PROVIDERS, ["verify"]),
@@ -623,6 +786,24 @@ BAD_INPUTS = {
         '{"allocation": ' + DEEP_JSON + "}",
     ),
     "verify-order-resource-out-of-range": (two_provider_json(), ["verify", "--order", "cao:k=7"]),
+    "verify-order-resource-out-of-range-setting3-seed1": (
+        generated_json(3, 1), ["verify", "--order", "cao:k=7"]
+    ),
+    "duplicate-app-id": (two_provider_json(lambda d: d["applications"][1].update(id=1)), ["solo"]),
+    "app-with-two-owners": (
+        two_provider_json(lambda d: d["providers"][1].update(native_apps=[2, 1])), ["solo"]
+    ),
+    "unknown-native-app": (
+        two_provider_json(lambda d: d["providers"][1].update(native_apps=[2, 9])), ["solo"]
+    ),
+    "app-not-listed-by-owner": (
+        two_provider_json(lambda d: d["providers"][0].update(native_apps=[])), ["solo"]
+    ),
+    "unknown-utility-kind": (
+        two_provider_json(lambda d: d["applications"][0].update(utility={"kind": "cubic"})),
+        ["solo"],
+    ),
+    "report-unknown-provider": report_case({"9:1": [1.0]}),
     "report-vector-too-long": report_case({"2:1": [1.0, 1.0]}),
     "report-string-entry": report_case({"2:1": ["1.0"]}),
     "report-nan-entry": report_case({"2:1": [math.nan]}),
@@ -640,22 +821,35 @@ BAD_INPUTS = {
 }
 
 
+# The words of a case's reason, where its file also breaks another rule or its
+# message moved from another place.
+BAD_INPUT_REASONS = {
+    "duplicate-app-id": "application ids must be unique",
+    "app-with-two-owners": "app 1: multiple owners (1 and 2)",
+    "unknown-native-app": "provider 2: unknown native app 9",
+    "app-not-listed-by-owner": "app 1: not listed among native apps of owner 1",
+    "unknown-utility-kind": "invalid scenario scenario.json: app 1: unknown utility kind 'cubic'",
+    "report-unknown-provider": "x[9,1]: unknown provider 9",
+    "report-over-capacity-and-request": "invalid allocation alloc.json: provider 2 resource 0",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     text, argv, *allocation = BAD_INPUTS[case]
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(text)
+    (tmp_path / "scenario.json").write_text(text)
     if allocation:
         (tmp_path / "alloc.json").write_text(allocation[0])
     env = dict(os.environ, PYTHONPATH=str(Path(mecshare.__file__).resolve().parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-m", "mecshare.cli", argv[0], "--scenario", str(scenario)]
-        + argv[1:] + ["--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "mecshare.cli", argv[0], "--scenario", "scenario.json"]
+        + argv[1:] + ["--out", "out"],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert BAD_INPUT_REASONS.get(case, "") in lines[0]
 
 
 STEEP_SIGMOID = {"kind": "sigmoid", "params": {"mu": 1000.0}}

@@ -70,6 +70,31 @@ def test_derived_tensor_equals_the_commit_time_tensor(setting, seed, utility, co
         assert result.allocation is result.allocation  # derived once
 
 
+ORDER_INPUTS = [
+    (setting, utility, costs)
+    for setting in (1, 2, 3, 4)
+    for utility in ("linear", "sigmoid")
+    for costs in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "setting,utility,costs", ORDER_INPUTS,
+    ids=[f"s{st}-{u}-{'costs' if c else 'free'}" for st, u, c in ORDER_INPUTS],
+)
+def test_every_event_grants_in_app_then_resource_order(setting, utility, costs):
+    # Neither `AllocState.commit` nor `realized_payoffs` sorts: the solver's
+    # allocation order is the order in which grants are recorded and replayed.
+    s = generate_scenario(GenSpec(setting=setting, seed=1, utility_kind=utility))
+    if costs:
+        s = with_comm_costs(s, setting)
+    for result in (run_gpoa(s, OrderingScheme.cdo(0)), run_ppmpoa(s)):
+        assert any(len(ev.chunks) > 1 for ev in result.events)
+        for ev in result.events:
+            keys = [(j, k) for j, k, _ in ev.chunks]
+            assert keys == sorted(set(keys)), ev
+
+
 def counting_builds(monkeypatch):
     """Count tensor derivations and `AllocationTensor.add` calls."""
     calls = []

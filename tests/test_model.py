@@ -4,7 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from mecshare import game
 from mecshare.model import (
+    MAX_DELTA_STEPS,
     AllocationTensor,
     Application,
     Provider,
@@ -159,6 +161,46 @@ def test_every_run_is_feasible_and_replays_to_its_payoffs(case):
         replay = realized_payoffs(s, result.events)
         for n, p in result.payoffs.items():
             assert abs(replay[n] - p.total) <= 1e-12 * max(1.0, abs(p.total)), n
+
+
+def just_under_the_step_cap():
+    """3 providers with 2 apps each, K = 1, delta = 0.01: requests need just under
+    MAX_DELTA_STEPS delta-steps, so each provider holds tens of thousands of units."""
+    rng = Stream(5)
+    requests = [rng.uniform(1.0, 2.0) for _ in range(6)]
+    scale = MAX_DELTA_STEPS * 0.01 * (1 - 1e-6) / sum(requests)
+    apps = [linear_app(j, owner=(j + 1) // 2, request=(r * scale,)) for j, r in enumerate(requests, 1)]
+    providers = [
+        Provider(id=n, capacity=(factor * sum(a.request[0] for a in apps if a.owner == n),),
+                 native_apps=(2 * n - 1, 2 * n))
+        for n, factor in ((1, 0.55), (2, 1.45), (3, 1.1))
+    ]
+    return make_scenario(providers, apps)
+
+
+@pytest.mark.parametrize("costs", [False, True], ids=["free", "costs"])
+def test_runs_just_under_the_step_cap_are_feasible(monkeypatch, costs):
+    # The cap bounds every request at MAX_DELTA_STEPS * delta, so the rounding of
+    # granted amounts stays far inside `tol` (delta * 1e-7).
+    s = just_under_the_step_cap()
+    if costs:
+        s = with_comm_costs(s, 3)
+    assert validate_scenario(s) == []
+    assert sum(a.request[0] for a in s.applications) / s.delta > 0.99 * MAX_DELTA_STEPS
+    runs = [(s, run_gpoa(s, OrderingScheme.cdo(0))), (s, run_ppmpoa(s))]
+    run_algorithm = game.run_algorithm
+
+    def recording_run(sub, *args):
+        result = run_algorithm(sub, *args)
+        runs.append((sub, result))
+        return result
+
+    monkeypatch.setattr(game, "run_algorithm", recording_run)
+    game.enumerate_coalitions(s, OrderingScheme.cdo(0), "gpoa", sweep_orders=True)
+    assert len(runs) > 2 + 7
+    assert all(any(ev.phase == "share" for ev in result.events) for _, result in runs[:2])
+    for sub, result in runs:
+        assert result.allocation.check_feasibility(sub) == []
 
 
 class TestValidateScenario:
