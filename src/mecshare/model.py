@@ -395,12 +395,20 @@ def _utility_to_dict(u: UtilitySpec) -> dict:
     return {"kind": "sigmoid", "params": {"mu": u.mu}}
 
 
-def _utility_from_dict(d: dict) -> UtilitySpec:
+def _utility_from_dict(app, d) -> UtilitySpec:
+    """`d` as a UtilitySpec; a malformed `d` raises a ValueError naming the app and the field."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ValueError(f"app {app!r}: utility must be an object with a 'kind'")
     params = d.get("params", {})
-    if d["kind"] == "linear":
-        return UtilitySpec.linear(a=params["a"], c=params["c"])
-    if d["kind"] == "sigmoid":
-        return UtilitySpec.sigmoid(mu=params["mu"])
+    if not isinstance(params, dict):
+        raise ValueError(f"app {app!r}: utility params must be an object")
+    try:
+        if d["kind"] == "linear":
+            return UtilitySpec.linear(a=params["a"], c=params["c"])
+        if d["kind"] == "sigmoid":
+            return UtilitySpec.sigmoid(mu=params["mu"])
+    except KeyError as exc:
+        raise ValueError(f"app {app!r}: utility params lack {exc}") from None
     return UtilitySpec(kind=d["kind"])  # `validate_scenario` names the app
 
 
@@ -414,7 +422,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             id=a["id"],
             owner=a["owner"],
             request=tuple(a["request"]),
-            utility=_utility_from_dict(a["utility"]),
+            utility=_utility_from_dict(a["id"], a["utility"]),
             weight_w1=a.get("w1", 1.0),
         )
         for a in d["applications"]

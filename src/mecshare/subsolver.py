@@ -40,6 +40,16 @@ class SubproblemResult:
 ShareMemo = Dict[tuple, SubproblemResult]
 
 
+def _result(items: List[SubproblemItem], amounts: List[float]) -> SubproblemResult:
+    """A solve's result, amounts[i] to items[i]: its objective is the sum of f(x)
+    and its resources the sum of x, each from 0.0 in item order."""
+    return SubproblemResult(
+        allocation=MappingProxyType({(it.app, it.k): x for it, x in zip(items, amounts)}),
+        objective_value=sum((it.f(x) for it, x in zip(items, amounts)), 0.0),
+        resources_used=sum(amounts, 0.0),
+    )
+
+
 def _full_steps(ck: float, ub: float, delta: float) -> Tuple[float, float]:
     """(x, ck) after the longest run of full delta steps from x = 0.
 
@@ -146,13 +156,7 @@ def allocate_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float) -> 
         if g2 > epsilon_gain:
             heapq.heappush(heap, (-g2, i, s))
 
-    allocation = {(it.app, it.k): x[i] for i, it in enumerate(items)}
-    objective = sum(it.f(x[i]) for i, it in enumerate(items))
-    return SubproblemResult(
-        allocation=MappingProxyType(allocation),
-        objective_value=objective,
-        resources_used=sum(x),
-    )
+    return _result(items, x)
 
 
 def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
@@ -160,6 +164,7 @@ def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
 
     Ties resolve to the lexicographically smallest allocation in
     (app id, resource index) item order. Slacks scale with grid_step.
+    A negative capacity admits no grid point and gives all zeros, as the greedy does.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be > 0")
@@ -179,7 +184,6 @@ def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
     best_obj = -math.inf
     best_x: List[float] = [0.0] * len(items)
     x = [0.0] * len(items)
-    cap0 = dict(spec.capacity)
 
     def recurse(i: int, cap: Dict[int, float], acc: float) -> None:
         nonlocal best_obj, best_x
@@ -199,17 +203,8 @@ def allocate_oracle(spec: SubproblemSpec, grid_step: float) -> SubproblemResult:
             cap[it.k] = avail
         x[i] = 0.0
 
-    if items:
-        recurse(0, cap0, 0.0)
-    else:
-        best_obj = 0.0
-
-    allocation = {(it.app, it.k): best_x[i] for i, it in enumerate(items)}
-    return SubproblemResult(
-        allocation=MappingProxyType(allocation),
-        objective_value=best_obj if best_obj != -math.inf else 0.0,
-        resources_used=sum(best_x),
-    )
+    recurse(0, dict(spec.capacity), 0.0)
+    return _result(items, best_x)
 
 
 # --- objective builders ---------------------------------------------------
@@ -324,11 +319,7 @@ def solve_surplus_share(
     allocation = _rollback_uncovered_cost(s, n, state, result)
     if allocation != result.allocation:
         # The objective and resources are taken after the rollback so they match the allocation.
-        result = SubproblemResult(
-            allocation=MappingProxyType(allocation),
-            objective_value=sum(it.f(allocation[(it.app, it.k)]) for it in spec.items),
-            resources_used=sum(allocation.values()),
-        )
+        result = _result(spec.items, [allocation[(it.app, it.k)] for it in spec.items])
     if memo is not None:
         memo[memo_key] = result
     return result

@@ -665,6 +665,10 @@ def report_case(allocation):
     )
 
 
+def app_1_utility(utility):
+    return lambda d: d["applications"][0].update(utility=utility)
+
+
 def fine_delta_grid(d):
     """Provider 1 could grant 5e10 delta-steps of 0.01 towards a request of 1e9."""
     d["providers"][0].update(capacity=[5e8])
@@ -803,6 +807,15 @@ BAD_INPUTS = {
         two_provider_json(lambda d: d["applications"][0].update(utility={"kind": "cubic"})),
         ["solo"],
     ),
+    "utility-an-int": (two_provider_json(app_1_utility(5)), ["solo"]),
+    "utility-a-list": (two_provider_json(app_1_utility([1])), ["solo"]),
+    "utility-params-an-int": (
+        two_provider_json(app_1_utility({"kind": "linear", "params": 3})), ["solo"]
+    ),
+    "utility-without-kind": (
+        two_provider_json(app_1_utility({"params": {"a": 1.0, "c": 0.0}})), ["solo"]
+    ),
+    "linear-utility-without-params": (two_provider_json(app_1_utility({"kind": "linear"})), ["solo"]),
     "report-unknown-provider": report_case({"9:1": [1.0]}),
     "report-vector-too-long": report_case({"2:1": [1.0, 1.0]}),
     "report-string-entry": report_case({"2:1": ["1.0"]}),
@@ -829,6 +842,11 @@ BAD_INPUT_REASONS = {
     "unknown-native-app": "provider 2: unknown native app 9",
     "app-not-listed-by-owner": "app 1: not listed among native apps of owner 1",
     "unknown-utility-kind": "invalid scenario scenario.json: app 1: unknown utility kind 'cubic'",
+    "utility-an-int": "app 1: utility must be an object",
+    "utility-a-list": "app 1: utility must be an object",
+    "utility-params-an-int": "app 1: utility params must be an object",
+    "utility-without-kind": "app 1: utility must be an object with a 'kind'",
+    "linear-utility-without-params": "app 1: utility params lack 'a'",
     "report-unknown-provider": "x[9,1]: unknown provider 9",
     "report-over-capacity-and-request": "invalid allocation alloc.json: provider 2 resource 0",
 }
@@ -850,6 +868,21 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert BAD_INPUT_REASONS.get(case, "") in lines[0]
+
+
+@pytest.mark.parametrize("command", ["solo", "gpoa", "ppmpoa"])
+def test_a_provider_without_apps_writes_a_float_solo_value(tmp_path, command):
+    # Provider 2 owns no app, so its solo solve has no item and is worth 0.0.
+    def drop_app_2(d):
+        d["providers"][1].update(native_apps=[])
+        del d["applications"][1]
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(two_provider_json(drop_app_2))
+    out = tmp_path / "out.json"
+    assert cli.run([command, "--scenario", str(scenario), "--out", str(out)]) == 0
+    v_solo = json.loads(out.read_text())["payoffs"]["2"]["v_solo"]
+    assert type(v_solo) is float and v_solo == 0.0
 
 
 STEEP_SIGMOID = {"kind": "sigmoid", "params": {"mu": 1000.0}}

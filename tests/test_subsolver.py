@@ -19,6 +19,7 @@ from mecshare.subsolver import (
 )
 
 from conftest import initial_state, linear_app, make_scenario
+from test_acceptance import _random_subproblem
 
 
 def linear_items(params, r_equals_ub=True):
@@ -82,6 +83,12 @@ class TestAllocateGreedy:
         res = solve_single_provider(s, 1)
         assert dict(res.allocation) == {(1, 0): 0.0, (1, 1): 0.0}
 
+    def test_empty_spec_is_worth_float_zero(self):
+        res = allocate_greedy(SubproblemSpec(items=[], capacity={0: 1.0}), delta=0.5, epsilon_gain=1e-9)
+        assert res.allocation == {}
+        assert res.objective_value == res.resources_used == 0.0
+        assert type(res.objective_value) is type(res.resources_used) is float
+
     def test_rejects_nonpositive_delta(self):
         spec = SubproblemSpec(items=[], capacity={})
         with pytest.raises(ValueError):
@@ -128,6 +135,18 @@ class TestAllocateOracle:
         res = allocate_oracle(SubproblemSpec(items=[], capacity={}), grid_step=0.5)
         assert res.objective_value == 0.0
         assert res.allocation == {}
+        assert type(res.objective_value) is type(res.resources_used) is float
+
+    def test_a_negative_capacity_gives_the_greedys_all_zero_answer(self):
+        # Even x = 0 exceeds the capacity, so the search reaches no grid leaf.
+        spec = SubproblemSpec(
+            items=linear_items([(1, 0, 2.0, 1.0, 0.25), (2, 0, 1.0, 1.0, 0.5)]), capacity={0: -1.0}
+        )
+        oracle = allocate_oracle(spec, grid_step=0.5)
+        greedy = allocate_greedy(spec, delta=0.5, epsilon_gain=1e-9)
+        assert dict(oracle.allocation) == dict(greedy.allocation) == {(1, 0): 0.0, (2, 0): 0.0}
+        assert oracle.objective_value == greedy.objective_value == 0.75
+        assert oracle.resources_used == greedy.resources_used == 0.0
 
     def test_ties_resolve_to_lexicographically_smallest(self):
         # Both items have identical contributions; only one unit fits.
@@ -186,6 +205,56 @@ class TestAllocateOracle:
         res = allocate_oracle(spec(scale), grid_step=0.1 * scale)
         assert res.resources_used <= scale
         assert dict(res.allocation) == {key: x * scale for key, x in unscaled.allocation.items()}
+
+
+def assert_result_sums_its_allocation(spec, res):
+    """The objective and resources are Σ f(x) and Σ x over res's allocation, bit for bit."""
+    f = {(it.app, it.k): it.f for it in spec.items}
+    keys = list(res.allocation)
+    assert keys == sorted(keys) and set(keys) == set(f)
+    objective = sum((f[key](res.allocation[key]) for key in keys), 0.0)
+    assert res.objective_value.hex() == objective.hex()
+    assert res.resources_used.hex() == sum(res.allocation.values(), 0.0).hex()
+
+
+class TestOneResultBuilder:
+    """`allocate_greedy`, `allocate_oracle` and `solve_surplus_share` build results alike."""
+
+    def test_criterion_9_results_sum_their_allocations(self):
+        for kind, rng_seed in (("linear", 2024), ("sigmoid", 2025)):
+            rng = random.Random(rng_seed)
+            for _ in range(50):
+                s = _random_subproblem(rng, kind)
+                spec = build_solo_spec(s, 1)
+                assert_result_sums_its_allocation(spec, allocate_greedy(spec, s.delta, s.epsilon_gain))
+                assert_result_sums_its_allocation(spec, allocate_oracle(spec, grid_step=s.delta))
+
+    def test_a_rolled_back_share_sums_its_allocation(self):
+        # Provider 2 covers both gaps; app 1's grant of 0.5 earns 0.5 < 1.03 * 0.5
+        # and is rolled back, app 2's grant of 2 covers its cost and stays.
+        apps = [
+            linear_app(1, owner=1, request=(4.0,), a=1.0),
+            linear_app(2, owner=1, request=(2.0,), a=1.0),
+            linear_app(3, owner=2, request=(1.0,), a=1.0),
+        ]
+        s = make_scenario(
+            [
+                Provider(id=1, capacity=(3.5,), native_apps=(1, 2)),
+                Provider(id=2, capacity=(3.5,), native_apps=(3,)),
+            ],
+            apps,
+            comm_costs={(2, 1): 1.03, (2, 2): 0.2},
+        )
+        state = initial_state(s)
+        state.commit(1, {(1, 0): 3.5}, "solo")
+        state.commit(2, {(3, 0): 1.0}, "solo")
+        spec = build_share_spec(s, 2, state, [1, 2])
+        raw = allocate_greedy(spec, s.delta, s.epsilon_gain)
+        res = solve_surplus_share(s, 2, state, [1, 2])
+        assert dict(raw.allocation) == {(1, 0): 0.5, (2, 0): 2.0}
+        assert dict(res.allocation) == {(1, 0): 0.0, (2, 0): 2.0}
+        assert_result_sums_its_allocation(spec, raw)
+        assert_result_sums_its_allocation(spec, res)
 
 
 def test_greedy_tracks_oracle_on_random_linear_instances():
