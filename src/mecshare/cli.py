@@ -14,6 +14,7 @@ from .model import (
     AllocationTensor,
     Scenario,
     load_scenario,
+    lsum,
     scenario_to_dict,
     validate_allocation,
     validate_scenario,
@@ -82,10 +83,27 @@ def _read(what: str, path: str, load: Callable[[str], T], check: Callable[[T], L
     return value
 
 
+def _alloc_key(key: str) -> Tuple[int, int]:
+    """(n, j) for a key exactly as `_outcome` writes it, f"{n}:{j}"; else a ValueError."""
+    try:
+        n, j = (int(part) for part in key.split(":"))
+    except ValueError:
+        pass
+    else:
+        if key == f"{n}:{j}":
+            return n, j
+    raise ValueError(f"allocation key {key!r} is not <provider>:<app>")
+
+
 def alloc_from_dict(d: Dict[str, List[float]]) -> AllocationTensor:
+    """The tensor of an "allocation" object, which maps "<provider>:<app>" to a list."""
+    if not isinstance(d, dict):
+        raise ValueError(f"'allocation' must be an object, got {type(d).__name__}")
     tensor = AllocationTensor()
     for key, vec in d.items():
-        n, j = (int(part) for part in key.split(":"))
+        n, j = _alloc_key(key)
+        if not isinstance(vec, list):
+            raise ValueError(f"allocation {key!r}: vector must be a list, got {type(vec).__name__}")
         tensor.entries[(n, j)] = tuple(vec)
     return tensor
 
@@ -102,7 +120,7 @@ def _outcome(payoffs, alloc: AllocationTensor) -> dict:
             str(n): {"v_solo": p.v_solo, "sharing": p.sharing, "bonus": p.bonus, "total": p.total}
             for n, p in sorted(payoffs.items())
         },
-        "value": sum(p.total for p in payoffs.values()),
+        "value": lsum(p.total for p in payoffs.values()),
         "allocation": {f"{n}:{j}": list(vec) for (n, j), vec in sorted(alloc.entries.items())},
     }
 

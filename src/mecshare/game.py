@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from .model import AllocEvent, Scenario, eval_utility, validate_scenario
+from .model import AllocEvent, Scenario, eval_utility, lsum, validate_scenario
 from .gpoa import (
     OrderingScheme,
     RunResult,
@@ -104,7 +104,7 @@ def coalition_value(
         raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
     result = run_algorithm(restrict_scenario(s, members), algorithm, restrict_scheme(scheme, members))
     payoffs = {n: p.total for n, p in result.payoffs.items()}
-    return sum(payoffs.values()), payoffs, result.order_used
+    return lsum(payoffs.values()), payoffs, result.order_used
 
 
 def _coalitions_by_bitset(provider_ids: List[int]) -> List[FrozenSet[int]]:
@@ -172,18 +172,19 @@ def enumerate_coalitions(
             candidates.append(
                 (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
             )
-        best = max(sum(c[1].values()) for c in candidates)
+        values = [lsum(vec.values()) for _, vec in candidates]
+        best = max(values)
         tied = best - PROPERTY_TOL * (1 + abs(best))  # values this close to the best tie with it
-        ranked = sorted(candidates, key=lambda c: (
-            -(best if sum(c[1].values()) >= tied else sum(c[1].values())), c[0]))
-        order, payoffs = ranked[0]
+        ranked = sorted(range(len(candidates)), key=lambda i: (
+            -(best if values[i] >= tied else values[i]), candidates[i][0]))
+        pick = ranked[0]
         if sweep and members == full:
-            order, payoffs = next((c for c in ranked if all(
-                _dominating_candidate(e, m, c[1]) is None for m, e in entries.items()
+            pick = next((i for i in ranked if all(
+                _dominating_candidate(e, m, candidates[i][1]) is None for m, e in entries.items()
             )), ranked[0])
+        order, payoffs = candidates[pick]
         entries[members] = CoalitionEntry(
-            value=sum(payoffs.values()), payoffs=payoffs, order_used=list(order),
-            candidates=candidates,
+            value=values[pick], payoffs=payoffs, order_used=list(order), candidates=candidates,
         )
     return CoalitionReport(entries=entries, provider_ids=ids)
 
@@ -224,7 +225,7 @@ def check_rationality(report: CoalitionReport) -> PropertyVerdict:
         solo = report.entries[frozenset({n})].value
         if grand.payoffs.get(n, 0.0) < solo - PROPERTY_TOL:
             witnesses.append(("individual", n, grand.payoffs.get(n, 0.0), solo))
-    total = sum(grand.payoffs.values())
+    total = lsum(grand.payoffs.values())
     if abs(total - grand.value) > 1e-9 * max(1.0, abs(grand.value)):
         witnesses.append(("group", total, grand.value))
     return PropertyVerdict(name="rationality", passed=not witnesses, witnesses=witnesses)
@@ -244,7 +245,7 @@ def check_no_blocking_coalition(report: CoalitionReport) -> PropertyVerdict:
             continue
         vec = _dominating_candidate(entry, members, grand.payoffs)
         if vec is not None:
-            witnesses.append((sorted(members), sum(vec[n] for n in members)))
+            witnesses.append((sorted(members), lsum(vec[n] for n in members)))
     return PropertyVerdict(name="no_blocking_coalition", passed=not witnesses, witnesses=witnesses)
 
 

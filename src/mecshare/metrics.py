@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from .model import AllocationTensor, Scenario
+from .model import AllocationTensor, Scenario, lsum
 
 
 @dataclass
@@ -29,11 +29,11 @@ def _satisfaction(s: Scenario, by_app: Dict[int, List[float]]):
         ratios = [
             min(1.0, totals[k] / a.request[k]) for k in range(s.K) if a.request[k] > 0
         ]
-        per_app[a.id] = sum(ratios) / len(ratios) if ratios else 1.0
+        per_app[a.id] = lsum(ratios) / len(ratios) if ratios else 1.0
     per_provider: Dict[int, float] = {}
     for p in s.providers:
         vals = [per_app[j] for j in p.native_apps]
-        per_provider[p.id] = sum(vals) / len(vals) if vals else 1.0
+        per_provider[p.id] = lsum(vals) / len(vals) if vals else 1.0
     return per_app, per_provider
 
 
@@ -44,11 +44,11 @@ def resource_utilization(s: Scenario, x: AllocationTensor) -> Dict[int, float]:
 def _utilization(s: Scenario, by_provider: Dict[int, List[float]]) -> Dict[int, float]:
     out: Dict[int, float] = {}
     for p in s.providers:
-        total_cap = sum(p.capacity)
+        total_cap = lsum(p.capacity)
         if total_cap <= 0:
             out[p.id] = 0.0
             continue
-        used = sum(by_provider.get(p.id, [0.0] * s.K))
+        used = lsum(by_provider.get(p.id, [0.0] * s.K))
         out[p.id] = min(1.0, used / total_cap)
     return out
 

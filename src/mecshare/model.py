@@ -6,7 +6,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 #: Defaults used when a scenario file omits the corresponding keys.
@@ -20,6 +20,15 @@ DEFAULT_EPSILON_GAIN = 1e-9
 MAX_DELTA_STEPS = 10**7
 
 ResourceVector = Tuple[float, ...]
+
+
+def lsum(values: Iterable[float]) -> float:
+    """The sum of `values`, added left to right from 0.0: the one rule for a float sum.
+
+    Every float sum in the package goes through it, so each output has the same
+    bits on every supported Python: the builtin `sum` compensates since 3.12.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -224,12 +233,12 @@ def validate_scenario(s: Scenario) -> List[str]:
         demanded = [(a, r) for a in s.applications for r in a.request if r > 0]
         # Utilities are non-decreasing, so this total bounds every objective.
         try:
-            full = sum(a.weight_w1 * eval_utility(a.utility, r, r) for a, r in demanded)
+            full = lsum(a.weight_w1 * eval_utility(a.utility, r, r) for a, r in demanded)
         except OverflowError:  # a float times an int product beyond float range
             full = math.inf
         if not _is_finite(full):
             out.append("total utility at full satisfaction is not finite")
-        steps = sum(r / s.delta for _, r in demanded)
+        steps = lsum(r / s.delta for _, r in demanded)
         if steps > MAX_DELTA_STEPS:
             out.append(f"requests need {steps:.3g} delta-steps, over the cap of {MAX_DELTA_STEPS}")
     return out

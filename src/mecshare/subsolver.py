@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Tuple
 
-from .model import AllocState, Scenario, eval_utility
+from .model import AllocState, Scenario, eval_utility, lsum
 
 ORACLE_STATE_CAP = 10**7
 
@@ -45,8 +45,8 @@ def _result(items: List[SubproblemItem], amounts: List[float]) -> SubproblemResu
     and its resources the sum of x, each from 0.0 in item order."""
     return SubproblemResult(
         allocation=MappingProxyType({(it.app, it.k): x for it, x in zip(items, amounts)}),
-        objective_value=sum((it.f(x) for it, x in zip(items, amounts)), 0.0),
-        resources_used=sum(amounts, 0.0),
+        objective_value=lsum(it.f(x) for it, x in zip(items, amounts)),
+        resources_used=lsum(amounts),
     )
 
 

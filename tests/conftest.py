@@ -1,10 +1,22 @@
 import dataclasses
+import functools
+import operator
 
 import pytest
 
 from mecshare.game import CoalitionEntry, CoalitionReport
 from mecshare.model import AllocState, Application, Scenario, UtilitySpec
 from mecshare.scengen import GenSpec, Stream, generate_scenario
+
+
+def left_sum(values):
+    """The sum of `values`, added left to right from 0.0, on every Python.
+
+    The bit-exact oracles sum with it, since the builtin `sum` of floats
+    compensates from Python 3.12 on. It is kept apart from `mecshare.model.lsum`
+    so that an oracle does not share the code it checks.
+    """
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def make_scenario(providers, applications, K=1, delta=0.01, epsilon_gain=1e-9, comm_costs=None):

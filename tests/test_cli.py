@@ -824,6 +824,17 @@ BAD_INPUTS = {
     "report-bool-entry": report_case({"2:1": [True]}),
     "report-negative-entry": report_case({"2:1": [-1.0]}),
     "report-unknown-app": report_case({"1:999": [1.0]}),
+    # A key is read only as the CLI writes it, f"{n}:{j}"; int() takes the next four's parts.
+    "report-key-padded": report_case({" 1 : 1 ": [1.0]}),
+    "report-key-signed": report_case({"+1:+1": [1.0]}),
+    "report-key-underscore": report_case({"1_0:1": [1.0]}),
+    "report-key-leading-zero": report_case({"01:1": [1.0]}),
+    "report-key-one-part": report_case({"1": [1.0]}),
+    "report-key-three-parts": report_case({"1:1:1": [1.0]}),
+    "report-key-not-int": report_case({"a:1": [1.0]}),
+    "report-allocation-a-list": report_case([[1.0]]),
+    "report-vector-an-int": report_case({"2:1": 5}),
+    "report-vector-a-string": report_case({"2:1": "1.0"}),
     "report-over-capacity-and-request": report_case({"2:1": [1000.0]}),
     # App 1 receives 1.1e-9 of its 7e-10 and provider 2 grants 1e-9 of its 9e-10.
     "report-over-bounds-below-1e-9": (
@@ -849,6 +860,16 @@ BAD_INPUT_REASONS = {
     "linear-utility-without-params": "app 1: utility params lack 'a'",
     "report-unknown-provider": "x[9,1]: unknown provider 9",
     "report-over-capacity-and-request": "invalid allocation alloc.json: provider 2 resource 0",
+    "report-key-padded": "allocation key ' 1 : 1 ' is not <provider>:<app>",
+    "report-key-signed": "allocation key '+1:+1' is not <provider>:<app>",
+    "report-key-underscore": "allocation key '1_0:1' is not <provider>:<app>",
+    "report-key-leading-zero": "allocation key '01:1' is not <provider>:<app>",
+    "report-key-one-part": "allocation key '1' is not <provider>:<app>",
+    "report-key-three-parts": "allocation key '1:1:1' is not <provider>:<app>",
+    "report-key-not-int": "allocation key 'a:1' is not <provider>:<app>",
+    "report-allocation-a-list": "'allocation' must be an object, got list",
+    "report-vector-an-int": "allocation '2:1': vector must be a list, got int",
+    "report-vector-a-string": "allocation '2:1': vector must be a list, got str",
 }
 
 

@@ -49,7 +49,7 @@ from mecshare.ppmpoa import (
 from mecshare.scengen import GenSpec, generate_scenario
 from mecshare.subsolver import SubproblemResult, solve_single_provider, solve_surplus_share
 
-from conftest import with_comm_costs
+from conftest import left_sum, with_comm_costs
 
 
 def fresh(s: Scenario) -> Scenario:
@@ -260,7 +260,7 @@ def test_match_resources_equal_the_committed_grants(setting, seed, utility, cost
     shares = [ev for ev in result.events if ev.phase == "share"]
     assert len(shares) == len(result.matches)
     for rec, ev in zip(result.matches, shares):
-        assert rec.resources == sum(x for _, _, x in ev.chunks)
+        assert rec.resources == left_sum(x for _, _, x in ev.chunks)
 
 
 def test_stability_replay_builds_only_the_committed_column(monkeypatch):

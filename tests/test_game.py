@@ -22,7 +22,9 @@ from mecshare.game import (
 )
 from mecshare.scengen import GenSpec, generate_scenario
 
-from conftest import failing_rationality_report, linear_app, make_scenario, with_comm_costs
+from conftest import (
+    failing_rationality_report, left_sum, linear_app, make_scenario, with_comm_costs,
+)
 
 CDO = OrderingScheme.cdo(0)
 
@@ -216,9 +218,9 @@ class TestPropertyChecks:
         for members, entry in report.entries.items():
             # Value highest first, ties to the smaller surplus order; a value
             # within PROPERTY_TOL * (1 + |best|) of the best ties with it.
-            best = max(sum(c[1].values()) for c in entry.candidates)
+            best = max(left_sum(c[1].values()) for c in entry.candidates)
             near = lambda v: best if v >= best - PROPERTY_TOL * (1 + abs(best)) else v  # noqa: E731
-            ranked = sorted(entry.candidates, key=lambda c: (-near(sum(c[1].values())), c[0]))
+            ranked = sorted(entry.candidates, key=lambda c: (-near(left_sum(c[1].values())), c[0]))
             rank = 0
             if members == full:
                 rank = next((i for i, c in enumerate(ranked) if not blocked(c[1])), 0)
@@ -228,7 +230,7 @@ class TestPropertyChecks:
                 assert check_no_blocking_coalition(report).passed is unblocked
             order, payoffs = ranked[rank]
             assert (entry.order_used, entry.payoffs) == (list(order), payoffs)
-            assert entry.value == sum(payoffs.values())
+            assert entry.value == left_sum(payoffs.values())
 
     def test_superadditivity_failure_is_witnessed(self, report):
         # Corrupt the grand value downward; the check must produce witnesses.

@@ -41,7 +41,7 @@ from mecshare.subsolver import (
     build_solo_spec,
 )
 
-from conftest import linear_app, make_scenario, with_comm_costs
+from conftest import left_sum, linear_app, make_scenario, with_comm_costs
 
 
 def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float,
@@ -129,11 +129,11 @@ def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: flo
             heapq.heappush(heap, (-g2, app, k, i))
 
     allocation = {(it.app, it.k): x[i] for i, it in enumerate(items)}
-    objective = sum(it.f(x[i]) for i, it in enumerate(items))
+    objective = left_sum(it.f(x[i]) for i, it in enumerate(items))
     return SubproblemResult(
         allocation=allocation,
         objective_value=objective,
-        resources_used=sum(x),
+        resources_used=left_sum(x),
     )
 
 

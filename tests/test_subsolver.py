@@ -18,7 +18,7 @@ from mecshare.subsolver import (
     solve_surplus_share,
 )
 
-from conftest import initial_state, linear_app, make_scenario
+from conftest import initial_state, left_sum, linear_app, make_scenario
 from test_acceptance import _random_subproblem
 
 
@@ -212,9 +212,9 @@ def assert_result_sums_its_allocation(spec, res):
     f = {(it.app, it.k): it.f for it in spec.items}
     keys = list(res.allocation)
     assert keys == sorted(keys) and set(keys) == set(f)
-    objective = sum((f[key](res.allocation[key]) for key in keys), 0.0)
+    objective = left_sum(f[key](res.allocation[key]) for key in keys)
     assert res.objective_value.hex() == objective.hex()
-    assert res.resources_used.hex() == sum(res.allocation.values(), 0.0).hex()
+    assert res.resources_used.hex() == left_sum(res.allocation.values()).hex()
 
 
 class TestOneResultBuilder:
@@ -378,7 +378,9 @@ class TestSurplusShare:
         res = solve_surplus_share(s, 2, state, [1])
         assert res.allocation[(1, 0)] == 0.0
         # The objective is taken again, over the rolled-back allocation.
-        assert res.objective_value == sum(it.f(res.allocation[(it.app, it.k)]) for it in spec.items)
+        assert res.objective_value == left_sum(
+            it.f(res.allocation[(it.app, it.k)]) for it in spec.items
+        )
         assert res.objective_value < raw.objective_value
         assert res.resources_used == 0.0
 
@@ -413,8 +415,10 @@ class TestSurplusShare:
         res = solve_surplus_share(s, 2, state, [1, 2])
         assert res is greedy_results[0]
         assert sum(x > 0 for x in res.allocation.values()) >= 2
-        assert res.objective_value == sum(it.f(res.allocation[(it.app, it.k)]) for it in spec.items)
-        assert res.resources_used == sum(res.allocation.values())
+        assert res.objective_value == left_sum(
+            it.f(res.allocation[(it.app, it.k)]) for it in spec.items
+        )
+        assert res.resources_used == left_sum(res.allocation.values())
 
     @pytest.mark.parametrize("run", [lambda s: run_gpoa(s, OrderingScheme.cdo(0)), run_ppmpoa],
                              ids=["gpoa", "ppmpoa"])

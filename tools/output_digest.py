@@ -6,7 +6,8 @@ Usage, from the repository root:
 
 The package is imported from PYTHONPATH, so pointing it at another checkout's
 ``src`` digests that checkout with the same grid and the same serialization.
-Two checkouts that print the same digest computed the same bits.
+Two checkouts that print the same digest computed the same bits. The value
+this checkout must print is pinned in ``tests/test_output_digest.py``.
 
 The grid is settings 1-4 x seeds 1-8 x both utilities, each without and with
 communication costs (``tests/conftest.py:with_comm_costs``). Per scenario it
