@@ -15,6 +15,7 @@ from .model import (
     Scenario,
     load_scenario,
     lsum,
+    require_object,
     scenario_to_dict,
     validate_allocation,
     validate_scenario,
@@ -97,8 +98,7 @@ def _alloc_key(key: str) -> Tuple[int, int]:
 
 def alloc_from_dict(d: Dict[str, List[float]]) -> AllocationTensor:
     """The tensor of an "allocation" object, which maps "<provider>:<app>" to a list."""
-    if not isinstance(d, dict):
-        raise ValueError(f"'allocation' must be an object, got {type(d).__name__}")
+    require_object(d, "'allocation'")
     tensor = AllocationTensor()
     for key, vec in d.items():
         n, j = _alloc_key(key)
@@ -110,7 +110,7 @@ def alloc_from_dict(d: Dict[str, List[float]]) -> AllocationTensor:
 
 def _load_allocation(path: str) -> AllocationTensor:
     with open(path) as fh:
-        return alloc_from_dict(json.load(fh)["allocation"])
+        return alloc_from_dict(require_object(json.load(fh), "allocation file")["allocation"])
 
 
 def _outcome(payoffs, alloc: AllocationTensor) -> dict:

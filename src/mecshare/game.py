@@ -53,21 +53,6 @@ class PropertyVerdict:
     witnesses: List[tuple] = field(default_factory=list)
 
 
-def restrict_scenario(s: Scenario, members: FrozenSet[int]) -> Scenario:
-    keep_providers = tuple(p for p in s.providers if p.id in members)
-    keep_app_ids = {j for p in keep_providers for j in p.native_apps}
-    keep_apps = tuple(a for a in s.applications if a.id in keep_app_ids)
-    comm = {
-        (n, j): d for (n, j), d in s.comm_costs.items() if n in members and j in keep_app_ids
-    }
-    sub = dataclasses.replace(
-        s, providers=keep_providers, applications=keep_apps, comm_costs=comm
-    )
-    # A solo record depends on its provider alone: a coalition's are its members'.
-    sub.__dict__["post_solo"] = {n: r for n, r in s.post_solo.items() if n in members}
-    return sub
-
-
 def restrict_scheme(scheme: OrderingScheme, members) -> OrderingScheme:
     """An explicit order keeps the `members` it lists, in its order; other schemes are unchanged.
 
@@ -102,7 +87,7 @@ def coalition_value(
     unknown = members - set(s.provider_ids())
     if unknown:
         raise ValueError(f"unknown providers in coalition: {sorted(unknown)}")
-    result = run_algorithm(restrict_scenario(s, members), algorithm, restrict_scheme(scheme, members))
+    result = run_algorithm(s.restrict(members), algorithm, restrict_scheme(scheme, members))
     payoffs = {n: p.total for n, p in result.payoffs.items()}
     return lsum(payoffs.values()), payoffs, result.order_used
 
@@ -160,7 +145,7 @@ def enumerate_coalitions(
     share_memo = {} if share_memo is None else share_memo
     entries: Dict[FrozenSet[int], CoalitionEntry] = {}
     for members in _coalitions_by_bitset(ids):
-        sub = restrict_scenario(s, members)
+        sub = s.restrict(members)
         surplus = partition_players(sub)[1]
         schemes = [restrict_scheme(scheme, members)]
         if sweep and len(surplus) <= SWEEP_LIMIT:

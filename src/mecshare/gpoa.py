@@ -180,6 +180,7 @@ def credit_bonus(s: Scenario, payoffs: Dict[int, Payoff], event: AllocEvent) -> 
 def run_gpoa(
     s: Scenario, scheme: OrderingScheme, share_memo: ShareMemo | None = None
 ) -> RunResult:
+    memo = {} if share_memo is None else share_memo
     order = order_surplus(s, scheme)
     state, payoffs = start_run(s)
     g1 = partition_players(s)[0]
@@ -188,7 +189,7 @@ def run_gpoa(
         deficit_apps = state.deficit_apps(s, g1)
         if not deficit_apps:
             break
-        res = solve_surplus_share(s, n, state, deficit_apps, share_memo)
+        res = solve_surplus_share(s, n, state, deficit_apps, memo)
         payoffs[n].sharing += res.objective_value
         credit_bonus(s, payoffs, state.commit(n, res.allocation, "share"))
 

@@ -5,9 +5,9 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 #: Defaults used when a scenario file omits the corresponding keys.
 DEFAULT_DELTA = 0.01
@@ -101,6 +101,16 @@ class Scenario:
     def comm_d(self, n: int, j: int) -> float:
         return self.comm_costs.get((n, j), 0.0)
 
+    def restrict(self, members: FrozenSet[int]) -> Scenario:
+        """The sub-scenario of `members`, which keeps their solo records."""
+        providers = tuple(p for p in self.providers if p.id in members)
+        app_ids = {j for p in providers for j in p.native_apps}
+        comm = {(n, j): d for (n, j), d in self.comm_costs.items() if n in members and j in app_ids}
+        applications = tuple(a for a in self.applications if a.id in app_ids)
+        sub = replace(self, providers=providers, applications=applications, comm_costs=comm)
+        sub.__dict__["post_solo"] = {n: r for n, r in self.post_solo.items() if n in members}
+        return sub
+
     @cached_property
     def tol(self) -> float:
         """The one tolerance on resource amounts: δ·10⁻⁷, which is 1e-9 at δ = 0.01.
@@ -127,9 +137,8 @@ class Scenario:
     def post_solo(self) -> Dict[int, SoloRecord]:
         """Each provider's solo record, in provider id order, built once by `gpoa.build_post_solo`.
 
-        A record depends on its provider alone, so `game.restrict_scenario`
-        hands each coalition its members' records; a scenario built by
-        `dataclasses.replace` builds its own.
+        A record depends on its provider alone, so `restrict` hands a coalition its members'
+        records; a scenario built by `dataclasses.replace` builds its own.
         """
         from .gpoa import build_post_solo  # gpoa imports this module
 
@@ -421,7 +430,16 @@ def _utility_from_dict(app, d) -> UtilitySpec:
     return UtilitySpec(kind=d["kind"])  # `validate_scenario` names the app
 
 
+def require_object(value, what: str) -> dict:
+    """`value` if it is a JSON object; else a ValueError naming what was found."""
+    if not isinstance(value, dict):
+        found = "null" if value is None else type(value).__name__
+        raise ValueError(f"{what} must be an object, got {found}")
+    return value
+
+
 def scenario_from_dict(d: dict) -> Scenario:
+    require_object(d, "scenario")
     providers = tuple(
         Provider(id=p["id"], capacity=tuple(p["capacity"]), native_apps=tuple(p["native_apps"]))
         for p in d["providers"]

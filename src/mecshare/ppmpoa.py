@@ -33,14 +33,14 @@ class BlockingPair:
 
 
 def build_matching_matrix(
-    s: Scenario, state: AllocState, g1: List[int], g2: List[int], memo: ShareMemo | None
+    s: Scenario, state: AllocState, g1: List[int], g2: List[int], memo: ShareMemo
 ) -> MatchingMatrix:
     """Every deficit/surplus pair's share solve, the very result `solve_surplus_share` returned.
 
     Cell (m, n) is n's share solve over m's deficit apps; every m in g1 has
-    one. The solves leave the state untouched. Given a `memo`, after a
-    committed match (m, n), a cell outside row m and column n reads neither
-    m's apps nor n's remaining capacity, so it is a hit.
+    one. The solves leave the state untouched. After a committed match
+    (m, n), a cell outside row m and column n reads neither m's apps nor n's
+    remaining capacity, so it is a hit in `memo`.
     """
     matrix = MatchingMatrix()
     apps = {m: state.deficit_apps(s, [m]) for m in g1}
@@ -103,11 +103,10 @@ def check_matching_stability(result: RunResult, s: Scenario) -> List[BlockingPai
     only that provider's column. Replayed on the scenario object its run was
     made on, it builds the column through the run's share memo: a memo key
     holds all the state a solve reads, so the cells of an untampered history
-    are all hits, and a tampered one solves its misses. Any other scenario
-    solves every cell.
+    are all hits, and a tampered one solves its misses. A replay on any other
+    scenario solves through a fresh memo of its own.
     """
-    run_s, memo = result.share_memo or (None, None)
-    memo = memo if run_s is s else None
+    memo = result.share_memo[1] if result.share_memo and result.share_memo[0] is s else {}
     state = start_run(s)[0]
     g1_active, g2_active = partition_players(s)
     blocking: List[BlockingPair] = []

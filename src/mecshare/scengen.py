@@ -1,7 +1,7 @@
 """Seeded scenario generation with a fixed cross-language PRNG contract (splitmix64)."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from .model import Application, Provider, Scenario, UtilitySpec
@@ -119,3 +119,18 @@ def generate_scenario(spec: GenSpec) -> Scenario:
         providers.append(Provider(id=n, capacity=capacity, native_apps=tuple(native)))
 
     return Scenario(K=k_count, providers=tuple(providers), applications=tuple(applications))
+
+
+def with_comm_costs(s: Scenario, seed: int) -> Scenario:
+    """`s` with a cost d ~ U[0, 0.5) for every provider serving every remote app.
+
+    The draws follow provider order, then app order, from `Stream(seed)`.
+    """
+    rng = Stream(seed)
+    costs = {
+        (p.id, a.id): rng.uniform(0.0, 0.5)
+        for p in s.providers
+        for a in s.applications
+        if a.owner != p.id
+    }
+    return replace(s, comm_costs=costs)

@@ -36,7 +36,7 @@ class SubproblemResult:
     resources_used: float
 
 
-#: `solve_surplus_share`'s memo: the state a solve reads -> its result.
+#: A share-solve memo: the state a solve reads -> its result. A run given none makes its own.
 ShareMemo = Dict[tuple, SubproblemResult]
 
 
@@ -297,29 +297,26 @@ def solve_single_provider(s: Scenario, n: int) -> SubproblemResult:
 
 
 def solve_surplus_share(
-    s: Scenario, n: int, state: AllocState, deficit_apps: List[int],
-    memo: ShareMemo | None = None,
+    s: Scenario, n: int, state: AllocState, deficit_apps: List[int], memo: ShareMemo
 ) -> SubproblemResult:
     """Provider n's share of its remaining capacity among the given deficit apps.
 
-    Given a `memo`, each distinct solve runs once per memo. The key holds
-    everything the solve reads from `state`; the rest (requests, utilities,
-    w1, comm_d, delta, epsilon_gain) must be the same in every scenario that
-    shares the memo, as it is in the restrictions of one scenario.
+    Each distinct solve runs once per `memo`. The key holds everything the
+    solve reads from `state`; the rest (requests, utilities, w1, comm_d,
+    delta, epsilon_gain) must be the same in every scenario that shares the
+    memo, as it is in the restrictions of one scenario.
     """
-    if memo is not None:
-        memo_key = (n, tuple(state.remaining_capacity[n])) + tuple(
-            (j, tuple(state.allocated[j])) for j in sorted(deficit_apps)
-        )
-        hit = memo.get(memo_key)
-        if hit is not None:
-            return hit
+    memo_key = (n, tuple(state.remaining_capacity[n])) + tuple(
+        (j, tuple(state.allocated[j])) for j in sorted(deficit_apps)
+    )
+    hit = memo.get(memo_key)
+    if hit is not None:
+        return hit
     spec = build_share_spec(s, n, state, deficit_apps)
     result = allocate_greedy(spec, s.delta, s.epsilon_gain)
     allocation = _rollback_uncovered_cost(s, n, state, result)
     if allocation != result.allocation:
         # The objective and resources are taken after the rollback so they match the allocation.
         result = _result(spec.items, [allocation[(it.app, it.k)] for it in spec.items])
-    if memo is not None:
-        memo[memo_key] = result
+    memo[memo_key] = result
     return result

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import operator
 
@@ -6,7 +5,7 @@ import pytest
 
 from mecshare.game import CoalitionEntry, CoalitionReport
 from mecshare.model import AllocState, Application, Scenario, UtilitySpec
-from mecshare.scengen import GenSpec, Stream, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario
 
 
 def left_sum(values):
@@ -46,18 +45,6 @@ def initial_state(s):
         remaining_capacity={p.id: list(p.capacity) for p in s.providers},
         allocated={a.id: [0.0] * s.K for a in s.applications},
     )
-
-
-def with_comm_costs(s, seed):
-    """Cost d ~ U[0, 0.5] for every provider serving every remote app."""
-    rng = Stream(seed)
-    costs = {
-        (p.id, a.id): rng.uniform(0.0, 0.5)
-        for p in s.providers
-        for a in s.applications
-        if a.owner != p.id
-    }
-    return dataclasses.replace(s, comm_costs=costs)
 
 
 def failing_rationality_report():

@@ -15,9 +15,9 @@ from mecshare.cli import main
 from mecshare.gpoa import parse_ordering
 from mecshare.model import load_scenario, save_scenario, scenario_to_dict
 from mecshare.ppmpoa import BlockingPair, run_ppmpoa
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 
-from conftest import failing_rationality_report, with_comm_costs
+from conftest import failing_rationality_report
 
 
 def read_json(path):
@@ -836,6 +836,12 @@ BAD_INPUTS = {
     "report-vector-an-int": report_case({"2:1": 5}),
     "report-vector-a-string": report_case({"2:1": "1.0"}),
     "report-over-capacity-and-request": report_case({"2:1": [1000.0]}),
+    "scenario-a-list": ("[1]", ["solo"]),
+    "scenario-null": ("null", ["solo"]),
+    "scenario-a-string": ('"x"', ["solo"]),
+    "report-file-a-list": (two_provider_json(), ["report", "--allocation", "alloc.json"], "[1]"),
+    "report-file-null": (two_provider_json(), ["report", "--allocation", "alloc.json"], "null"),
+    "report-file-a-string": (two_provider_json(), ["report", "--allocation", "alloc.json"], '"x"'),
     # App 1 receives 1.1e-9 of its 7e-10 and provider 2 grants 1e-9 of its 9e-10.
     "report-over-bounds-below-1e-9": (
         sub_unit_json(1e-12, (3e-10, 9e-10), (7e-10, 2e-10)),
@@ -870,6 +876,12 @@ BAD_INPUT_REASONS = {
     "report-allocation-a-list": "'allocation' must be an object, got list",
     "report-vector-an-int": "allocation '2:1': vector must be a list, got int",
     "report-vector-a-string": "allocation '2:1': vector must be a list, got str",
+    "scenario-a-list": "cannot read scenario scenario.json: scenario must be an object, got list",
+    "scenario-null": "cannot read scenario scenario.json: scenario must be an object, got null",
+    "scenario-a-string": "cannot read scenario scenario.json: scenario must be an object, got str",
+    "report-file-a-list": "allocation alloc.json: allocation file must be an object, got list",
+    "report-file-null": "allocation alloc.json: allocation file must be an object, got null",
+    "report-file-a-string": "allocation alloc.json: allocation file must be an object, got str",
 }
 
 

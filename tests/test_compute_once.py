@@ -20,7 +20,6 @@ from mecshare.game import (
     check_superadditivity,
     enumerate_coalitions,
     misreport_experiment,
-    restrict_scenario,
 )
 from mecshare.gpoa import (
     OrderingScheme,
@@ -46,10 +45,10 @@ from mecshare.ppmpoa import (
     run_ppmpoa,
     select_match,
 )
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 from mecshare.subsolver import SubproblemResult, solve_single_provider, solve_surplus_share
 
-from conftest import left_sum, with_comm_costs
+from conftest import left_sum
 
 
 def fresh(s: Scenario) -> Scenario:
@@ -74,7 +73,7 @@ def reference_build_matching_matrix(
             cell = copy.deepcopy(state)
             deficit_apps = cell.deficit_apps(s, [m])
             if deficit_apps:
-                res = solve_surplus_share(s, n, cell, deficit_apps)
+                res = solve_surplus_share(s, n, cell, deficit_apps, {})
             else:
                 res = SubproblemResult(MappingProxyType({}), 0.0, 0.0)
             matrix.J[(m, n)] = res
@@ -217,7 +216,7 @@ def test_matrix_re_evaluates_only_the_committed_row_and_column(monkeypatch):
     builds = []  # per build: (g1, g2, the cells whose share solve reached the allocator)
     cell = []
 
-    def recording_share(s_, n, state, deficit_apps, memo=None):
+    def recording_share(s_, n, state, deficit_apps, memo):
         (m,) = {s_.app(j).owner for j in deficit_apps}
         cell[:] = [(m, n)]
         return share(s_, n, state, deficit_apps, memo)
@@ -319,7 +318,7 @@ def test_restriction_shares_the_memo_and_replace_does_not(monkeypatch):
     s = generate_scenario(GenSpec(setting=2, seed=3))
     ids = s.provider_ids()
     solves = count_solo_solves(monkeypatch)
-    sub = restrict_scenario(s, frozenset(ids[:2]))
+    sub = s.restrict(frozenset(ids[:2]))
     run_gpoa(sub, OrderingScheme.cdo(0))
     assert solves == ids  # the parent's solves only: the restriction solves nothing
     assert list(sub.post_solo) == ids[:2]
@@ -352,8 +351,8 @@ def test_swept_enumeration_equals_fresh_scenario_per_coalition(monkeypatch, sett
     cached = enumerate_coalitions(s, scheme, sweep_orders=True)
     assert solves == []
 
-    restrict = game.restrict_scenario
-    monkeypatch.setattr(game, "restrict_scenario", lambda s_, m: fresh(restrict(s_, m)))
+    restrict = Scenario.restrict
+    monkeypatch.setattr(Scenario, "restrict", lambda self, m: fresh(restrict(self, m)))
     rebuilt = enumerate_coalitions(fresh(s), scheme, sweep_orders=True)
     assert len(solves) > len(s.provider_ids())
     assert coalition_table(cached) == coalition_table(rebuilt)
@@ -393,8 +392,8 @@ def test_eight_provider_enumeration_equals_fresh_scenario_per_coalition(monkeypa
     scheme = OrderingScheme.cdo(0)
     cached = enumerate_coalitions(s, scheme, sweep_orders=True)
 
-    restrict = game.restrict_scenario
-    monkeypatch.setattr(game, "restrict_scenario", lambda s_, m: fresh(restrict(s_, m)))
+    restrict = Scenario.restrict
+    monkeypatch.setattr(Scenario, "restrict", lambda self, m: fresh(restrict(self, m)))
     rebuilt = enumerate_coalitions(fresh(s), scheme, sweep_orders=True)
     assert len(cached.entries) == 255
     assert coalition_table(cached) == coalition_table(rebuilt)
@@ -434,7 +433,7 @@ def test_restricted_record_equals_a_fresh_one_bit_for_bit(setting, seed, utility
     ids = s.provider_ids()
     for size in range(1, len(ids) + 1):
         for members in itertools.combinations(ids, size):
-            sub = restrict_scenario(s, frozenset(members))
+            sub = s.restrict(frozenset(members))
             rebuilt = fresh(sub)
             assert bits(sub.post_solo) == bits(rebuilt.post_solo)
             assert bits(run_solo_phase(sub)) == bits(run_solo_phase(rebuilt))

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from mecshare.game import realized_payoffs
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 from mecshare.subsolver import solve_surplus_share
 
-from conftest import with_comm_costs
 
 costly_scenarios = st.builds(
     lambda setting, seed, utility, cost_seed: with_comm_costs(
@@ -62,5 +61,5 @@ def test_pair_match_leaves_the_state_unchanged(s):
     g1, g2 = partition_players(s)
     for m in g1:
         for n in g2:
-            solve_surplus_share(s, n, state, state.deficit_apps(s, [m]))
+            solve_surplus_share(s, n, state, state.deficit_apps(s, [m]), {})
             assert state == before

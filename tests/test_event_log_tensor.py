@@ -14,10 +14,10 @@ from mecshare.game import enumerate_coalitions
 from mecshare.gpoa import OrderingScheme, run_gpoa, run_solo_phase
 from mecshare.model import AllocState, AllocationTensor, Provider
 from mecshare.ppmpoa import run_ppmpoa
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 from mecshare.subsolver import build_share_spec
 
-from conftest import linear_app, make_scenario, with_comm_costs
+from conftest import linear_app, make_scenario
 
 
 def reference_add(entries, n: int, j: int, k: int, amount: float, k_count: int) -> None:

@@ -17,21 +17,18 @@ from mecshare.game import (
     enumerate_coalitions,
     misreport_experiment,
     realized_payoffs,
-    restrict_scenario,
     run_algorithm,
 )
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 
-from conftest import (
-    failing_rationality_report, left_sum, linear_app, make_scenario, with_comm_costs,
-)
+from conftest import failing_rationality_report, left_sum, linear_app, make_scenario
 
 CDO = OrderingScheme.cdo(0)
 
 
 class TestRestrictScenario:
     def test_keeps_only_member_providers_and_their_apps(self, setting1_seed42):
-        sub = restrict_scenario(setting1_seed42, frozenset({1, 3}))
+        sub = setting1_seed42.restrict(frozenset({1, 3}))
         assert sub.provider_ids() == [1, 3]
         assert all(a.owner in {1, 3} for a in sub.applications)
         assert len(sub.applications) == 6
@@ -49,14 +46,14 @@ class TestRestrictScenario:
             apps,
             comm_costs={(1, 2): 0.1, (2, 1): 0.2},
         )
-        sub = restrict_scenario(s, frozenset({1}))
+        sub = s.restrict(frozenset({1}))
         assert sub.comm_costs == {}
 
 
 class TestCoalitionValue:
     def test_singleton_equals_solo_objective(self, setting1_seed42):
         value, payoffs, _ = coalition_value(setting1_seed42, {2}, CDO)
-        solo = run_gpoa(restrict_scenario(setting1_seed42, frozenset({2})), CDO)
+        solo = run_gpoa(setting1_seed42.restrict(frozenset({2})), CDO)
         assert value == pytest.approx(solo.payoffs[2].v_solo, abs=1e-9)
         assert payoffs == {2: pytest.approx(value)}
 

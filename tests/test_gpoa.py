@@ -12,9 +12,9 @@ from mecshare.gpoa import (
     run_solo_phase,
 )
 from mecshare.ppmpoa import run_ppmpoa
-from mecshare.scengen import DEFICIT_SETS, GenSpec, Stream, generate_scenario
+from mecshare.scengen import DEFICIT_SETS, GenSpec, Stream, generate_scenario, with_comm_costs
 
-from conftest import linear_app, make_scenario, with_comm_costs
+from conftest import linear_app, make_scenario
 
 
 def two_provider_scenario():

@@ -31,7 +31,7 @@ from mecshare import cli, subsolver
 from mecshare.model import Provider
 from mecshare.gpoa import OrderingScheme, run_gpoa, run_solo_phase
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 from mecshare.subsolver import (
     SubproblemItem,
     SubproblemResult,
@@ -41,7 +41,7 @@ from mecshare.subsolver import (
     build_solo_spec,
 )
 
-from conftest import left_sum, linear_app, make_scenario, with_comm_costs
+from conftest import left_sum, linear_app, make_scenario
 
 
 def reference_delta_greedy(spec: SubproblemSpec, delta: float, epsilon_gain: float,

@@ -23,9 +23,9 @@ from mecshare.model import (
 from mecshare.game import realized_payoffs
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
 from mecshare.ppmpoa import run_ppmpoa
-from mecshare.scengen import GenSpec, Stream, generate_scenario
+from mecshare.scengen import GenSpec, Stream, generate_scenario, with_comm_costs
 
-from conftest import initial_state, linear_app, make_scenario, with_comm_costs
+from conftest import initial_state, linear_app, make_scenario
 
 
 def with_number(name: str, value) -> Scenario:

@@ -15,10 +15,10 @@ import pytest
 
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa
 from mecshare.ppmpoa import run_ppmpoa
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 from mecshare.subsolver import SubproblemResult, _rollback_uncovered_cost, build_share_spec
 
-from conftest import initial_state, with_comm_costs
+from conftest import initial_state
 
 SEEDS = range(1, 6)
 

@@ -12,10 +12,10 @@ from mecshare.ppmpoa import (
     run_ppmpoa,
     select_match,
 )
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 from mecshare.subsolver import SubproblemResult
 
-from conftest import linear_app, make_scenario, with_comm_costs
+from conftest import linear_app, make_scenario
 
 
 class TestSelectMatch:

@@ -31,9 +31,8 @@ from mecshare.gpoa import OrderingScheme, run_gpoa
 from mecshare.metrics import compute_metrics
 from mecshare.model import UtilitySpec, validate_scenario
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 
-from conftest import with_comm_costs
 
 FLAT = UtilitySpec.linear(0.0, 0.0)
 

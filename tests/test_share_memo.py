@@ -1,13 +1,13 @@
-"""The share-solve memo, passed explicitly by the call that owns its scope.
+"""The share-solve memo, handed to every share solve by the call that owns its scope.
 
-One coalition enumeration passes one memo to every run it makes; each PPMPOA
-run otherwise solves through a fresh memo of its own, which its result keeps
-for the stability replay; plain GPOA runs take none. A memoised enumeration
-must give the same bits as solving every share subproblem again. A replay on
-the run's own scenario is all memo hits, and one on any other scenario solves
-without the memo. No memo is reachable from a scenario, and an enumeration's
-memo ends with the enumeration. A memo holds each solve's immutable result
-and hands out that very object on a hit.
+One coalition enumeration passes one memo to every run it makes; any other
+run solves through a fresh memo of its own, and a PPMPOA result keeps its
+memo for the stability replay. A memoised enumeration must give the same bits
+as solving every share subproblem again in runs of their own. A replay on the
+run's own scenario is all memo hits, and one on any other scenario solves
+through a fresh memo, not the run's. No memo is reachable from a scenario,
+and an enumeration's memo ends with the enumeration. A memo holds each solve's
+immutable result and hands out that very object on a hit.
 """
 import dataclasses
 import gc
@@ -20,9 +20,8 @@ from mecshare import game, gpoa, ppmpoa, subsolver
 from mecshare.game import coalition_value, enumerate_coalitions
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
-from mecshare.scengen import GenSpec, generate_scenario
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 
-from conftest import with_comm_costs
 
 CDO = OrderingScheme.cdo(0)
 
@@ -32,7 +31,7 @@ def record_share_solves(monkeypatch):
     memos = []
     solve = subsolver.solve_surplus_share
 
-    def recording(s, n, state, deficit_apps, memo=None):
+    def recording(s, n, state, deficit_apps, memo):
         memos.append(memo)
         return solve(s, n, state, deficit_apps, memo)
 
@@ -82,16 +81,59 @@ def test_swept_enumeration_solves_fewer_shares_than_it_asks_for(monkeypatch):
     assert 0 < solved.count("share") < len(asked)
 
 
-def test_only_the_enumeration_hands_out_a_memo(monkeypatch):
+def memo_runs(memos):
+    """The memos in call order, each stretch of calls given the same memo once."""
+    return [next(calls) for _, calls in itertools.groupby(memos, key=id)]
+
+
+def test_only_the_enumeration_shares_a_memo_between_runs(monkeypatch):
     s = with_comm_costs(generate_scenario(GenSpec(setting=3, seed=7)), 5)
     memos = record_share_solves(monkeypatch)
     run_gpoa(s, CDO)
     game.misreport_experiment(s, s.provider_ids()[-1], 1.5, 0.75)
-    assert memos and all(memo is None for memo in memos)
+    # The GPOA run and the misreport's truthful and reported runs: a fresh memo each.
+    assert len(memo_runs(memos)) == len({id(memo) for memo in memos}) == 3
 
     memos.clear()
     enumerate_coalitions(s, CDO, sweep_orders=True)
     assert len({id(memo) for memo in memos}) == 1 and memos[0]
+
+
+@pytest.mark.parametrize("setting,costs", list(itertools.product((1, 3), (False, True))))
+def test_every_share_solve_is_handed_a_dict(monkeypatch, setting, costs):
+    s = generate_scenario(GenSpec(setting=setting, seed=3))
+    if costs:
+        s = with_comm_costs(s, setting)
+    memos = record_share_solves(monkeypatch)
+    calls = []
+
+    def calls_of(work):
+        memos.clear()
+        result = work()
+        calls.extend(memos)
+        return result, memo_runs(memos)
+
+    plain = []
+    for scheme in (OrderingScheme.cao(0), CDO, OrderingScheme.random(3)):
+        plain += calls_of(lambda: run_gpoa(s, scheme))[1]
+    result, ppmpoa_memos = calls_of(lambda: run_ppmpoa(s))
+    plain += ppmpoa_memos
+    assert len(plain) == 4  # one memo per run
+    assert len({id(memo) for memo in plain}) == 4  # distinct per run
+    assert not {id(memo) for memo in plain} & reachable(s)  # none kept by the scenario
+
+    run_memo = result.share_memo[1]
+    assert calls_of(lambda: check_matching_stability(result, s))[1] == [run_memo]
+    (other_memo,) = calls_of(lambda: check_matching_stability(result, dataclasses.replace(s)))[1]
+    assert other_memo is not run_memo
+    for algorithm in ("gpoa", "ppmpoa"):
+        n = s.provider_ids()[-1]
+        misreport_memos = calls_of(lambda: game.misreport_experiment(s, n, 1.5, 0.75, algorithm))[1]
+        assert len({id(memo) for memo in misreport_memos}) == 2
+    for algorithm, sweep in (("gpoa", True), ("gpoa", False), ("ppmpoa", False)):
+        enumeration_memos = calls_of(lambda: enumerate_coalitions(s, CDO, algorithm, sweep))[1]
+        assert len({id(memo) for memo in enumeration_memos}) == 1
+    assert calls and all(type(memo) is dict for memo in calls)
 
 
 def test_each_ppmpoa_run_solves_through_a_fresh_memo_its_result_keeps(monkeypatch):
@@ -136,13 +178,15 @@ def test_a_replay_on_another_scenario_solves_without_the_runs_memo(monkeypatch):
     s = generate_scenario(GenSpec(setting=3, seed=7))
     result = run_ppmpoa(s)
     assert result.rounds >= 2
+    run_memo = result.share_memo[1]
     memoless = dataclasses.replace(result, share_memo=None)
     for other in (dataclasses.replace(s), with_comm_costs(s, 6)):
         want = check_matching_stability(memoless, other)
         memos = record_share_solves(monkeypatch)
         greedy_calls = count_greedy_calls(monkeypatch)
         assert check_matching_stability(result, other) == want
-        assert memos and all(memo is None for memo in memos)
+        (replay_memo,) = memo_runs(memos)
+        assert type(replay_memo) is dict and replay_memo is not run_memo
         assert "share" in greedy_calls
         monkeypatch.undo()
     # The costs make a pair object to the run's history, which the run's own

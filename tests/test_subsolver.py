@@ -250,7 +250,7 @@ class TestOneResultBuilder:
         state.commit(2, {(3, 0): 1.0}, "solo")
         spec = build_share_spec(s, 2, state, [1, 2])
         raw = allocate_greedy(spec, s.delta, s.epsilon_gain)
-        res = solve_surplus_share(s, 2, state, [1, 2])
+        res = solve_surplus_share(s, 2, state, [1, 2], {})
         assert dict(raw.allocation) == {(1, 0): 0.5, (2, 0): 2.0}
         assert dict(res.allocation) == {(1, 0): 0.0, (2, 0): 2.0}
         assert_result_sums_its_allocation(spec, raw)
@@ -319,7 +319,7 @@ class TestSurplusShare:
 
     def test_share_objective_matches_hand_value(self):
         s, state = self._one_gap_scenario()
-        res = solve_surplus_share(s, 2, state, [1])
+        res = solve_surplus_share(s, 2, state, [1], {})
         # gap = 2, surplus covers it fully: (u(4)-u(2)) + (2/2)^2 = 2 + 1 = 3
         assert res.allocation[(1, 0)] == pytest.approx(2.0, abs=1e-9)
         assert res.objective_value == pytest.approx(3.0, abs=1e-9)
@@ -341,7 +341,7 @@ class TestSurplusShare:
         )
         state = initial_state(s)
         state.commit(2, {(3, 0): 1.0}, "solo")  # provider 2 serves its own app first
-        res = solve_surplus_share(s, 2, state, [1, 2])
+        res = solve_surplus_share(s, 2, state, [1, 2], {})
         assert res.allocation[(1, 0)] == pytest.approx(2.0, abs=1e-9)
         assert res.allocation[(2, 0)] == pytest.approx(1.0, abs=1e-9)
         assert res.objective_value == pytest.approx(4.0625, abs=1e-6)
@@ -349,7 +349,7 @@ class TestSurplusShare:
     def test_dominating_comm_cost_blocks_any_grant(self):
         # Slope 1 with d = 5: every unit has a negative marginal gain.
         s, state = self._one_gap_scenario(d=5.0)
-        res = solve_surplus_share(s, 2, state, [1])
+        res = solve_surplus_share(s, 2, state, [1], {})
         assert res.allocation[(1, 0)] == 0.0
         assert res.resources_used == pytest.approx(0.0, abs=1e-12)
 
@@ -375,7 +375,7 @@ class TestSurplusShare:
         spec = build_share_spec(s, 2, state, [1])
         raw = allocate_greedy(spec, s.delta, s.epsilon_gain)
         assert raw.allocation[(1, 0)] > 0  # greedy does grant before rollback
-        res = solve_surplus_share(s, 2, state, [1])
+        res = solve_surplus_share(s, 2, state, [1], {})
         assert res.allocation[(1, 0)] == 0.0
         # The objective is taken again, over the rolled-back allocation.
         assert res.objective_value == left_sum(
@@ -412,7 +412,7 @@ class TestSurplusShare:
             return greedy_results[-1]
 
         monkeypatch.setattr(subsolver, "allocate_greedy", recording)
-        res = solve_surplus_share(s, 2, state, [1, 2])
+        res = solve_surplus_share(s, 2, state, [1, 2], {})
         assert res is greedy_results[0]
         assert sum(x > 0 for x in res.allocation.values()) >= 2
         assert res.objective_value == left_sum(
@@ -443,7 +443,7 @@ class TestSurplusShare:
     @staticmethod
     def _pair_match(s, m, n, state):
         """Cell (m, n) of the PPMPOA matrix: n's share solve over m's deficit apps."""
-        res = solve_surplus_share(s, n, state, state.deficit_apps(s, [m]))
+        res = solve_surplus_share(s, n, state, state.deficit_apps(s, [m]), {})
         return res.objective_value, res.resources_used, dict(res.allocation)
 
     def test_pair_match_is_pure(self):

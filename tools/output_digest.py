@@ -7,10 +7,12 @@ Usage, from the repository root:
 The package is imported from PYTHONPATH, so pointing it at another checkout's
 ``src`` digests that checkout with the same grid and the same serialization.
 Two checkouts that print the same digest computed the same bits. The value
-this checkout must print is pinned in ``tests/test_output_digest.py``.
+this checkout must print is pinned in ``tests/test_output_digest.py``. The
+tool imports only the package and the standard library, so it runs on an
+interpreter without pytest.
 
 The grid is settings 1-4 x seeds 1-8 x both utilities, each without and with
-communication costs (``tests/conftest.py:with_comm_costs``). Per scenario it
+communication costs (``mecshare.scengen.with_comm_costs``). Per scenario it
 covers the solo phase, GPOA under cao:k=0, cdo:k=0 and random:seed=<seed>, and
 PPMPOA: payoffs, surplus order, event log, allocation, metrics and realized
 payoffs, plus PPMPOA's matches and stability replay. Setting-1 and setting-3
@@ -22,23 +24,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
-import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
-
-from conftest import with_comm_costs  # noqa: E402
-from mecshare.game import (  # noqa: E402
+from mecshare.game import (
     check_no_blocking_coalition,
     check_rationality,
     check_superadditivity,
     enumerate_coalitions,
     realized_payoffs,
 )
-from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase  # noqa: E402
-from mecshare.metrics import compute_metrics  # noqa: E402
-from mecshare.ppmpoa import check_matching_stability, run_ppmpoa  # noqa: E402
-from mecshare.scengen import GenSpec, generate_scenario  # noqa: E402
+from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
+from mecshare.metrics import compute_metrics
+from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
+from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 
 GRID = [
     (setting, seed, utility, costs)
