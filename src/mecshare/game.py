@@ -7,13 +7,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from .model import AllocEvent, Scenario, eval_utility, lsum, validate_scenario
+from .model import AllocEvent, AllocState, Scenario, eval_utility, lsum, validate_scenario
 from .gpoa import (
     OrderingScheme,
+    Payoff,
     RunResult,
     order_surplus,
     partition_players,
     run_gpoa,
+    share_step,
 )
 from .ppmpoa import run_ppmpoa
 from .subsolver import ShareMemo
@@ -107,6 +109,51 @@ def _dominating_candidate(entry: CoalitionEntry, members, grand_payoffs):
     return None
 
 
+def sweep_walk(
+    s: Scenario, deficit: Tuple[int, ...], surplus: List[int], share_memo: ShareMemo
+) -> Dict[Tuple[int, ...], Dict[int, float]]:
+    """GPOA's payoffs on the deficit members `deficit`, for every order of up to
+    SWEEP_LIMIT distinct providers of `surplus`.
+
+    Each order maps to the payoff totals of `deficit` and its own members, in id
+    order: what `run_gpoa` pays them on any coalition of exactly those deficit
+    and surplus members, under that order. The walk goes depth first from the
+    post-solo records, and an order is its prefix plus one share step: the child
+    copies its parent's grants to the deficit apps and the payoffs, and its new
+    provider shares its post-solo capacity through `gpoa.share_step`. Once no
+    deficit app is left, a child takes no step and its provider keeps its solo
+    payoff, as in a run that stopped sharing.
+    """
+    records = s.post_solo
+    root = AllocState(
+        remaining_capacity={},
+        allocated={j: list(z) for m in deficit for j, z in records[m].allocated.items()},
+    )
+    walked = {}
+    stack = [((), root, {m: Payoff(v_solo=records[m].v_solo) for m in deficit})]
+    while stack:
+        order, state, payoffs = stack.pop()
+        walked[order] = {m: payoffs[m].total for m in sorted(payoffs)}
+        if len(order) == SWEEP_LIMIT:
+            continue
+        deficit_apps = state.deficit_apps(s, deficit)
+        for n in surplus:
+            if n in order:
+                continue
+            child, child_payoffs = state, dict(payoffs)
+            child_payoffs[n] = Payoff(v_solo=records[n].v_solo)
+            if deficit_apps:
+                child = AllocState(
+                    remaining_capacity={n: list(records[n].remaining_capacity)},
+                    allocated={j: list(z) for j, z in state.allocated.items()},
+                )
+                for m in deficit:
+                    child_payoffs[m] = dataclasses.replace(payoffs[m])
+                share_step(s, n, child, child_payoffs, deficit_apps, share_memo)
+            stack.append((order + (n,), child, child_payoffs))
+    return walked
+
+
 def enumerate_coalitions(
     s: Scenario,
     scheme: OrderingScheme,
@@ -129,8 +176,17 @@ def enumerate_coalitions(
     or the first one if every candidate is blocked. It comes last in bitset
     order, so every proper coalition is built before it.
 
-    Every run shares one share-solve memo, `share_memo` or else a fresh one, so
-    each distinct share subproblem across coalitions and orders is solved once.
+    A swept coalition's candidates are read off `sweep_walk`, one walk per set
+    of deficit members, in `itertools.permutations` order of its surplus
+    members; a member with neither deficit nor surplus gets its solo payoff.
+    So every share step is taken once, shared by every coalition and order
+    that has it as a prefix step, and a candidate equals a `run_gpoa` on the
+    coalition's restriction bit for bit. An unswept coalition, one with more
+    than SWEEP_LIMIT surplus members, and every PPMPOA coalition runs the
+    algorithm on `Scenario.restrict`.
+
+    Every share solve is handed one share-solve memo, `share_memo` or else a
+    fresh one, so each distinct share subproblem is solved once.
     """
     ids = s.provider_ids()
     if not ids:
@@ -143,20 +199,31 @@ def enumerate_coalitions(
     order_surplus(s, scheme)
     full = frozenset(ids)
     share_memo = {} if share_memo is None else share_memo
+    g1, g2 = partition_players(s)
+    solo = {n: Payoff(v_solo=rec.v_solo).total for n, rec in s.post_solo.items()}
+    walks: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Dict[int, float]]] = {}
     entries: Dict[FrozenSet[int], CoalitionEntry] = {}
     for members in _coalitions_by_bitset(ids):
-        sub = s.restrict(members)
-        surplus = partition_players(sub)[1]
-        schemes = [restrict_scheme(scheme, members)]
+        surplus = [n for n in g2 if n in members]
         if sweep and len(surplus) <= SWEEP_LIMIT:
-            orders = itertools.permutations(sorted(surplus))
-            schemes = [OrderingScheme.explicit(p) for p in orders]
-        candidates = []
-        for member_scheme in schemes:
-            result = run_algorithm(sub, algorithm, member_scheme, share_memo)
-            candidates.append(
-                (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
+            deficit = tuple(n for n in g1 if n in members)
+            walk = walks.get(deficit)
+            if walk is None:
+                walk = walks[deficit] = sweep_walk(s, deficit, g2, share_memo)
+            candidates = [(order, walk[order]) for order in itertools.permutations(surplus)]
+            if len(members) > len(deficit) + len(surplus):  # some member has neither
+                in_order = sorted(members)
+                candidates = [
+                    (order, {n: vec[n] if n in vec else solo[n] for n in in_order})
+                    for order, vec in candidates
+                ]
+        else:
+            result = run_algorithm(
+                s.restrict(members), algorithm, restrict_scheme(scheme, members), share_memo
             )
+            candidates = [
+                (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
+            ]
         values = [lsum(vec.values()) for _, vec in candidates]
         best = max(values)
         tied = best - PROPERTY_TOL * (1 + abs(best))  # values this close to the best tie with it

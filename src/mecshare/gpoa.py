@@ -177,6 +177,24 @@ def credit_bonus(s: Scenario, payoffs: Dict[int, Payoff], event: AllocEvent) -> 
         payoffs[m].bonus += bonus
 
 
+def share_step(
+    s: Scenario,
+    n: int,
+    state: AllocState,
+    payoffs: Dict[int, Payoff],
+    deficit_apps: List[int],
+    memo: ShareMemo,
+) -> None:
+    """One GPOA share step: n's share among `deficit_apps`, solved through `memo`.
+
+    n's objective is credited as its sharing payoff, the grants are committed to
+    `state`, and the owners of the apps they reach are credited their bonus.
+    """
+    res = solve_surplus_share(s, n, state, deficit_apps, memo)
+    payoffs[n].sharing += res.objective_value
+    credit_bonus(s, payoffs, state.commit(n, res.allocation, "share"))
+
+
 def run_gpoa(
     s: Scenario, scheme: OrderingScheme, share_memo: ShareMemo | None = None
 ) -> RunResult:
@@ -189,8 +207,6 @@ def run_gpoa(
         deficit_apps = state.deficit_apps(s, g1)
         if not deficit_apps:
             break
-        res = solve_surplus_share(s, n, state, deficit_apps, memo)
-        payoffs[n].sharing += res.objective_value
-        credit_bonus(s, payoffs, state.commit(n, res.allocation, "share"))
+        share_step(s, n, state, payoffs, deficit_apps, memo)
 
     return RunResult(payoffs=payoffs, order_used=order, events=state.events, K=s.K)

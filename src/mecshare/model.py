@@ -430,11 +430,27 @@ def _utility_from_dict(app, d) -> UtilitySpec:
     return UtilitySpec(kind=d["kind"])  # `validate_scenario` names the app
 
 
+def _json_kind(value) -> str:
+    """The JSON name of a loaded value's type, or its Python type name for a scalar."""
+    if value is None:
+        return "null"
+    return "object" if isinstance(value, dict) else type(value).__name__
+
+
 def require_object(value, what: str) -> dict:
     """`value` if it is a JSON object; else a ValueError naming what was found."""
     if not isinstance(value, dict):
-        found = "null" if value is None else type(value).__name__
-        raise ValueError(f"{what} must be an object, got {found}")
+        raise ValueError(f"{what} must be an object, got {_json_kind(value)}")
+    return value
+
+
+def _objects(value, path: str) -> list:
+    """`value` if it is a list of JSON objects; else a ValueError naming the node at `path`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: expected a list, got {_json_kind(value)}")
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path}[{i}]: expected an object, got {_json_kind(item)}")
     return value
 
 
@@ -442,7 +458,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     require_object(d, "scenario")
     providers = tuple(
         Provider(id=p["id"], capacity=tuple(p["capacity"]), native_apps=tuple(p["native_apps"]))
-        for p in d["providers"]
+        for p in _objects(d["providers"], "providers")
     )
     applications = tuple(
         Application(
@@ -452,10 +468,10 @@ def scenario_from_dict(d: dict) -> Scenario:
             utility=_utility_from_dict(a["id"], a["utility"]),
             weight_w1=a.get("w1", 1.0),
         )
-        for a in d["applications"]
+        for a in _objects(d["applications"], "applications")
     )
     comm_costs = {}
-    for c in d.get("comm_costs", []):
+    for c in _objects(d.get("comm_costs", []), "comm_costs"):
         key = (c["provider"], c["app"])
         if key in comm_costs:
             raise ValueError(f"comm cost ({key[0]!r},{key[1]!r}) is listed twice")

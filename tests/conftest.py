@@ -1,10 +1,11 @@
+import dataclasses
 import functools
 import operator
 
 import pytest
 
 from mecshare.game import CoalitionEntry, CoalitionReport
-from mecshare.model import AllocState, Application, Scenario, UtilitySpec
+from mecshare.model import AllocState, Application, Provider, Scenario, UtilitySpec
 from mecshare.scengen import GenSpec, generate_scenario
 
 
@@ -37,6 +38,27 @@ def linear_app(app_id, owner, request, a=1.0, c=0.0, w1=1.0):
         utility=UtilitySpec.linear(a=a, c=c),
         weight_w1=w1,
     )
+
+
+def append_providers(base, extra, ids):
+    """`base` plus the providers `ids` of the generated scenario `extra`, with their apps.
+
+    The appended providers are renumbered in the order given, from one past
+    base's largest provider id, and their apps from one past its largest app
+    id. Inputs larger than the canonical settings are built this way.
+    """
+    providers, apps = list(base.providers), list(base.applications)
+    next_app = max(a.id for a in apps) + 1
+    for new_id, n in enumerate(ids, start=max(p.id for p in providers) + 1):
+        native = []
+        for a in extra.apps_of(n):
+            apps.append(dataclasses.replace(a, id=next_app, owner=new_id))
+            native.append(next_app)
+            next_app += 1
+        providers.append(
+            Provider(id=new_id, capacity=extra.provider(n).capacity, native_apps=tuple(native))
+        )
+    return dataclasses.replace(base, providers=tuple(providers), applications=tuple(apps))
 
 
 def initial_state(s):

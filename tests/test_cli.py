@@ -836,6 +836,15 @@ BAD_INPUTS = {
     "report-vector-an-int": report_case({"2:1": 5}),
     "report-vector-a-string": report_case({"2:1": "1.0"}),
     "report-over-capacity-and-request": report_case({"2:1": [1000.0]}),
+    "providers-null": (two_provider_json(lambda d: d.update(providers=None)), ["solo"]),
+    "providers-an-object": (two_provider_json(lambda d: d.update(providers={})), ["solo"]),
+    "provider-null": (two_provider_json(lambda d: d["providers"].__setitem__(1, None)), ["solo"]),
+    "applications-a-string": (two_provider_json(lambda d: d.update(applications="x")), ["solo"]),
+    "application-an-int": (
+        two_provider_json(lambda d: d["applications"].__setitem__(0, 5)), ["solo"]
+    ),
+    "comm-costs-an-empty-object": (two_provider_json(lambda d: d.update(comm_costs={})), ["gpoa"]),
+    "comm-cost-a-list": (two_provider_json(lambda d: d.update(comm_costs=[[2, 1, 0.5]])), ["gpoa"]),
     "scenario-a-list": ("[1]", ["solo"]),
     "scenario-null": ("null", ["solo"]),
     "scenario-a-string": ('"x"', ["solo"]),
@@ -876,6 +885,13 @@ BAD_INPUT_REASONS = {
     "report-allocation-a-list": "'allocation' must be an object, got list",
     "report-vector-an-int": "allocation '2:1': vector must be a list, got int",
     "report-vector-a-string": "allocation '2:1': vector must be a list, got str",
+    "providers-null": "cannot read scenario scenario.json: providers: expected a list, got null",
+    "providers-an-object": "providers: expected a list, got object",
+    "provider-null": "providers[1]: expected an object, got null",
+    "applications-a-string": "applications: expected a list, got str",
+    "application-an-int": "applications[0]: expected an object, got int",
+    "comm-costs-an-empty-object": "comm_costs: expected a list, got object",
+    "comm-cost-a-list": "comm_costs[0]: expected an object, got list",
     "scenario-a-list": "cannot read scenario scenario.json: scenario must be an object, got list",
     "scenario-null": "cannot read scenario scenario.json: scenario must be an object, got null",
     "scenario-a-string": "cannot read scenario scenario.json: scenario must be an object, got str",

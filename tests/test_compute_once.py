@@ -30,7 +30,6 @@ from mecshare.gpoa import (
 )
 from mecshare.model import (
     AllocState,
-    Provider,
     Scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -48,7 +47,7 @@ from mecshare.ppmpoa import (
 from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
 from mecshare.subsolver import SubproblemResult, solve_single_provider, solve_surplus_share
 
-from conftest import left_sum
+from conftest import append_providers, left_sum
 
 
 def fresh(s: Scenario) -> Scenario:
@@ -341,6 +340,16 @@ def coalition_table(report):
     }
 
 
+def assert_candidates_are_fresh_runs(s: Scenario, report) -> None:
+    """Every candidate of `report`, keys in order, is a GPOA run under its order on
+    its coalition rebuilt from the file format, which solves its own solo records."""
+    for members, entry in report.entries.items():
+        sub = fresh(s.restrict(members))
+        for order, payoffs in entry.candidates:
+            result = run_gpoa(sub, OrderingScheme.explicit(order))
+            assert [(n, p.total) for n, p in result.payoffs.items()] == list(payoffs.items())
+
+
 @pytest.mark.parametrize("setting,seed", [(2, 5), (3, 2)])
 def test_swept_enumeration_equals_fresh_scenario_per_coalition(monkeypatch, setting, seed):
     s = generate_scenario(GenSpec(setting=setting, seed=seed))
@@ -351,27 +360,14 @@ def test_swept_enumeration_equals_fresh_scenario_per_coalition(monkeypatch, sett
     cached = enumerate_coalitions(s, scheme, sweep_orders=True)
     assert solves == []
 
-    restrict = Scenario.restrict
-    monkeypatch.setattr(Scenario, "restrict", lambda self, m: fresh(restrict(self, m)))
-    rebuilt = enumerate_coalitions(fresh(s), scheme, sweep_orders=True)
+    assert_candidates_are_fresh_runs(s, cached)
     assert len(solves) > len(s.provider_ids())
-    assert coalition_table(cached) == coalition_table(rebuilt)
 
 
 def eight_providers() -> Scenario:
     """Linear setting-3 seed 1 plus the first two providers of seed 2, renumbered 7 and 8."""
     base = generate_scenario(GenSpec(setting=3, seed=1))
-    extra = generate_scenario(GenSpec(setting=3, seed=2))
-    providers, apps = list(base.providers), list(base.applications)
-    next_app = max(a.id for a in apps) + 1
-    for new_id, p in enumerate(extra.providers[:2], start=len(providers) + 1):
-        native = []
-        for a in extra.apps_of(p.id):
-            apps.append(dataclasses.replace(a, id=next_app, owner=new_id))
-            native.append(next_app)
-            next_app += 1
-        providers.append(Provider(id=new_id, capacity=p.capacity, native_apps=tuple(native)))
-    return dataclasses.replace(base, providers=tuple(providers), applications=tuple(apps))
+    return append_providers(base, generate_scenario(GenSpec(setting=3, seed=2)), [1, 2])
 
 
 def verdicts(report):
@@ -385,19 +381,17 @@ def verdicts(report):
     ]
 
 
-def test_eight_provider_enumeration_equals_fresh_scenario_per_coalition(monkeypatch):
+def test_eight_provider_enumeration_equals_fresh_scenario_per_coalition():
     s = eight_providers()
     assert validate_scenario(s) == []
     assert len(s.provider_ids()) == 8
     scheme = OrderingScheme.cdo(0)
     cached = enumerate_coalitions(s, scheme, sweep_orders=True)
-
-    restrict = Scenario.restrict
-    monkeypatch.setattr(Scenario, "restrict", lambda self, m: fresh(restrict(self, m)))
     rebuilt = enumerate_coalitions(fresh(s), scheme, sweep_orders=True)
     assert len(cached.entries) == 255
     assert coalition_table(cached) == coalition_table(rebuilt)
     assert verdicts(cached) == verdicts(rebuilt)
+    assert_candidates_are_fresh_runs(s, cached)
 
 
 def bits(value):

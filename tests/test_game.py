@@ -5,7 +5,7 @@ import pytest
 
 from mecshare import game, subsolver
 from mecshare.model import Provider
-from mecshare.gpoa import OrderingScheme, Payoff, run_gpoa
+from mecshare.gpoa import OrderingScheme, run_gpoa
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.game import (
     PROPERTY_TOL,
@@ -119,23 +119,25 @@ class TestEnumerateCoalitions:
         assert all(len(e.candidates) == math.factorial(SWEEP_LIMIT) for e in at_limit)
 
     def test_a_one_ulp_change_to_a_candidate_value_leaves_the_pick(self, monkeypatch):
-        # Every run is worth 1.0 to its coalition, except that the last surplus
-        # order of each sweep is worth one ulp more. Values one ulp apart tie,
-        # so every entry still takes its smallest order.
+        # Every swept candidate is worth 1.0 to its coalition, except that the
+        # last surplus order of each sweep is worth one ulp more. Values one ulp
+        # apart tie, so every entry still takes its smallest order. Swept
+        # candidates are read off the walk; no member here lacks both deficit
+        # and surplus, so each walked order's payoffs are a whole candidate.
         s = generate_scenario(GenSpec(setting=3, seed=1, utility_kind="linear"))
-        real_run = game.run_algorithm
+        real_walk = game.sweep_walk
 
-        def nudged(sub, algorithm, scheme, share_memo=None):
-            result = real_run(sub, algorithm, scheme, share_memo)
-            order = result.order_used
-            value = 1.0
-            if len(order) > 1 and order == sorted(order, reverse=True):
-                value = math.nextafter(1.0, 2.0)
-            first = min(result.payoffs)
-            payoffs = {n: Payoff(v_solo=value if n == first else 0.0) for n in result.payoffs}
-            return dataclasses.replace(result, payoffs=payoffs)
+        def nudged(*args):
+            walked = real_walk(*args)
+            for order, payoffs in walked.items():
+                value = 1.0
+                if len(order) > 1 and list(order) == sorted(order, reverse=True):
+                    value = math.nextafter(1.0, 2.0)
+                first = min(payoffs, default=None)  # the empty order of no deficit member has none
+                walked[order] = {n: value if n == first else 0.0 for n in payoffs}
+            return walked
 
-        monkeypatch.setattr(game, "run_algorithm", nudged)
+        monkeypatch.setattr(game, "sweep_walk", nudged)
         report = enumerate_coalitions(s, CDO, sweep_orders=True)
         swept = [e for e in report.entries.values() if len(e.candidates) > 1]
         assert swept and report.grand() in swept

@@ -179,7 +179,7 @@ def just_under_the_step_cap():
 
 
 @pytest.mark.parametrize("costs", [False, True], ids=["free", "costs"])
-def test_runs_just_under_the_step_cap_are_feasible(monkeypatch, costs):
+def test_runs_just_under_the_step_cap_are_feasible(costs):
     # The cap bounds every request at MAX_DELTA_STEPS * delta, so the rounding of
     # granted amounts stays far inside `tol` (delta * 1e-7).
     s = just_under_the_step_cap()
@@ -188,15 +188,14 @@ def test_runs_just_under_the_step_cap_are_feasible(monkeypatch, costs):
     assert validate_scenario(s) == []
     assert sum(a.request[0] for a in s.applications) / s.delta > 0.99 * MAX_DELTA_STEPS
     runs = [(s, run_gpoa(s, OrderingScheme.cdo(0))), (s, run_ppmpoa(s))]
-    run_algorithm = game.run_algorithm
-
-    def recording_run(sub, *args):
-        result = run_algorithm(sub, *args)
-        runs.append((sub, result))
-        return result
-
-    monkeypatch.setattr(game, "run_algorithm", recording_run)
-    game.enumerate_coalitions(s, OrderingScheme.cdo(0), "gpoa", sweep_orders=True)
+    # The swept enumeration's candidates, each rerun on its coalition.
+    report = game.enumerate_coalitions(s, OrderingScheme.cdo(0), "gpoa", sweep_orders=True)
+    for members, entry in report.entries.items():
+        sub = s.restrict(members)
+        for order, payoffs in entry.candidates:
+            result = run_gpoa(sub, OrderingScheme.explicit(order))
+            assert {n: p.total for n, p in result.payoffs.items()} == payoffs
+            runs.append((sub, result))
     assert len(runs) > 2 + 7
     assert all(any(ev.phase == "share" for ev in result.events) for _, result in runs[:2])
     for sub, result in runs:

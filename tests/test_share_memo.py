@@ -1,9 +1,10 @@
 """The share-solve memo, handed to every share solve by the call that owns its scope.
 
-One coalition enumeration passes one memo to every run it makes; any other
-run solves through a fresh memo of its own, and a PPMPOA result keeps its
-memo for the stability replay. A memoised enumeration must give the same bits
-as solving every share subproblem again in runs of their own. A replay on the
+One coalition enumeration passes one memo to every share solve it makes; any
+other run solves through a fresh memo of its own, and a PPMPOA result keeps
+its memo for the stability replay. An enumeration, whose swept candidates
+share their surplus-order prefixes across coalitions, must give the same
+bits as a run of each candidate outside it. A replay on the
 run's own scenario is all memo hits, and one on any other scenario solves
 through a fresh memo, not the run's. No memo is reachable from a scenario,
 and an enumeration's memo ends with the enumeration. A memo holds each solve's
@@ -21,6 +22,8 @@ from mecshare.game import coalition_value, enumerate_coalitions
 from mecshare.gpoa import OrderingScheme, partition_players, run_gpoa, run_solo_phase
 from mecshare.ppmpoa import check_matching_stability, run_ppmpoa
 from mecshare.scengen import GenSpec, generate_scenario, with_comm_costs
+
+from conftest import append_providers, left_sum
 
 
 CDO = OrderingScheme.cdo(0)
@@ -53,12 +56,36 @@ def count_greedy_calls(monkeypatch):
     return calls
 
 
+def seven_providers():
+    """Setting-1 seed 2 (provider 1 in deficit, 2 and 3 in surplus), plus providers
+    2 and 3 of seeds 3 and 4, renumbered 4 to 7.
+
+    Provider 4's capacity is set to its apps' summed requests, so its solo phase
+    leaves it neither deficit nor surplus. One enumeration then has swept
+    coalitions, coalitions past SWEEP_LIMIT, and a member with neither, whose
+    id is neither the smallest nor the largest.
+    """
+    s = generate_scenario(GenSpec(setting=1, seed=2))
+    for seed in (3, 4):
+        s = append_providers(s, generate_scenario(GenSpec(setting=1, seed=seed)), [2, 3])
+    used_up = tuple(left_sum(a.request[k] for a in s.apps_of(4)) for k in range(s.K))
+    providers = [
+        dataclasses.replace(p, capacity=used_up) if p.id == 4 else p for p in s.providers
+    ]
+    return dataclasses.replace(s, providers=tuple(providers))
+
+
 @pytest.mark.parametrize(
     "setting,utility,costs",
-    list(itertools.product((1, 2, 3, 4), ("linear", "sigmoid"), (False, True))),
+    list(itertools.product((1, 2, 3, 4), ("linear", "sigmoid"), (False, True)))
+    + [("merged", "linear", False)],
 )
-def test_every_candidate_equals_a_memo_free_run(setting, utility, costs):
-    s = generate_scenario(GenSpec(setting=setting, seed=2, utility_kind=utility))
+def test_every_candidate_equals_a_run_outside_the_enumeration(setting, utility, costs):
+    if setting == "merged":
+        s = seven_providers()
+        assert partition_players(s) == ([1], [2, 3, 5, 6, 7]) and game.SWEEP_LIMIT < 5
+    else:
+        s = generate_scenario(GenSpec(setting=setting, seed=2, utility_kind=utility))
     if costs:
         s = with_comm_costs(s, 10 * setting + len(utility))
     for algorithm, sweep in (("gpoa", True), ("ppmpoa", False)):
@@ -68,17 +95,20 @@ def test_every_candidate_equals_a_memo_free_run(setting, utility, costs):
                 _, expected, used = coalition_value(
                     s, members, OrderingScheme.explicit(order), algorithm
                 )
-                assert payoffs == expected
+                assert list(payoffs.items()) == list(expected.items())
                 assert tuple(used) == order
 
 
-def test_swept_enumeration_solves_fewer_shares_than_it_asks_for(monkeypatch):
+def test_a_swept_enumeration_takes_each_share_step_once(monkeypatch):
+    # Its 127 candidates ask for 79 share solves, each a distinct subproblem;
+    # run one by one, their orders took 201 share steps.
     s = generate_scenario(GenSpec(setting=3, seed=4))
     assert len(s.provider_ids()) == 6
     asked = record_share_solves(monkeypatch)
     solved = count_greedy_calls(monkeypatch)
-    enumerate_coalitions(s, CDO, sweep_orders=True)
-    assert 0 < solved.count("share") < len(asked)
+    report = enumerate_coalitions(s, CDO, sweep_orders=True)
+    assert sum(len(entry.candidates) for entry in report.entries.values()) == 127
+    assert len(asked) == solved.count("share") == 79
 
 
 def memo_runs(memos):
