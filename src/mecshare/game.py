@@ -65,14 +65,12 @@ def restrict_scheme(scheme: OrderingScheme, members) -> OrderingScheme:
     return OrderingScheme.explicit(n for n in scheme.order if n in members)
 
 
-def run_algorithm(
-    s: Scenario, algorithm: str, scheme: OrderingScheme, share_memo: ShareMemo | None = None
-) -> RunResult:
+def run_algorithm(s: Scenario, algorithm: str, scheme: OrderingScheme) -> RunResult:
     """Run GPOA under `scheme`, or PPMPOA (which takes no ordering)."""
     if algorithm == "gpoa":
-        return run_gpoa(s, scheme, share_memo)
+        return run_gpoa(s, scheme)
     if algorithm == "ppmpoa":
-        return run_ppmpoa(s, share_memo)
+        return run_ppmpoa(s)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -96,10 +94,8 @@ def coalition_value(
 
 def _coalitions_by_bitset(provider_ids: List[int]) -> List[FrozenSet[int]]:
     ids = sorted(provider_ids)
-    out = []
-    for mask in range(1, 1 << len(ids)):
-        out.append(frozenset(ids[i] for i in range(len(ids)) if mask & (1 << i)))
-    return out
+    return [frozenset(ids[i] for i in range(len(ids)) if mask & (1 << i))
+            for mask in range(1, 1 << len(ids))]
 
 
 def _dominating_candidate(entry: CoalitionEntry, members, grand_payoffs):
@@ -109,21 +105,25 @@ def _dominating_candidate(entry: CoalitionEntry, members, grand_payoffs):
     return None
 
 
-def sweep_walk(
-    s: Scenario, deficit: Tuple[int, ...], surplus: List[int], share_memo: ShareMemo
+def gpoa_walk(
+    s: Scenario, deficit: Tuple[int, ...], orders, share_memo: ShareMemo
 ) -> Dict[Tuple[int, ...], Dict[int, float]]:
-    """GPOA's payoffs on the deficit members `deficit`, for every order of up to
-    SWEEP_LIMIT distinct providers of `surplus`.
+    """GPOA's payoffs on the deficit members `deficit` under each of the surplus
+    `orders` and each of their prefixes.
 
     Each order maps to the payoff totals of `deficit` and its own members, in id
     order: what `run_gpoa` pays them on any coalition of exactly those deficit
-    and surplus members, under that order. The walk goes depth first from the
-    post-solo records, and an order is its prefix plus one share step: the child
-    copies its parent's grants to the deficit apps and the payoffs, and its new
-    provider shares its post-solo capacity through `gpoa.share_step`. Once no
-    deficit app is left, a child takes no step and its provider keeps its solo
-    payoff, as in a run that stopped sharing.
+    and surplus members, under that order. The walk goes depth first over the
+    orders' prefix tree from the post-solo records; an order is its prefix plus
+    one share step: the child copies its parent's grants to the deficit apps and
+    the payoffs, and its new provider shares its post-solo capacity through
+    `gpoa.share_step`. Once no deficit app is left, a child takes no step and its
+    provider keeps its solo payoff, as in a run that stopped sharing.
     """
+    steps: Dict[Tuple[int, ...], Dict[int, None]] = {}  # prefix -> its next providers
+    for order in orders:
+        for i, n in enumerate(order):
+            steps.setdefault(order[:i], {})[n] = None
     records = s.post_solo
     root = AllocState(
         remaining_capacity={},
@@ -134,14 +134,10 @@ def sweep_walk(
     while stack:
         order, state, payoffs = stack.pop()
         walked[order] = {m: payoffs[m].total for m in sorted(payoffs)}
-        if len(order) == SWEEP_LIMIT:
-            continue
-        deficit_apps = state.deficit_apps(s, deficit)
-        for n in surplus:
-            if n in order:
-                continue
-            child, child_payoffs = state, dict(payoffs)
-            child_payoffs[n] = Payoff(v_solo=records[n].v_solo)
+        nexts = steps.pop(order, ())
+        deficit_apps = state.deficit_apps(s, deficit) if nexts else []
+        for n in nexts:
+            child, child_payoffs = state, {**payoffs, n: Payoff(v_solo=records[n].v_solo)}
             if deficit_apps:
                 child = AllocState(
                     remaining_capacity={n: list(records[n].remaining_capacity)},
@@ -176,14 +172,14 @@ def enumerate_coalitions(
     or the first one if every candidate is blocked. It comes last in bitset
     order, so every proper coalition is built before it.
 
-    A swept coalition's candidates are read off `sweep_walk`, one walk per set
-    of deficit members, in `itertools.permutations` order of its surplus
-    members; a member with neither deficit nor surplus gets its solo payoff.
-    So every share step is taken once, shared by every coalition and order
-    that has it as a prefix step, and a candidate equals a `run_gpoa` on the
-    coalition's restriction bit for bit. An unswept coalition, one with more
-    than SWEEP_LIMIT surplus members, and every PPMPOA coalition runs the
-    algorithm on `Scenario.restrict`.
+    A GPOA coalition's orders are the `itertools.permutations` of its surplus
+    members under a sweep, else the one order `run_gpoa` takes on its
+    restriction. Its candidates are read off `gpoa_walk`, one walk per set of
+    deficit members over every order asked for it, dropped once read; a member
+    with neither deficit nor surplus gets its solo payoff. So every share step
+    is taken once, and a candidate equals a `run_gpoa` on the coalition's
+    restriction bit for bit. A PPMPOA coalition runs `run_ppmpoa` on
+    `Scenario.restrict`.
 
     Every share solve is handed one share-solve memo, `share_memo` or else a
     fresh one, so each distinct share subproblem is solved once.
@@ -193,37 +189,42 @@ def enumerate_coalitions(
         raise ValueError("scenario has no providers")
     if len(ids) > MAX_PROVIDERS:
         raise ValueError(f"{len(ids)} providers exceeds cap of {MAX_PROVIDERS}")
-    sweep = sweep_orders and algorithm == "gpoa"
     # Raises unless the scheme can order the surplus set, under either algorithm and
     # even where a sweep never runs it; each coalition's is this one restricted.
     order_surplus(s, scheme)
+    if algorithm not in ("gpoa", "ppmpoa"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    sweep = sweep_orders and algorithm == "gpoa"
     full = frozenset(ids)
     share_memo = {} if share_memo is None else share_memo
     g1, g2 = partition_players(s)
     solo = {n: Payoff(v_solo=rec.v_solo).total for n, rec in s.post_solo.items()}
-    walks: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Dict[int, float]]] = {}
-    entries: Dict[FrozenSet[int], CoalitionEntry] = {}
-    for members in _coalitions_by_bitset(ids):
+    coalitions = _coalitions_by_bitset(ids)
+    candidates_of = {}  # coalition -> its (surplus order, payoffs) candidates
+    for members in coalitions if algorithm == "ppmpoa" else ():
+        result = run_ppmpoa(s.restrict(members), share_memo)
+        candidates_of[members] = [
+            (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
+        ]
+    by_deficit: Dict[Tuple[int, ...], list] = {}  # deficit members -> [(coalition, its orders)]
+    for members in coalitions if algorithm == "gpoa" else ():
         surplus = [n for n in g2 if n in members]
         if sweep and len(surplus) <= SWEEP_LIMIT:
-            deficit = tuple(n for n in g1 if n in members)
-            walk = walks.get(deficit)
-            if walk is None:
-                walk = walks[deficit] = sweep_walk(s, deficit, g2, share_memo)
-            candidates = [(order, walk[order]) for order in itertools.permutations(surplus)]
-            if len(members) > len(deficit) + len(surplus):  # some member has neither
-                in_order = sorted(members)
-                candidates = [
-                    (order, {n: vec[n] if n in vec else solo[n] for n in in_order})
-                    for order, vec in candidates
-                ]
+            orders = list(itertools.permutations(surplus))
         else:
-            result = run_algorithm(
-                s.restrict(members), algorithm, restrict_scheme(scheme, members), share_memo
-            )
-            candidates = [
-                (tuple(result.order_used), {n: p.total for n, p in result.payoffs.items()})
-            ]
+            orders = [tuple(order_surplus(s.restrict(members), restrict_scheme(scheme, members)))]
+        by_deficit.setdefault(tuple(n for n in g1 if n in members), []).append((members, orders))
+    for deficit, group in by_deficit.items():
+        walk = gpoa_walk(s, deficit, (order for _, orders in group for order in orders), share_memo)
+        for members, orders in group:
+            candidates = [(order, walk[order]) for order in orders]
+            if len(members) > len(deficit) + len(orders[0]):  # some member has neither
+                candidates = [(order, {n: vec.get(n, v) for n, v in solo.items() if n in members})
+                              for order, vec in candidates]
+            candidates_of[members] = candidates
+    entries: Dict[FrozenSet[int], CoalitionEntry] = {}
+    for members in coalitions:
+        candidates = candidates_of[members]
         values = [lsum(vec.values()) for _, vec in candidates]
         best = max(values)
         tied = best - PROPERTY_TOL * (1 + abs(best))  # values this close to the best tie with it

@@ -195,10 +195,8 @@ def share_step(
     credit_bonus(s, payoffs, state.commit(n, res.allocation, "share"))
 
 
-def run_gpoa(
-    s: Scenario, scheme: OrderingScheme, share_memo: ShareMemo | None = None
-) -> RunResult:
-    memo = {} if share_memo is None else share_memo
+def run_gpoa(s: Scenario, scheme: OrderingScheme) -> RunResult:
+    memo: ShareMemo = {}
     order = order_surplus(s, scheme)
     state, payoffs = start_run(s)
     g1 = partition_players(s)[0]

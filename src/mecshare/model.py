@@ -223,7 +223,7 @@ def validate_scenario(s: Scenario) -> List[str]:
         else:
             out.append(f"app {a.id}: unknown utility kind {u.kind!r}")
         for r in a.request:
-            if r > 0:
+            if _is_finite(r) and r > 0:  # `_check_vector` names any other entry
                 min_positive_request = min(min_positive_request, r)
 
     for (n, j), d in s.comm_costs.items():
@@ -444,11 +444,11 @@ def require_object(value, what: str) -> dict:
     return value
 
 
-def _objects(value, path: str) -> list:
-    """`value` if it is a list of JSON objects; else a ValueError naming the node at `path`."""
+def _list(value, path: str, objects: bool = False) -> list:
+    """`value` if a JSON list (of objects if `objects`); else a ValueError naming `path`."""
     if not isinstance(value, list):
         raise ValueError(f"{path}: expected a list, got {_json_kind(value)}")
-    for i, item in enumerate(value):
+    for i, item in enumerate(value if objects else ()):
         if not isinstance(item, dict):
             raise ValueError(f"{path}[{i}]: expected an object, got {_json_kind(item)}")
     return value
@@ -457,21 +457,22 @@ def _objects(value, path: str) -> list:
 def scenario_from_dict(d: dict) -> Scenario:
     require_object(d, "scenario")
     providers = tuple(
-        Provider(id=p["id"], capacity=tuple(p["capacity"]), native_apps=tuple(p["native_apps"]))
-        for p in _objects(d["providers"], "providers")
+        Provider(p["id"], tuple(_list(p["capacity"], f"providers[{i}].capacity")),
+                 tuple(_list(p["native_apps"], f"providers[{i}].native_apps")))
+        for i, p in enumerate(_list(d["providers"], "providers", objects=True))
     )
     applications = tuple(
         Application(
             id=a["id"],
             owner=a["owner"],
-            request=tuple(a["request"]),
+            request=tuple(_list(a["request"], f"applications[{i}].request")),
             utility=_utility_from_dict(a["id"], a["utility"]),
             weight_w1=a.get("w1", 1.0),
         )
-        for a in _objects(d["applications"], "applications")
+        for i, a in enumerate(_list(d["applications"], "applications", objects=True))
     )
     comm_costs = {}
-    for c in _objects(d.get("comm_costs", []), "comm_costs"):
+    for c in _list(d.get("comm_costs", []), "comm_costs", objects=True):
         key = (c["provider"], c["app"])
         if key in comm_costs:
             raise ValueError(f"comm cost ({key[0]!r},{key[1]!r}) is listed twice")

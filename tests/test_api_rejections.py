@@ -13,6 +13,10 @@ CALLS = {
         lambda: game.run_algorithm(S, "bogus", OrderingScheme.cdo(0)),
         "unknown algorithm 'bogus'",
     ),
+    "enumeration-unknown-algorithm": (
+        lambda: game.enumerate_coalitions(S, OrderingScheme.cdo(0), "bogus", sweep_orders=True),
+        "unknown algorithm 'bogus'",
+    ),
     "unknown-ordering-kind": (
         lambda: gpoa.order_surplus(S, OrderingScheme(kind="bogus")),
         "unknown ordering scheme kind 'bogus'",

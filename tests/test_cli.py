@@ -669,6 +669,14 @@ def app_1_utility(utility):
     return lambda d: d["applications"][0].update(utility=utility)
 
 
+def provider_field(i, **fields):
+    return lambda d: d["providers"][i].update(fields)
+
+
+def app_field(i, **fields):
+    return lambda d: d["applications"][i].update(fields)
+
+
 def fine_delta_grid(d):
     """Provider 1 could grant 5e10 delta-steps of 0.01 towards a request of 1e9."""
     d["providers"][0].update(capacity=[5e8])
@@ -844,6 +852,14 @@ BAD_INPUTS = {
         two_provider_json(lambda d: d["applications"].__setitem__(0, 5)), ["solo"]
     ),
     "comm-costs-an-empty-object": (two_provider_json(lambda d: d.update(comm_costs={})), ["gpoa"]),
+    "capacity-an-int": (two_provider_json(provider_field(0, capacity=5)), ["solo"]),
+    "capacity-null": (two_provider_json(provider_field(0, capacity=None)), ["solo"]),
+    "capacity-a-string": (two_provider_json(provider_field(0, capacity="123")), ["solo"]),
+    "native-apps-an-int": (two_provider_json(provider_field(1, native_apps=2)), ["solo"]),
+    "native-apps-a-string": (two_provider_json(provider_field(1, native_apps="2")), ["solo"]),
+    "request-an-int": (two_provider_json(app_field(0, request=4)), ["solo"]),
+    "request-null": (two_provider_json(app_field(1, request=None)), ["solo"]),
+    "request-a-string-entry": (two_provider_json(app_field(0, request=["x"])), ["solo"]),
     "comm-cost-a-list": (two_provider_json(lambda d: d.update(comm_costs=[[2, 1, 0.5]])), ["gpoa"]),
     "scenario-a-list": ("[1]", ["solo"]),
     "scenario-null": ("null", ["solo"]),
@@ -891,6 +907,18 @@ BAD_INPUT_REASONS = {
     "applications-a-string": "applications: expected a list, got str",
     "application-an-int": "applications[0]: expected an object, got int",
     "comm-costs-an-empty-object": "comm_costs: expected a list, got object",
+    "capacity-an-int": (
+        "cannot read scenario scenario.json: providers[0].capacity: expected a list, got int"
+    ),
+    "capacity-null": "providers[0].capacity: expected a list, got null",
+    "capacity-a-string": "providers[0].capacity: expected a list, got str",
+    "native-apps-an-int": "providers[1].native_apps: expected a list, got int",
+    "native-apps-a-string": "providers[1].native_apps: expected a list, got str",
+    "request-an-int": "applications[0].request: expected a list, got int",
+    "request-null": "applications[1].request: expected a list, got null",
+    "request-a-string-entry": (
+        "invalid scenario scenario.json: app 1 request: entry x must be finite and >= 0"
+    ),
     "comm-cost-a-list": "comm_costs[0]: expected an object, got list",
     "scenario-a-list": "cannot read scenario scenario.json: scenario must be an object, got list",
     "scenario-null": "cannot read scenario scenario.json: scenario must be an object, got null",

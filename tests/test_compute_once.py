@@ -455,8 +455,8 @@ def test_misreport_solves_the_scaled_provider_again(monkeypatch):
     n = partition_players(s)[0][0]  # a deficit provider: capacity binds
     runs = []
 
-    def recording(s_, algorithm, scheme, share_memo=None):
-        result = run_gpoa(s_, scheme, share_memo)
+    def recording(s_, algorithm, scheme):
+        result = run_gpoa(s_, scheme)
         runs.append((s_, result.events))
         return result
 

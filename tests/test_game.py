@@ -73,10 +73,13 @@ class TestCoalitionValue:
 
     @pytest.mark.parametrize("algorithm", ["gpoa", "ppmpoa"])
     @pytest.mark.parametrize(
-        "scheme", [OrderingScheme.explicit([6, 5, 4]), CDO], ids=["explicit:6,5,4", "cdo:k=0"]
+        "scheme",
+        [OrderingScheme.explicit([6, 5, 4]), CDO, OrderingScheme.random(7)],
+        ids=["explicit:6,5,4", "cdo:k=0", "random:seed=7"],
     )
     def test_every_coalition_is_the_unswept_enumerations_entry(self, scheme, algorithm):
-        # An explicit order is restricted to each coalition's members, as the enumeration does.
+        # An explicit order is restricted to each coalition's members, as the enumeration does;
+        # a random order shuffles each coalition's own surplus set, so it is no such filter.
         s = generate_scenario(GenSpec(setting=3, seed=1, utility_kind="linear"))
         report = enumerate_coalitions(s, scheme, algorithm)
         for members, entry in report.entries.items():
@@ -125,7 +128,7 @@ class TestEnumerateCoalitions:
         # candidates are read off the walk; no member here lacks both deficit
         # and surplus, so each walked order's payoffs are a whole candidate.
         s = generate_scenario(GenSpec(setting=3, seed=1, utility_kind="linear"))
-        real_walk = game.sweep_walk
+        real_walk = game.gpoa_walk
 
         def nudged(*args):
             walked = real_walk(*args)
@@ -137,7 +140,7 @@ class TestEnumerateCoalitions:
                 walked[order] = {n: value if n == first else 0.0 for n in payoffs}
             return walked
 
-        monkeypatch.setattr(game, "sweep_walk", nudged)
+        monkeypatch.setattr(game, "gpoa_walk", nudged)
         report = enumerate_coalitions(s, CDO, sweep_orders=True)
         swept = [e for e in report.entries.values() if len(e.candidates) > 1]
         assert swept and report.grand() in swept

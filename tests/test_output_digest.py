@@ -15,7 +15,7 @@ import pytest
 
 import mecshare
 
-DIGEST = "f3ca17ccc4ebb8e496fcab66e737b818dbc90e0413649365d517122aee0fef02"
+DIGEST = "decd59ee17db17be918f40ab1270d7ebe7cbe93f31b3bb1072edee1baf8107bb"
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 

@@ -2,7 +2,7 @@
 
 One coalition enumeration passes one memo to every share solve it makes; any
 other run solves through a fresh memo of its own, and a PPMPOA result keeps
-its memo for the stability replay. An enumeration, whose swept candidates
+its memo for the stability replay. An enumeration, whose GPOA candidates
 share their surplus-order prefixes across coalitions, must give the same
 bits as a run of each candidate outside it. A replay on the
 run's own scenario is all memo hits, and one on any other scenario solves
@@ -88,7 +88,7 @@ def test_every_candidate_equals_a_run_outside_the_enumeration(setting, utility, 
         s = generate_scenario(GenSpec(setting=setting, seed=2, utility_kind=utility))
     if costs:
         s = with_comm_costs(s, 10 * setting + len(utility))
-    for algorithm, sweep in (("gpoa", True), ("ppmpoa", False)):
+    for algorithm, sweep in (("gpoa", True), ("gpoa", False), ("ppmpoa", False)):
         report = enumerate_coalitions(s, CDO, algorithm, sweep_orders=sweep)
         for members, entry in report.entries.items():
             for order, payoffs in entry.candidates:
@@ -99,16 +99,22 @@ def test_every_candidate_equals_a_run_outside_the_enumeration(setting, utility, 
                 assert tuple(used) == order
 
 
-def test_a_swept_enumeration_takes_each_share_step_once(monkeypatch):
-    # Its 127 candidates ask for 79 share solves, each a distinct subproblem;
-    # run one by one, their orders took 201 share steps.
+@pytest.mark.parametrize(
+    "scheme,sweep,candidates,steps",
+    [(CDO, True, 127, 79), (CDO, False, 63, 41), (OrderingScheme.random(7), False, 63, 44)],
+    ids=["swept", "unswept-cdo:k=0", "unswept-random:seed=7"],
+)
+def test_an_enumeration_takes_each_share_step_once(monkeypatch, scheme, sweep, candidates, steps):
+    # Every share step asked for is a distinct subproblem. Run one by one, the
+    # swept candidates' orders took 201 share steps, and the unswept coalitions
+    # 75 under cdo:k=0 and 79 under random:seed=7.
     s = generate_scenario(GenSpec(setting=3, seed=4))
     assert len(s.provider_ids()) == 6
     asked = record_share_solves(monkeypatch)
     solved = count_greedy_calls(monkeypatch)
-    report = enumerate_coalitions(s, CDO, sweep_orders=True)
-    assert sum(len(entry.candidates) for entry in report.entries.values()) == 127
-    assert len(asked) == solved.count("share") == 79
+    report = enumerate_coalitions(s, scheme, sweep_orders=sweep)
+    assert sum(len(entry.candidates) for entry in report.entries.values()) == candidates
+    assert len(asked) == solved.count("share") == steps
 
 
 def memo_runs(memos):

@@ -17,7 +17,9 @@ covers the solo phase, GPOA under cao:k=0, cdo:k=0 and random:seed=<seed>, and
 PPMPOA: payoffs, surplus order, event log, allocation, metrics and realized
 payoffs, plus PPMPOA's matches and stability replay. Setting-1 and setting-3
 scenarios also cover the swept and unswept GPOA enumerations and the PPMPOA
-enumeration with their verdicts. Floats enter as their hex form and dicts in
+enumeration under cdo:k=0, and the unswept GPOA enumeration under
+random:seed=<seed>, whose coalition orders are no filter of the full order,
+each with its verdicts. Floats enter as their hex form and dicts in
 their insertion order, so any change of a bit or of an order shows.
 """
 from __future__ import annotations
@@ -73,8 +75,8 @@ def run_record(s, result) -> list:
     ]
 
 
-def enumeration_record(s, algorithm: str, sweep: bool) -> list:
-    report = enumerate_coalitions(s, OrderingScheme.cdo(0), algorithm, sweep_orders=sweep)
+def enumeration_record(s, algorithm: str, sweep: bool, scheme=OrderingScheme.cdo(0)) -> list:
+    report = enumerate_coalitions(s, scheme, algorithm, sweep_orders=sweep)
     checks = (check_superadditivity, check_rationality, check_no_blocking_coalition)
     return [
         [(sorted(members), e.value, e.payoffs, e.order_used, e.candidates)
@@ -104,6 +106,7 @@ def scenario_record(setting: int, seed: int, utility: str, costs: bool) -> list:
     if setting in (1, 3):
         for algorithm, sweep in (("gpoa", True), ("gpoa", False), ("ppmpoa", False)):
             out.append(enumeration_record(s, algorithm, sweep))
+        out.append(enumeration_record(s, "gpoa", False, OrderingScheme.random(seed)))
     return out
 
 
